@@ -14,7 +14,6 @@ type-7 order-statistic convention (NumPy's default linear interpolation).
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,14 +172,13 @@ def uq_monte_carlo(
     levels=QUANTILE_LEVELS,
     level: float = 0.95,
     bins: int = 30,
-    threads: int = 1,
 ) -> UqResult:
     """Monte-Carlo uncertainty propagation through the emulator.
 
     Draws n inputs, predicts each on the training time grid, reduces each
     series to (max elevation, mean CI length), and reports their empirical
     percentiles plus histogram data for the maximum. Deterministic per
-    (model, spec, n, seed) regardless of thread count.
+    (model, spec, n, seed).
     """
     if n < 100:
         warnings.warn(
@@ -189,17 +187,11 @@ def uq_monte_carlo(
         )
     inputs = sample_beta(spec, n, seed)
 
-    def summarize(row):
+    max_vals = np.empty(n)
+    mcil_vals = np.empty(n)
+    for i, row in enumerate(inputs):
         series = model.predict(row)
-        return max_elevation(series), mcil(series, level)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(summarize, inputs))
-    else:
-        pairs = [summarize(row) for row in inputs]
-    max_vals = np.array([p[0] for p in pairs])
-    mcil_vals = np.array([p[1] for p in pairs])
+        max_vals[i], mcil_vals[i] = max_elevation(series), mcil(series, level)
 
     lv = tuple(float(x) for x in levels)
     max_summary = QuantileSummary(

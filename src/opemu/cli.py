@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -42,8 +43,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="run-config JSON file")
     common.add_argument("--seed", type=int, metavar="U64", default=argparse.SUPPRESS,
                         help="override the design/analysis seeds")
-    common.add_argument("--threads", type=int, metavar="N", default=argparse.SUPPRESS,
-                        help="worker threads for independent folds/samples")
     common.add_argument("--trace", action="store_true", default=argparse.SUPPRESS,
                         help="write optimizer trace CSV next to the reports")
 
@@ -201,7 +200,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         model.prior,
         jitter=model.jitter,
         level=level,
-        threads=args.threads,
         refit_lengths=refit,
     )
     reports_dir = cfg.raw["paths"]["reports"]
@@ -231,6 +229,11 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"--point needs {model.design.space.k} coordinates, got {len(point)}"
         )
+    for i, v in enumerate(point):
+        if not math.isfinite(v):
+            raise ConfigError(
+                f"--point coordinate {i + 1} is {v}; coordinates must be finite"
+            )
     series = model.predict(point)
     if series.extrapolation:
         print("warning: input lies outside the design box; prediction is an "
@@ -277,7 +280,6 @@ def cmd_uq(cfg: RunConfig, args) -> int:
         seed=seed,
         level=cfg.raw["validate"]["level"],
         bins=cfg.raw["analysis"]["bins"],
-        threads=args.threads,
     )
     reports_dir = cfg.raw["paths"]["reports"]
     meta = cfg.meta(seed)
@@ -309,7 +311,6 @@ def main(argv=None) -> int:
     # SUPPRESS leaves unspecified globals unset; apply the real defaults here
     args.config = getattr(args, "config", None)
     args.seed = getattr(args, "seed", None)
-    args.threads = getattr(args, "threads", 1)
     args.trace = getattr(args, "trace", False)
     try:
         cfg = _load_config(args)

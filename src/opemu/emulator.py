@@ -6,7 +6,7 @@ Training outputs form an n x q matrix F (n design points, q time points).
 Stacked row-major with the input index outermost, y = vec(F) follows
 
     y = Q beta + eps,     Q = G_input (x) G_output          (Kronecker)
-    beta | tau  ~ Normal(m, tau V)
+    beta | tau  ~ Normal(m, tau V),   V = sigma2 * I
     eps  | tau  ~ Normal(0, tau K),   K = K_input (x) K_output
     tau         ~ InverseGamma with density  tau^-(a/2 + 1) exp(-d / (2 tau))
 
@@ -18,7 +18,9 @@ posterior is again of the same family with
 
 where res = y - Q mn. Predictions at a new input r over any times are
 Student-t with an degrees of freedom. Every K^-1 application goes through
-the per-factor Cholesky decompositions; the n*q x n*q matrix is never formed.
+the per-factor Cholesky decompositions, and Vn through the eigenbasis of
+Q' K^-1 Q (:class:`_KronEigen`); neither the n*q x n*q matrix nor the
+nu x nu posterior precision is ever formed.
 
 Vectorization convention used throughout: for row-major vec,
 (A (x) B) vec(X) = vec(A X B'); y = vec(F) and coefficient vectors reshape
@@ -27,9 +29,10 @@ to nu_r x nu_s matrices the same way.
 
 import hashlib
 import json
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.stats import t as student_t
 
 from . import __version__
@@ -46,32 +49,25 @@ from .kernels import (
     output_correlation_matrix,
 )
 
+_PRECISION = "the posterior precision matrix"
+
 
 class NigPrior:
-    """Normal--Inverse-Gamma prior for the regression coefficients and tau.
+    """Normal--Inverse-Gamma prior with isotropic coefficient scale V = sigma2 * I.
 
     Parameters
     ----------
     mean : prior coefficient mean vector (length nu).
-    cov : prior coefficient scale matrix V, or a scalar sigma2 for V = sigma2*I.
+    sigma2 : prior coefficient variance multiplier, V = sigma2 * I.
     dof : degrees of freedom a > 0.
     scale : tau scale d > 0.
     """
 
-    def __init__(self, mean, cov, dof: float, scale: float):
+    def __init__(self, mean, sigma2: float, dof: float, scale: float):
         self.mean = np.asarray(mean, dtype=float).ravel()
-        if np.ndim(cov) == 0:
-            self.sigma2 = float(cov)
-            if self.sigma2 <= 0:
-                raise ValueError("sigma2 must be strictly positive")
-            self.cov = self.sigma2 * np.eye(self.mean.size)
-        else:
-            self.sigma2 = None
-            self.cov = np.asarray(cov, dtype=float)
-            if self.cov.shape != (self.mean.size, self.mean.size):
-                raise ValueError("cov shape does not match mean length")
-            if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-                raise ValueError("cov must be symmetric")
+        self.sigma2 = float(sigma2)
+        if self.sigma2 <= 0:
+            raise ValueError("sigma2 must be strictly positive")
         if dof <= 0 or scale <= 0:
             raise ValueError("dof and scale must be strictly positive")
         self.dof = float(dof)
@@ -81,6 +77,69 @@ class NigPrior:
     def isotropic(cls, size: int, sigma2: float, dof: float, scale: float) -> "NigPrior":
         """Zero-mean prior with V = sigma2 * I."""
         return cls(np.zeros(size), sigma2, dof, scale)
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Dense prior coefficient scale matrix V = sigma2 * I."""
+        return self.sigma2 * np.eye(self.mean.size)
+
+
+class _KronEigen:
+    """Per-factor Cholesky factors plus the eigenbasis of the regression term.
+
+    With Ar = Gr' Kr^-1 Gr = Ur diag(lr) Ur' and As = Gs' Ks^-1 Gs =
+    Us diag(ls) Us', the posterior precision S = I/sigma2 + Ar (x) As is
+    diagonal in Ur (x) Us with eigenvalues P = 1/sigma2 + lr ls' on the
+    nu_r x nu_s grid. Solves, log|S|, trace terms and predictive variances
+    are then elementwise work on that grid; S itself is never formed.
+    """
+
+    def __init__(self, km: KernelMatrices, Gr: np.ndarray, Gs: np.ndarray, sigma2: float):
+        self.km, self.Gr, self.Gs = km, Gr, Gs
+        self.KrGr = cho_solve(km.input_chol, Gr, check_finite=False)
+        self.KsGs = cho_solve(km.output_chol, Gs, check_finite=False)
+        try:
+            self.lr, self.Ur = np.linalg.eigh(Gr.T @ self.KrGr)
+            self.ls, self.Us = np.linalg.eigh(Gs.T @ self.KsGs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDegeneracyError(_PRECISION, str(exc)) from exc
+        P = 1.0 / sigma2 + np.outer(self.lr, self.ls)
+        if not np.all(P > 0.0):
+            raise NumericalDegeneracyError(_PRECISION, f"smallest eigenvalue {P.min():.3g}")
+        self.D = 1.0 / P
+        self.logdet = float(np.sum(np.log(P)))
+
+    @classmethod
+    def build(cls, design, grid, input_basis, output_basis, kernel, jitter, sigma2):
+        """Factor the kernel and the regressors of a design and time grid."""
+        pair = regressor_matrices(design, grid, input_basis, output_basis)
+        km = kernel_matrices(design, grid, kernel, jitter)
+        return cls(km, pair.input_matrix, pair.output_matrix, sigma2)
+
+    def whiten(self, F: np.ndarray) -> np.ndarray:
+        """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
+        W = cho_solve(self.km.input_chol, F, check_finite=False)
+        return cho_solve(self.km.output_chol, W.T, check_finite=False).T
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """S^-1 vec(B) as a nu_r x nu_s matrix."""
+        return self.Ur @ (self.D * (self.Ur.T @ B @ self.Us)) @ self.Us.T
+
+    def dense_inverse(self) -> np.ndarray:
+        """S^-1 as a dense nu x nu matrix (for inspection and dense checks)."""
+        E = np.einsum("ai,bj->abij", self.Ur, self.Us).reshape(self.D.size, self.D.size)
+        return (E * self.D.ravel()) @ E.T
+
+    def regression_variance(self, gr, u, A, B) -> np.ndarray:
+        """rho_j' S^-1 rho_j for rho_j = gr (x) gs_j - u (x) w_j, per row j.
+
+        A holds the rows gs_j' Us and B the rows w_j' Us. The squares are
+        taken of the difference, not expanded, which would cancel badly
+        where rho is close to zero (at a design point on the grid).
+        """
+        a, b = self.Ur.T @ gr, self.Ur.T @ u
+        T = a[None, :, None] * A[:, None, :] - b[None, :, None] * B[:, None, :]
+        return np.einsum("jab,ab->j", T * T, self.D)
 
 
 class TrainingSet:
@@ -145,10 +204,10 @@ def credible_interval(series: PredictiveSeries, level: float = 0.95):
 
 
 class OpeModel:
-    """A fitted emulator: posterior state plus cached solver factors.
+    """A fitted emulator: posterior state plus the shared solver factors.
 
-    Instances are immutable after construction and safe to share across
-    threads; :meth:`predict` is pure.
+    The posterior coefficient scale matrix is not stored: :attr:`coeff_cov`
+    rebuilds it from the factors on first access. :meth:`predict` is pure.
     """
 
     def __init__(
@@ -161,12 +220,11 @@ class OpeModel:
         design: Design,
         time_grid: np.ndarray,
         coeff_mean: np.ndarray,
-        coeff_cov: np.ndarray,
         dof: float,
         scale: float,
         residual_weights: np.ndarray,
         training_fingerprint: str,
-        kernel_cache: KernelMatrices | None = None,
+        core: _KronEigen | None = None,
     ):
         self.input_basis = input_basis
         self.output_basis = output_basis
@@ -176,12 +234,12 @@ class OpeModel:
         self.design = design
         self.time_grid = np.asarray(time_grid, dtype=float).ravel()
         self.coeff_mean = np.asarray(coeff_mean, dtype=float).ravel()
-        self.coeff_cov = np.asarray(coeff_cov, dtype=float)
         self.dof = float(dof)
         self.scale = float(scale)
         self.residual_weights = np.asarray(residual_weights, dtype=float)
         self.training_fingerprint = training_fingerprint
-        self._km = kernel_cache or kernel_matrices(design, self.time_grid, kernel, jitter)
+        self._core = core or _KronEigen.build(design, self.time_grid, input_basis,
+                                              output_basis, kernel, jitter, prior.sigma2)
         self._grid_cache = None
 
     # -- derived shapes ------------------------------------------------
@@ -190,6 +248,11 @@ class OpeModel:
     def coeff_matrix(self) -> np.ndarray:
         """Posterior coefficient mean as a nu_r x nu_s matrix."""
         return self.coeff_mean.reshape(self.input_basis.size, self.output_basis.size)
+
+    @cached_property
+    def coeff_cov(self) -> np.ndarray:
+        """Posterior coefficient scale matrix Vn (nu x nu), built on first use."""
+        return self._core.dense_inverse()
 
     @property
     def tau_estimate(self) -> float:
@@ -201,18 +264,18 @@ class OpeModel:
     def _output_side(self, times):
         """Precompute everything that depends only on the prediction times.
 
-        Returns (Gs_new, Ks_cross, Ks_solve, explained_out, basis_proj)
-        where Ks_solve = K_output^-1 Ks_cross' and basis_proj =
-        G_output' Ks_solve (used in the regression-uncertainty term).
+        Returns (Gs_new, Ks_cross, explained_out, A, B) where A = Gs_new Us
+        and B = Ks_cross K_output^-1 G_output Us are the time halves of the
+        regression-uncertainty term.
         """
         t = np.asarray(times, dtype=float).ravel()
+        core = self._core
         Gs_new = self.output_basis.evaluate_many(t)
         Ks_cross = output_correlation_matrix(t, self.time_grid, self.kernel)
-        Ks_solve = cho_solve(self._km.output_chol, Ks_cross.T, check_finite=False)
+        Ks_solve = cho_solve(core.km.output_chol, Ks_cross.T, check_finite=False)
         explained_out = np.einsum("ji,ij->j", Ks_cross, Ks_solve)
-        Gs_train = self.output_basis.evaluate_many(self.time_grid)
-        basis_proj = Gs_train.T @ Ks_solve
-        return Gs_new, Ks_cross, Ks_solve, explained_out, basis_proj
+        A, B = Gs_new @ core.Us, Ks_solve.T @ (core.Gs @ core.Us)
+        return Gs_new, Ks_cross, explained_out, A, B
 
     def _grid_side(self):
         if self._grid_cache is None:
@@ -230,14 +293,15 @@ class OpeModel:
         r = np.asarray(r, dtype=float).ravel()
         if times is None:
             t = self.time_grid
-            Gs_new, Ks_cross, Ks_solve, explained_out, basis_proj = self._grid_side()
+            Gs_new, Ks_cross, explained_out, A, B = self._grid_side()
         else:
             t = np.asarray(times, dtype=float).ravel()
-            Gs_new, Ks_cross, Ks_solve, explained_out, basis_proj = self._output_side(t)
+            Gs_new, Ks_cross, explained_out, A, B = self._output_side(t)
 
+        core = self._core
         gr = self.input_basis.evaluate(r)
         kr_vec = input_correlation_matrix(r, self.design.points, self.kernel).ravel()
-        kr_solve = cho_solve(self._km.input_chol, kr_vec, check_finite=False)
+        kr_solve = cho_solve(core.km.input_chol, kr_vec, check_finite=False)
         explained_in = float(kr_vec @ kr_solve)
 
         # location: regression surface + kernel-weighted residual correction
@@ -246,13 +310,9 @@ class OpeModel:
 
         # regression-uncertainty term rho' Vn rho with
         # rho_j = gr (x) gs_j - u (x) w_j
-        Gr_train = self.input_basis.evaluate_many(self.design.points)
-        u = Gr_train.T @ kr_solve
-        P = np.einsum("i,jk->ijk", gr, Gs_new.T) - np.einsum("i,jk->ijk", u, basis_proj)
-        P = P.reshape(self.coeff_mean.size, t.size)
-        var_reg = np.einsum("ij,ij->j", P, self.coeff_cov @ P)
+        var_reg = core.regression_variance(gr, core.Gr.T @ kr_solve, A, B)
 
-        unit_var = self._km.diag_at_zero - explained_in * explained_out + var_reg
+        unit_var = core.km.diag_at_zero - explained_in * explained_out + var_reg
         clamped = int(np.sum(unit_var < 0.0))
         min_unit_var = float(unit_var.min()) if unit_var.size else 0.0
         unit_var = np.maximum(unit_var, 0.0)
@@ -275,8 +335,9 @@ def fit(
 ) -> OpeModel:
     """Conjugate posterior update from a training set.
 
-    All solves use the per-factor Cholesky decompositions; cost is
-    O(n^3 + q^3 + nu^3) rather than O((nq)^3).
+    All solves go through the per-factor Cholesky decompositions and the
+    eigenbasis of the regression term; cost is O(n^3 + q^3) rather than
+    O((nq)^3).
     """
     nu = input_basis.size * output_basis.size
     if prior.mean.size != nu:
@@ -286,39 +347,19 @@ def fit(
     if train.design.space.k != input_basis.space.k:
         raise ValueError("training design dimension does not match the input basis")
 
-    km = kernel_matrices(train.design, train.time_grid, kernel, jitter)
-    pair = regressor_matrices(train.design, train.time_grid, input_basis, output_basis)
-    Gr, Gs = pair.input_matrix, pair.output_matrix
-    F = train.outputs
+    core = _KronEigen.build(train.design, train.time_grid, input_basis, output_basis,
+                           kernel, jitter, prior.sigma2)
+    Gr, Gs, F = core.Gr, core.Gs, train.outputs
 
-    KrGr = cho_solve(km.input_chol, Gr, check_finite=False)
-    KsGs = cho_solve(km.output_chol, Gs, check_finite=False)
-    # Q' K^-1 Q factorizes per side
-    quad = np.kron(Gr.T @ KrGr, Gs.T @ KsGs)
-
-    W0 = cho_solve(km.input_chol, F, check_finite=False)
-    W0 = cho_solve(km.output_chol, W0.T, check_finite=False).T
-    proj = (Gr.T @ W0 @ Gs).ravel()  # Q' K^-1 y
-
-    try:
-        Vinv = np.linalg.inv(prior.cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("the prior coefficient scale matrix", str(exc))
-    post_prec = Vinv + quad
-    try:
-        prec_chol = cho_factor(post_prec, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("the posterior precision matrix", str(exc))
-    coeff_mean = cho_solve(prec_chol, Vinv @ prior.mean + proj, check_finite=False)
-    coeff_cov = cho_solve(prec_chol, np.eye(nu), check_finite=False)
-    coeff_cov = 0.5 * (coeff_cov + coeff_cov.T)
+    # mn = Vn (V^-1 m + Q' K^-1 y), with Q' K^-1 y = vec(Gr' K^-1 F Gs)
+    m = prior.mean.reshape(input_basis.size, output_basis.size)
+    coeff = core.solve(m / prior.sigma2 + Gr.T @ core.whiten(F) @ Gs)
 
     # scale update in residual form: guaranteed to stay positive
-    R = F - Gr @ coeff_mean.reshape(input_basis.size, output_basis.size) @ Gs.T
-    W = cho_solve(km.input_chol, R, check_finite=False)
-    W = cho_solve(km.output_chol, W.T, check_finite=False).T
-    dm = coeff_mean - prior.mean
-    post_scale = float(prior.scale + np.sum(R * W) + dm @ Vinv @ dm)
+    R = F - Gr @ coeff @ Gs.T
+    W = core.whiten(R)
+    dm = coeff - m
+    post_scale = float(prior.scale + np.sum(R * W) + np.sum(dm * dm) / prior.sigma2)
     post_dof = prior.dof + train.n * train.q
 
     return OpeModel(
@@ -329,13 +370,12 @@ def fit(
         jitter=jitter,
         design=train.design,
         time_grid=train.time_grid,
-        coeff_mean=coeff_mean,
-        coeff_cov=coeff_cov,
+        coeff_mean=coeff.ravel(),
         dof=post_dof,
         scale=post_scale,
         residual_weights=W,
         training_fingerprint=train.fingerprint(),
-        kernel_cache=km,
+        core=core,
     )
 
 
@@ -348,16 +388,11 @@ def predict(model: OpeModel, r, times=None) -> PredictiveSeries:
 
 
 def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
-    """Write a fitted model as JSON (full float precision, row-major arrays)."""
-    prior_doc = {
-        "mean": model.prior.mean.tolist(),
-        "dof": model.prior.dof,
-        "scale": model.prior.scale,
-    }
-    if model.prior.sigma2 is not None:
-        prior_doc["sigma2"] = model.prior.sigma2
-    else:
-        prior_doc["cov"] = model.prior.cov.tolist()
+    """Write a fitted model as JSON (full float precision, row-major arrays).
+
+    The posterior coefficient scale matrix is not written; loading rebuilds
+    it from the kernel and the bases.
+    """
     doc = {
         "format": "ope-model",
         "version": __version__,
@@ -373,10 +408,14 @@ def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
             "exponent": model.kernel.exponent,
         },
         "jitter": model.jitter,
-        "prior": prior_doc,
+        "prior": {
+            "mean": model.prior.mean.tolist(),
+            "dof": model.prior.dof,
+            "scale": model.prior.scale,
+            "sigma2": model.prior.sigma2,
+        },
         "posterior": {
             "coeff_mean": model.coeff_mean.tolist(),
-            "coeff_cov": model.coeff_cov.tolist(),
             "dof": model.dof,
             "scale": model.scale,
         },
@@ -389,51 +428,70 @@ def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
 
 
 def load_model(path: str) -> OpeModel:
-    """Read a model written by :func:`save_model`; rebuilds solver caches."""
+    """Read a model written by :func:`save_model`; rebuilds solver factors.
+
+    Raises :class:`DataError` naming the key when a required key is missing
+    or an array's shape does not match the design, the time grid and the
+    bases. A ``posterior.coeff_cov`` stored by older versions is ignored.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
-    if doc.get("format") != "ope-model":
+    if not isinstance(doc, dict) or doc.get("format") != "ope-model":
         raise DataError(f"{path}: not a fitted-model file")
-    space = DesignSpace(
-        bounds=[tuple(b) for b in doc["space"]["bounds"]],
-        names=tuple(doc["space"]["names"]),
-    )
-    points = np.array(doc["design"]["points"], dtype=float)
-    design = Design(
-        points=points,
-        unit_points=space.to_unit(points),
-        space=space,
-        seed=int(doc["design"].get("seed", 0)),
-    )
-    prior_doc = doc["prior"]
-    cov = prior_doc.get("sigma2")
-    if cov is None:
-        cov = np.array(prior_doc["cov"], dtype=float)
-    prior = NigPrior(
-        np.array(prior_doc["mean"], dtype=float),
-        cov,
-        prior_doc["dof"],
-        prior_doc["scale"],
-    )
-    return OpeModel(
-        input_basis=InputBasis(space),
-        output_basis=OutputBasis(tuple(doc["output_basis"]["frequencies"])),
-        kernel=KernelSpec(
-            input_lengths=tuple(doc["kernel"]["input_lengths"]),
-            output_length=doc["kernel"]["output_length"],
-            exponent=doc["kernel"]["exponent"],
-        ),
-        prior=prior,
-        jitter=doc["jitter"],
-        design=design,
-        time_grid=np.array(doc["time_grid"], dtype=float),
-        coeff_mean=np.array(doc["posterior"]["coeff_mean"], dtype=float),
-        coeff_cov=np.array(doc["posterior"]["coeff_cov"], dtype=float),
-        dof=doc["posterior"]["dof"],
-        scale=doc["posterior"]["scale"],
-        residual_weights=np.array(doc["residual_weights"], dtype=float),
-        training_fingerprint=doc.get("training_fingerprint", ""),
-    )
+    prior_doc = doc.get("prior")
+    if isinstance(prior_doc, dict) and "cov" in prior_doc and "sigma2" not in prior_doc:
+        raise DataError(f"{path}: prior has a dense 'cov' and no 'sigma2'; "
+                        "only isotropic priors (V = sigma2 * I) are supported")
+
+    def get(key, shape=None):
+        node = doc
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise DataError(f"missing key {key!r}")
+            node = node[part]
+        if shape is None:
+            return node
+        try:
+            arr = np.array(node, dtype=float)
+        except (TypeError, ValueError):
+            raise DataError(f"{key!r} is not a numeric array") from None
+        if arr.ndim != len(shape) or any(
+                s not in (None, n) for n, s in zip(arr.shape, shape)):
+            want = "x".join("*" if s is None else str(s) for s in shape)
+            raise DataError(f"{key!r} has shape {arr.shape}, expected {want}")
+        return arr
+
+    try:
+        space = DesignSpace(bounds=[tuple(b) for b in get("space.bounds")],
+                            names=tuple(get("space.names")))
+        points = get("design.points", (None, space.k))
+        grid = get("time_grid", (None,))
+        design = Design(points=points, unit_points=space.to_unit(points), space=space,
+                        seed=int(doc["design"].get("seed", 0)))
+        input_basis = InputBasis(space)
+        output_basis = OutputBasis(tuple(get("output_basis.frequencies")))
+        nu = (input_basis.size * output_basis.size,)
+        return OpeModel(
+            input_basis=input_basis,
+            output_basis=output_basis,
+            kernel=KernelSpec(
+                input_lengths=tuple(get("kernel.input_lengths", (space.k,))),
+                output_length=get("kernel.output_length"),
+                exponent=get("kernel.exponent"),
+            ),
+            prior=NigPrior(get("prior.mean", nu), get("prior.sigma2"),
+                           get("prior.dof"), get("prior.scale")),
+            jitter=get("jitter"),
+            design=design,
+            time_grid=grid,
+            coeff_mean=get("posterior.coeff_mean", nu),
+            dof=get("posterior.dof"),
+            scale=get("posterior.scale"),
+            residual_weights=get("residual_weights", (points.shape[0], grid.size)),
+            training_fingerprint=doc.get("training_fingerprint", ""),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc

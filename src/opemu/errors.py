@@ -14,11 +14,12 @@ class DataError(ValueError):
 
 
 class NumericalDegeneracyError(RuntimeError):
-    """A matrix factorization failed; names the offending matrix."""
+    """A matrix factorization failed or found a non-positive eigenvalue;
+    names the offending matrix."""
 
     def __init__(self, matrix_name: str, detail: str = ""):
         self.matrix_name = matrix_name
-        msg = f"Cholesky factorization failed for {matrix_name}"
+        msg = f"factorization failed for {matrix_name}"
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)

@@ -80,31 +80,6 @@ def output_correlation_matrix(times_a, times_b, spec: KernelSpec) -> np.ndarray:
     return np.exp(-(d ** spec.exponent))
 
 
-def input_length_derivatives(points, spec: KernelSpec) -> list:
-    """d K_input / d length, one matrix per input dimension.
-
-    For k(d) = exp(-sum_j (d_j/l_j)^p), the derivative w.r.t. l_j is
-    K * p * d_j^p / l_j^(p+1); the jittered diagonal has zero derivative.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    K = input_correlation_matrix(pts, pts, spec)
-    p = spec.exponent
-    derivs = []
-    for j, lj in enumerate(spec.input_lengths):
-        d = np.abs(pts[:, j, None] - pts[None, :, j])
-        derivs.append(K * p * d ** p / lj ** (p + 1))
-    return derivs
-
-
-def output_length_derivative(times, spec: KernelSpec) -> np.ndarray:
-    """d K_output / d length for the time kernel."""
-    t = np.asarray(times, dtype=float).ravel()
-    K = output_correlation_matrix(t, t, spec)
-    p = spec.exponent
-    d = np.abs(t[:, None] - t[None, :])
-    return K * p * d ** p / spec.output_length ** (p + 1)
-
-
 @dataclass(frozen=True)
 class KernelMatrices:
     """Jittered per-factor correlation matrices with cached Cholesky factors."""
@@ -119,12 +94,6 @@ class KernelMatrices:
     def diag_at_zero(self) -> float:
         """Prior correlation of a point with itself, nugget included."""
         return (1.0 + self.jitter) ** 2
-
-    def logdet(self) -> tuple:
-        """(log|K_input|, log|K_output|) from the cached factors."""
-        ld_r = 2.0 * np.sum(np.log(np.diag(self.input_chol[0])))
-        ld_s = 2.0 * np.sum(np.log(np.diag(self.output_chol[0])))
-        return float(ld_r), float(ld_s)
 
 
 def _factor(matrix: np.ndarray, name: str) -> tuple:

@@ -27,14 +27,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from .basis import InputBasis, OutputBasis
 from .design import DesignSpace, lhd
-from .emulator import NigPrior, TrainingSet
+from .emulator import NigPrior, TrainingSet, _KronEigen
 from .errors import DataError, NumericalDegeneracyError, OptimizationFailure
-from .kernels import DEFAULT_JITTER, KernelSpec
+from .kernels import DEFAULT_JITTER, KernelSpec, kernel_matrices
 
 _BARRIER = 1e25
 
@@ -79,6 +79,7 @@ class _Workspace:
     def __init__(self, train, input_basis, output_basis, sigma2, exponent, jitter):
         self.F = train.outputs
         self.n, self.q = self.F.shape
+        self.design, self.grid = train.design, train.time_grid
         self.Gr = input_basis.evaluate_many(train.design.points)
         self.Gs = output_basis.evaluate_many(train.time_grid)
         self.nu = self.Gr.shape[1] * self.Gs.shape[1]
@@ -100,45 +101,19 @@ class _Workspace:
         p = self.exponent
         n, q, nu = self.n, self.q, self.nu
 
-        expo_r = np.zeros((n, n))
-        for j in range(self.k):
-            expo_r += (self.input_gaps[j] / lengths[j]) ** p
-        Kr0 = np.exp(-expo_r)
-        Ks0 = np.exp(-((self.output_gap / lengths[-1]) ** p))
-        Kr = Kr0 + self.jitter * np.eye(n)
-        Ks = Ks0 + self.jitter * np.eye(q)
-        try:
-            chol_r = cho_factor(Kr, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError("the input correlation matrix", str(exc))
-        try:
-            chol_s = cho_factor(Ks, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError("the output correlation matrix", str(exc))
+        spec = KernelSpec(tuple(lengths[:-1]), lengths[-1], p)
+        km = kernel_matrices(self.design, self.grid, spec, self.jitter)
+        core = _KronEigen(km, self.Gr, self.Gs, self.sigma2)
 
-        KrGr = cho_solve(chol_r, self.Gr, check_finite=False)
-        KsGs = cho_solve(chol_s, self.Gs, check_finite=False)
-        Ar = self.Gr.T @ KrGr
-        As = self.Gs.T @ KsGs
-        S = np.kron(Ar, As)
-        S[np.diag_indices_from(S)] += 1.0 / self.sigma2
-        S = 0.5 * (S + S.T)
-        try:
-            chol_S = cho_factor(S, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError("the regression capacitance matrix", str(exc))
-
-        W0 = cho_solve(chol_r, self.F, check_finite=False)
-        W0 = cho_solve(chol_s, W0.T, check_finite=False).T
-        b = (self.Gr.T @ W0 @ self.Gs).ravel()
-        Sb = cho_solve(chol_S, b, check_finite=False)
+        W0 = core.whiten(self.F)
+        b = self.Gr.T @ W0 @ self.Gs
+        Z = core.solve(b)
         quad_K = float(np.sum(self.F * W0))
-        quad_M = quad_K - float(b @ Sb)
+        quad_M = quad_K - float(np.sum(b * Z))
 
-        ld_r = 2.0 * np.sum(np.log(np.diag(chol_r[0])))
-        ld_s = 2.0 * np.sum(np.log(np.diag(chol_s[0])))
-        ld_S = 2.0 * np.sum(np.log(np.diag(chol_S[0])))
-        ld_M = q * ld_r + n * ld_s + nu * math.log(self.sigma2) + ld_S
+        ld_r = 2.0 * np.sum(np.log(np.diag(km.input_chol[0])))
+        ld_s = 2.0 * np.sum(np.log(np.diag(km.output_chol[0])))
+        ld_M = q * ld_r + n * ld_s + nu * math.log(self.sigma2) + core.logdet
 
         value = (
             -0.5 * quad_M / tau
@@ -149,28 +124,26 @@ class _Workspace:
             return value, None
 
         # beta = M^-1 y reshaped to n x q
-        Z = Sb.reshape(self.Gr.shape[1], self.Gs.shape[1])
-        B = W0 - KrGr @ Z @ KsGs.T
-
-        Kr_inv = cho_solve(chol_r, np.eye(n), check_finite=False)
-        Ks_inv = cho_solve(chol_s, np.eye(q), check_finite=False)
-        S_inv = cho_solve(chol_S, np.eye(nu), check_finite=False)
+        B = W0 - core.KrGr @ Z @ core.KsGs.T
+        Kr, Ks = km.input_matrix, km.output_matrix
+        Kr_inv = cho_solve(km.input_chol, np.eye(n), check_finite=False)
+        Ks_inv = cho_solve(km.output_chol, np.eye(q), check_finite=False)
+        # tr(S^-1 (X (x) Y)) = diag(Ur' X Ur) D diag(Us' Y Us). dK is taken
+        # from the jittered factors: the gaps, and so dK, vanish on the diagonal
+        KrGrU, KsGsU = core.KrGr @ core.Ur, core.KsGs @ core.Us
+        regr_s, regr_r = core.D @ core.ls, core.lr @ core.D
 
         grad = np.empty(self.k + 2)
         for j in range(self.k):
-            dKr = Kr0 * (p * self.input_gaps[j] ** p / lengths[j] ** (p + 1))
+            dKr = Kr * (p * self.input_gaps[j] ** p / lengths[j] ** (p + 1))
             term1 = float(np.sum(B * (dKr @ B @ Ks))) / (2.0 * tau)
-            proj = KrGr.T @ dKr @ KrGr
-            trace = q * float(np.sum(Kr_inv * dKr)) - float(
-                np.sum(S_inv * np.kron(proj, As))
-            )
+            x = np.sum(KrGrU * (dKr @ KrGrU), axis=0)
+            trace = q * float(np.sum(Kr_inv * dKr)) - float(x @ regr_s)
             grad[j] = term1 - 0.5 * trace
-        dKs = Ks0 * (p * self.output_gap ** p / lengths[-1] ** (p + 1))
+        dKs = Ks * (p * self.output_gap ** p / lengths[-1] ** (p + 1))
         term1 = float(np.sum(B * (Kr @ B @ dKs))) / (2.0 * tau)
-        proj = KsGs.T @ dKs @ KsGs
-        trace = n * float(np.sum(Ks_inv * dKs)) - float(
-            np.sum(S_inv * np.kron(Ar, proj))
-        )
+        y = np.sum(KsGsU * (dKs @ KsGsU), axis=0)
+        trace = n * float(np.sum(Ks_inv * dKs)) - float(regr_r @ y)
         grad[self.k] = term1 - 0.5 * trace
         grad[self.k + 1] = 0.5 * quad_M / tau**2 - 0.5 * n * q / tau
         return value, grad

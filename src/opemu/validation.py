@@ -14,7 +14,6 @@ predictions.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,16 +119,14 @@ def loo(
     prior: NigPrior,
     jitter: float = DEFAULT_JITTER,
     level: float = 0.95,
-    threads: int = 1,
     refit_lengths=None,
 ) -> DiagnosticsReport:
     """Leave-one-out validation over all n design points.
 
     ``refit_lengths`` is an optional callable mapping a fold's TrainingSet
     to a KernelSpec, enabling per-fold re-optimization; by default the
-    given kernel is used unchanged for every fold. Folds are independent
-    and may run on a thread pool; assembly order is by fold index either
-    way. A fold that fails numerically is recorded and skipped.
+    given kernel is used unchanged for every fold. A fold that fails
+    numerically is recorded and skipped.
     """
     if train.n < 3:
         raise ValueError(f"leave-one-out needs at least 3 points, got {train.n}")
@@ -153,22 +150,11 @@ def loo(
 
     diagnostics = []
     failures = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_fold, i) for i in range(train.n)]
-            outcomes = []
-            for i, fut in enumerate(futures):
-                try:
-                    outcomes.append(fut.result())
-                except (NumericalDegeneracyError, OptimizationFailure) as exc:
-                    failures.append({"index": i, "error": str(exc)})
-            diagnostics = sorted(outcomes, key=lambda d: d.index)
-    else:
-        for i in range(train.n):
-            try:
-                diagnostics.append(run_fold(i))
-            except (NumericalDegeneracyError, OptimizationFailure) as exc:
-                failures.append({"index": i, "error": str(exc)})
+    for i in range(train.n):
+        try:
+            diagnostics.append(run_fold(i))
+        except (NumericalDegeneracyError, OptimizationFailure) as exc:
+            failures.append({"index": i, "error": str(exc)})
 
     distances = med(train.design)
     ok = [d.index for d in diagnostics]

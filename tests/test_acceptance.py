@@ -263,7 +263,6 @@ def paper_loo(paper_pipeline):
         paper_pipeline["kernel"],
         paper_pipeline["prior"],
         jitter=JITTER,
-        threads=4,
     )
     return rep, time.perf_counter() - t0
 

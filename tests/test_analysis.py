@@ -160,11 +160,6 @@ class TestUqMonteCarlo:
         assert np.array_equal(a.max_elevation.values, b.max_elevation.values)
         assert np.array_equal(a.histogram_counts, b.histogram_counts)
 
-    def test_threaded_matches_serial(self, toy_model):
-        a = uq_monte_carlo(toy_model, default_beta(), n=150, seed=2, threads=1)
-        b = uq_monte_carlo(toy_model, default_beta(), n=150, seed=2, threads=4)
-        assert np.array_equal(a.max_elevation.values, b.max_elevation.values)
-
     def test_point_mass_limit_shrinks_spread(self, toy_model):
         concentrated = BetaInputSpec(
             dims=((5000.0, 5000.0, -2.0, 0.0), (5000.0, 5000.0, 1.0, 2.0),

@@ -259,3 +259,19 @@ class TestExitCodes:
         _, cfg_path = pipeline_dir
         assert main(["predict", "--config", str(cfg_path), "--point", "a,b,c"]) == 2
         assert main(["predict", "--config", str(cfg_path), "--point", "1.0"]) == 2
+        assert main(["predict", "--config", str(cfg_path), "--point=nan,1.5,2"]) == 2
+        assert main(["predict", "--config", str(cfg_path), "--point=-1.0,inf,2"]) == 2
+
+    def test_broken_model_file_exit_3(self, pipeline_dir, tmp_path, capsys):
+        workdir, cfg_path = pipeline_dir
+        doc = json.loads((workdir / "model.json").read_text())
+        del doc["posterior"]["scale"]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        config = json.loads(cfg_path.read_text())
+        config["paths"]["model"] = str(tmp_path / "model.json")
+        broken_cfg = tmp_path / "run.json"
+        broken_cfg.write_text(json.dumps(config))
+        out = str(tmp_path / "prediction.csv")
+        assert main(["predict", "--config", str(broken_cfg), "--point=-1.0,1.5,1.5",
+                     "--out", out]) == 3
+        assert "posterior.scale" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import t as student_t
@@ -81,26 +83,28 @@ class TestFitAgainstDenseOracle:
 
         rng = np.random.default_rng(seed + 7)
         r = train.design.space.from_unit(rng.random(3))[0]
-        times = np.array([0.3, 1.7])
-        series = model.predict(r, times)
-        gr = reference.input_regressors(r, train.design.space.bounds)
-        kr = np.array([
-            reference.correlation(r, 0, p, 0, kern.input_lengths, 1.0, kern.exponent)
-            for p in train.design.points
-        ])
-        for j, t in enumerate(times):
-            gs = reference.output_regressors(t, ob.frequencies)
-            ks = np.array([
-                reference.correlation([0], t, [0], tg, (1.0,), kern.output_length,
-                                      kern.exponent)
-                for tg in train.time_grid
+        # the second case sits at a design point on the training grid, where
+        # rho is close to zero and the regression variance cancels the most
+        for r, times in ((r, np.array([0.3, 1.7])), (train.design.points[0], None)):
+            series = model.predict(r, times)
+            gr = reference.input_regressors(r, train.design.space.bounds)
+            kr = np.array([
+                reference.correlation(r, 0, p, 0, kern.input_lengths, 1.0, kern.exponent)
+                for p in train.design.points
             ])
-            loc, scale = reference.dense_predict(
-                train.outputs, K, Q, mn, Vn, an, dn,
-                np.kron(gr, gs), np.kron(kr, ks), (1 + jitter) ** 2,
-            )
-            assert abs(series.location[j] - loc) < 1e-8 * (1 + abs(loc))
-            assert abs(series.scale[j] - scale) < 1e-8 * (1 + abs(scale))
+            for j, t in enumerate(train.time_grid if times is None else times):
+                gs = reference.output_regressors(t, ob.frequencies)
+                ks = np.array([
+                    reference.correlation([0], t, [0], tg, (1.0,), kern.output_length,
+                                          kern.exponent)
+                    for tg in train.time_grid
+                ])
+                loc, scale = reference.dense_predict(
+                    train.outputs, K, Q, mn, Vn, an, dn,
+                    np.kron(gr, gs), np.kron(kr, ks), (1 + jitter) ** 2,
+                )
+                assert abs(series.location[j] - loc) < 1e-8 * (1 + abs(loc))
+                assert abs(series.scale[j] - scale) < 1e-8 * (1 + abs(scale))
 
     def test_positive_posterior_scalars(self):
         train, ib, ob, kern = small_problem(n=3, q=4, seed=5)
@@ -262,6 +266,58 @@ class TestSerialization:
         assert np.abs(a.location - b.location).max() < 1e-12
         assert np.abs(a.scale - b.scale).max() < 1e-12
         assert a.dof == b.dof
+
+    def _saved_doc(self, wave_space, tmp_path):
+        design = lhd(5, wave_space, 12)
+        train = toy_training_set(design, np.round(0.5 * np.arange(6), 12))
+        model = fit(
+            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            InputBasis(wave_space), OutputBasis(),
+            KernelSpec((1.0, 0.5, 0.8), 1.0), train,
+        )
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        return model, path, json.loads(path.read_text())
+
+    def test_older_file_with_stored_coeff_cov_loads(self, wave_space, tmp_path):
+        model, path, doc = self._saved_doc(wave_space, tmp_path)
+        assert "coeff_cov" not in doc["posterior"]
+        doc["posterior"]["coeff_cov"] = model.coeff_cov.tolist()
+        path.write_text(json.dumps(doc))
+        loaded = load_model(str(path))
+        r = [-0.5, 1.2, 2.7]
+        a, b = model.predict(r), loaded.predict(r)
+        assert np.abs(a.location - b.location).max() < 1e-12
+        assert np.abs(a.scale - b.scale).max() < 1e-12
+        assert np.abs(loaded.coeff_cov - model.coeff_cov).max() < 1e-12
+
+    def test_missing_key_names_it(self, wave_space, tmp_path):
+        from opemu.errors import DataError
+
+        _, path, doc = self._saved_doc(wave_space, tmp_path)
+        del doc["posterior"]["scale"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="posterior.scale"):
+            load_model(str(path))
+
+    def test_wrong_shape_names_key(self, wave_space, tmp_path):
+        from opemu.errors import DataError
+
+        _, path, doc = self._saved_doc(wave_space, tmp_path)
+        doc["residual_weights"] = doc["residual_weights"][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="residual_weights"):
+            load_model(str(path))
+
+    def test_dense_prior_cov_rejected(self, wave_space, tmp_path):
+        from opemu.errors import DataError
+
+        _, path, doc = self._saved_doc(wave_space, tmp_path)
+        sigma2 = doc["prior"].pop("sigma2")
+        doc["prior"]["cov"] = (sigma2 * np.eye(77)).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="dense 'cov' and no 'sigma2'"):
+            load_model(str(path))
 
     def test_rejects_non_model_json(self, tmp_path):
         from opemu.errors import DataError

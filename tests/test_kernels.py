@@ -59,7 +59,10 @@ class TestPointwise:
         lo, hi = sorted((d1, d2))
         if lo == hi:
             return
-        assert output_correlation(0.0, hi, spec) < output_correlation(0.0, lo, spec)
+        # gaps a few ulps apart can round to the same float64 correlation
+        assert output_correlation(0.0, hi, spec) <= output_correlation(0.0, lo, spec)
+        if hi > lo * (1 + 1e-9):
+            assert output_correlation(0.0, hi, spec) < output_correlation(0.0, lo, spec)
 
 
 class TestMatrices:

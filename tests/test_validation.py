@@ -133,14 +133,6 @@ class TestLoo:
         std = full.outputs.std()
         assert dup_fold.rmse <= 1e-2 * std
 
-    def test_threaded_matches_serial(self, wave_space):
-        train, ib, ob, kern, prior = _fit_inputs(wave_space, n=6)
-        serial = loo(train, ib, ob, kern, prior, threads=1)
-        threaded = loo(train, ib, ob, kern, prior, threads=4)
-        assert [d.index for d in serial.diagnostics] == [d.index for d in threaded.diagnostics]
-        for a, b in zip(serial.diagnostics, threaded.diagnostics):
-            assert np.array_equal(a.series.location, b.series.location)
-
     def test_fold_failure_recorded(self, wave_space):
         train, ib, ob, kern, prior = _fit_inputs(wave_space, n=5)
 
