@@ -15,6 +15,7 @@ from .kernels import KernelSpec, kernel_matrices, input_correlation, output_corr
 from .emulator import (
     NigPrior,
     OpeModel,
+    PredictiveBatch,
     PredictiveSeries,
     TrainingSet,
     credible_interval,
@@ -68,6 +69,7 @@ __all__ = [
     "output_correlation",
     "NigPrior",
     "OpeModel",
+    "PredictiveBatch",
     "PredictiveSeries",
     "TrainingSet",
     "credible_interval",

@@ -10,6 +10,11 @@ Reproducibility: Beta draws use inverse-CDF transforms of a single seeded
 uniform stream (one column per dimension, drawn in one block, so results
 do not depend on dimension processing order), and quantiles use the
 type-7 order-statistic convention (NumPy's default linear interpolation).
+
+The Monte-Carlo analysis predicts its draws in blocks of ``UQ_BLOCK`` rows
+with :meth:`OpeModel.predict_many`; the block size bounds the memory of
+the m x q intermediates (10k draws at the reference size peak at ~3.7 MiB
+of numpy allocations in blocks, ~76 MiB in one batch).
 """
 
 import json
@@ -17,13 +22,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .emulator import OpeModel, PredictiveSeries, credible_interval
 from .ioutil import atomic_write_text, fmt, meta_lines
 from .validation import mcil
 
 QUANTILE_LEVELS = (1.0, 5.0, 50.0, 95.0, 99.0)
+UQ_BLOCK = 256
 
 
 def max_elevation(series: PredictiveSeries, pessimistic: bool = False, level: float = 0.95) -> float:
@@ -138,7 +144,7 @@ def sample_beta(spec: BetaInputSpec, n: int, seed: int) -> np.ndarray:
     uniforms = rng.random((n, spec.k))
     out = np.empty((n, spec.k))
     for j, (a, b, lo, hi) in enumerate(spec.dims):
-        out[:, j] = lo + (hi - lo) * beta_dist.ppf(uniforms[:, j], a, b)
+        out[:, j] = lo + (hi - lo) * betaincinv(a, b, uniforms[:, j])
     return out
 
 
@@ -155,6 +161,12 @@ class QuantileSummary:
 
 @dataclass
 class UqResult:
+    """Monte-Carlo summaries plus two health counts.
+
+    ``extrapolated`` counts the draws outside the design box; ``clamped``
+    counts the predictive variance entries clipped up to zero.
+    """
+
     max_elevation: QuantileSummary
     mean_ci_length: QuantileSummary
     histogram_edges: np.ndarray
@@ -162,6 +174,8 @@ class UqResult:
     samples: np.ndarray
     max_values: np.ndarray
     mcil_values: np.ndarray
+    extrapolated: int
+    clamped: int
 
 
 def uq_monte_carlo(
@@ -175,10 +189,11 @@ def uq_monte_carlo(
 ) -> UqResult:
     """Monte-Carlo uncertainty propagation through the emulator.
 
-    Draws n inputs, predicts each on the training time grid, reduces each
-    series to (max elevation, mean CI length), and reports their empirical
-    percentiles plus histogram data for the maximum. Deterministic per
-    (model, spec, n, seed).
+    Draws n inputs, predicts them on the training time grid in blocks of
+    ``UQ_BLOCK`` rows, reduces each series to (max elevation, mean CI
+    length) as :func:`max_elevation` and :func:`~opemu.validation.mcil`
+    do, and reports their empirical percentiles plus histogram data for
+    the maximum. Deterministic per (model, spec, n, seed).
     """
     if n < 100:
         warnings.warn(
@@ -189,9 +204,15 @@ def uq_monte_carlo(
 
     max_vals = np.empty(n)
     mcil_vals = np.empty(n)
-    for i, row in enumerate(inputs):
-        series = model.predict(row)
-        max_vals[i], mcil_vals[i] = max_elevation(series), mcil(series, level)
+    extrapolated = clamped = 0
+    for start in range(0, n, UQ_BLOCK):
+        rows = slice(start, start + UQ_BLOCK)
+        batch = model.predict_many(inputs[rows])
+        lo, hi = credible_interval(batch, level)
+        max_vals[rows] = batch.location.max(axis=1)
+        mcil_vals[rows] = np.mean(hi - lo, axis=1)
+        extrapolated += int(np.sum(batch.extrapolation))
+        clamped += int(np.sum(batch.clamped))
 
     lv = tuple(float(x) for x in levels)
     max_summary = QuantileSummary(
@@ -217,6 +238,8 @@ def uq_monte_carlo(
         samples=inputs,
         max_values=max_vals,
         mcil_values=mcil_vals,
+        extrapolated=extrapolated,
+        clamped=clamped,
     )
 
 
@@ -247,6 +270,8 @@ def save_quantiles_json(result: UqResult, path: str, meta=None):
         "mean_ci_length": result.mean_ci_length.values.tolist(),
         "n_samples": result.max_elevation.n_samples,
         "seed": result.max_elevation.seed,
+        "extrapolated": result.extrapolated,
+        "clamped": result.clamped,
     }
     atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
 

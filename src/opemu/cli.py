@@ -291,6 +291,8 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     for summary in (result.max_elevation, result.mean_ci_length):
         values = " ".join(f"{v:.4g}" for v in summary.values)
         print(f"{summary.statistic}: {values}")
+    print(f"health: {result.extrapolated} samples outside the design box, "
+          f"{result.clamped} variance entries clamped")
     print(f"wrote {reports_dir}/uq_quantiles.csv, uq_quantiles.json, uq_histogram.csv")
     return 0
 

@@ -78,9 +78,13 @@ class DesignSpace:
         return self.lower + np.atleast_2d(unit_points) * self.widths
 
     def contains(self, point, rtol: float = 1e-9) -> bool:
-        p = np.asarray(point, dtype=float)
+        return bool(self.contains_rows(point, rtol).all())
+
+    def contains_rows(self, points, rtol: float = 1e-9) -> np.ndarray:
+        """Per-row flags: which of the points (one per row) lie in the box."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
         slack = rtol * self.widths
-        return bool(np.all(p >= self.lower - slack) and np.all(p <= self.upper + slack))
+        return np.all((p >= self.lower - slack) & (p <= self.upper + slack), axis=1)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ where res = y - Q mn. Predictions at a new input r over any times are
 Student-t with an degrees of freedom. Every K^-1 application goes through
 the per-factor Cholesky decompositions, and Vn through the eigenbasis of
 Q' K^-1 Q (:class:`_KronEigen`); neither the n*q x n*q matrix nor the
-nu x nu posterior precision is ever formed.
+nu x nu posterior precision is ever formed. :meth:`OpeModel.predict_many`
+predicts m input points at once with matrix products over the m rows;
+:meth:`OpeModel.predict` is its one-row case.
 
 Vectorization convention used throughout: for row-major vec,
 (A (x) B) vec(X) = vec(A X B'); y = vec(F) and coefficient vectors reshape
@@ -33,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from . import __version__
 from .basis import InputBasis, OutputBasis, regressor_matrices
@@ -130,16 +132,30 @@ class _KronEigen:
         E = np.einsum("ai,bj->abij", self.Ur, self.Us).reshape(self.D.size, self.D.size)
         return (E * self.D.ravel()) @ E.T
 
-    def regression_variance(self, gr, u, A, B) -> np.ndarray:
-        """rho_j' S^-1 rho_j for rho_j = gr (x) gs_j - u (x) w_j, per row j.
+    def regression_variance(self, Gr_new, U, A, B) -> np.ndarray:
+        """rho_ij' S^-1 rho_ij for rho_ij = gr_i (x) gs_j - u_i (x) w_j: m x q.
 
-        A holds the rows gs_j' Us and B the rows w_j' Us. The squares are
-        taken of the difference, not expanded, which would cancel badly
-        where rho is close to zero (at a design point on the grid).
+        Gr_new holds the rows gr_i' and U the rows u_i' (m x nu_r); A holds
+        the rows gs_j' Us and B the rows w_j' Us (q x nu_s). In the
+        eigenbasis rho = a (x) A - b (x) B with a = gr' Ur and b = u' Ur,
+        which is rewritten as a (x) dA + da (x) B with da = a - b and
+        dA = A - B. Its square weighted by D then takes three matrix
+        products:
+
+            ((a*a) D) (dA*dA)' + 2 ((a*da) D) (dA*B)' + ((da*da) D) (B*B)'
+
+        Expanding a (x) A - b (x) B itself would cancel badly where rho is
+        close to zero: at a design point on the grid both products are
+        O(1) and agree to O(jitter). In the factored form da and dA are
+        both O(jitter) there, so every term is already small and nothing
+        of size O(1) cancels.
         """
-        a, b = self.Ur.T @ gr, self.Ur.T @ u
-        T = a[None, :, None] * A[:, None, :] - b[None, :, None] * B[:, None, :]
-        return np.einsum("jab,ab->j", T * T, self.D)
+        a = Gr_new @ self.Ur
+        da = a - U @ self.Ur
+        dA = A - B
+        return (((a * a) @ self.D) @ (dA * dA).T
+                + 2.0 * (((a * da) @ self.D) @ (dA * B).T)
+                + ((da * da) @ self.D) @ (B * B).T)
 
 
 class TrainingSet:
@@ -195,11 +211,40 @@ class PredictiveSeries:
         self.min_unit_variance = float(min_unit_variance)
 
 
-def credible_interval(series: PredictiveSeries, level: float = 0.95):
-    """Symmetric Student-t interval per time point: (lower, upper) arrays."""
+class PredictiveBatch:
+    """Student-t predictive marginals at m input points over shared times.
+
+    ``location`` and ``scale`` are m x q arrays; ``extrapolation``,
+    ``clamped`` and ``min_unit_variance`` hold one entry per input row
+    (see :class:`PredictiveSeries` for their meaning).
+    """
+
+    def __init__(self, times, location, scale, dof, extrapolation, clamped,
+                 min_unit_variance):
+        self.times = times
+        self.location = location
+        self.scale = scale
+        self.dof = float(dof)
+        self.extrapolation = extrapolation
+        self.clamped = clamped
+        self.min_unit_variance = min_unit_variance
+
+    def series(self, i: int) -> PredictiveSeries:
+        """The predictive marginals of row ``i``."""
+        return PredictiveSeries(self.times, self.location[i], self.scale[i], self.dof,
+                                self.extrapolation[i], self.clamped[i],
+                                self.min_unit_variance[i])
+
+
+def credible_interval(series, level: float = 0.95):
+    """Symmetric Student-t interval per time point: (lower, upper) arrays.
+
+    Takes a :class:`PredictiveSeries` or a :class:`PredictiveBatch` (then
+    the arrays are m x q); the t quantile is computed once per call.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
-    half = student_t.ppf(0.5 * (1.0 + level), series.dof) * series.scale
+    half = stdtrit(series.dof, 0.5 * (1.0 + level)) * series.scale
     return series.location - half, series.location + half
 
 
@@ -207,7 +252,10 @@ class OpeModel:
     """A fitted emulator: posterior state plus the shared solver factors.
 
     The posterior coefficient scale matrix is not stored: :attr:`coeff_cov`
-    rebuilds it from the factors on first access. :meth:`predict` is pure.
+    rebuilds it from the factors on first access. :meth:`predict` and
+    :meth:`predict_many` are pure apart from caching the time-side factors
+    of the training grid (``_grid_cache``, ``None`` until the first
+    training-grid prediction).
     """
 
     def __init__(
@@ -285,12 +333,20 @@ class OpeModel:
     def predict(self, r, times=None) -> PredictiveSeries:
         """Student-t predictive marginals at input ``r`` over ``times``.
 
-        ``times=None`` predicts on the training grid (the precomputed fast
-        path used by validation and Monte-Carlo analyses). Inputs outside
-        the design box, or times beyond the training grid, set the
-        extrapolation flag on the result.
+        The one-row case of :meth:`predict_many`.
         """
         r = np.asarray(r, dtype=float).ravel()
+        return self.predict_many(r[None, :], times).series(0)
+
+    def predict_many(self, R, times=None) -> PredictiveBatch:
+        """Student-t predictive marginals at each row of ``R`` over ``times``.
+
+        ``R`` is an m x k array of input points. ``times=None`` predicts on
+        the training grid, whose time-side factors are computed once and
+        cached. Rows outside the design box, or every row when ``times``
+        reach beyond the training grid, are flagged as extrapolation.
+        """
+        R = np.atleast_2d(np.asarray(R, dtype=float))
         if times is None:
             t = self.time_grid
             Gs_new, Ks_cross, explained_out, A, B = self._grid_side()
@@ -299,30 +355,29 @@ class OpeModel:
             Gs_new, Ks_cross, explained_out, A, B = self._output_side(t)
 
         core = self._core
-        gr = self.input_basis.evaluate(r)
-        kr_vec = input_correlation_matrix(r, self.design.points, self.kernel).ravel()
-        kr_solve = cho_solve(core.km.input_chol, kr_vec, check_finite=False)
-        explained_in = float(kr_vec @ kr_solve)
+        Gr_new = self.input_basis.evaluate_many(R)
+        Kr_cross = input_correlation_matrix(R, self.design.points, self.kernel)
+        kr_solve = cho_solve(core.km.input_chol, Kr_cross.T, check_finite=False)
+        explained_in = np.einsum("in,ni->i", Kr_cross, kr_solve)
 
         # location: regression surface + kernel-weighted residual correction
-        location = gr @ self.coeff_matrix @ Gs_new.T
-        location = location + Ks_cross @ (self.residual_weights.T @ kr_vec)
+        location = (Gr_new @ self.coeff_matrix) @ Gs_new.T
+        location += (Kr_cross @ self.residual_weights) @ Ks_cross.T
 
         # regression-uncertainty term rho' Vn rho with
-        # rho_j = gr (x) gs_j - u (x) w_j
-        var_reg = core.regression_variance(gr, core.Gr.T @ kr_solve, A, B)
+        # rho_ij = gr_i (x) gs_j - u_i (x) w_j
+        var_reg = core.regression_variance(Gr_new, kr_solve.T @ core.Gr, A, B)
 
-        unit_var = core.km.diag_at_zero - explained_in * explained_out + var_reg
-        clamped = int(np.sum(unit_var < 0.0))
-        min_unit_var = float(unit_var.min()) if unit_var.size else 0.0
-        unit_var = np.maximum(unit_var, 0.0)
-        scale = np.sqrt(self.tau_estimate * unit_var)
+        unit_var = core.km.diag_at_zero - np.outer(explained_in, explained_out) + var_reg
+        clamped = np.sum(unit_var < 0.0, axis=1)
+        min_unit_var = unit_var.min(axis=1) if t.size else np.zeros(R.shape[0])
+        scale = np.sqrt(self.tau_estimate * np.maximum(unit_var, 0.0))
 
-        extrapolation = not self.design.space.contains(r)
+        extrapolation = ~self.design.space.contains_rows(R)
         if t.size and (t.min() < self.time_grid[0] or t.max() > self.time_grid[-1]):
-            extrapolation = True
-        return PredictiveSeries(t, location, scale, self.dof, extrapolation,
-                                clamped, min_unit_var)
+            extrapolation[:] = True
+        return PredictiveBatch(t, location, scale, self.dof, extrapolation,
+                               clamped, min_unit_var)
 
 
 def fit(

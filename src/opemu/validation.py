@@ -144,7 +144,7 @@ def loo(
             observed=observed,
             series=series,
             rmse=rmse(observed, series.location),
-            mcil=mcil(series, level),
+            mcil=float(np.mean(hi - lo)),
             coverage_95=float(inside),
         )
 

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from opemu import (
@@ -14,6 +17,7 @@ from opemu import (
     SweepSpec,
     fit,
     max_elevation,
+    mcil,
     maximin_lhd,
     sample_beta,
     sensitivity_sweep,
@@ -21,7 +25,12 @@ from opemu import (
     toy_training_set,
     uq_monte_carlo,
 )
-from opemu.analysis import save_histogram_csv, save_quantiles_csv
+from opemu.analysis import (
+    UQ_BLOCK,
+    save_histogram_csv,
+    save_quantiles_csv,
+    save_quantiles_json,
+)
 
 
 class TestMaxElevation:
@@ -131,6 +140,14 @@ class TestSampleBeta:
         x = sample_beta(spec, 500, seed=1)
         assert x.min() >= 2.0 and x.max() <= 3.0
 
+    def test_matches_scipy_stats_beta_ppf(self):
+        spec = BetaInputSpec(dims=((5.0, 2.0, -2.0, 0.0), (2.0, 5.0, 1.0, 2.0),
+                                   (0.7, 0.4, 0.5, 2.5)))
+        draws = sample_beta(spec, 2000, 13)
+        uniforms = np.random.default_rng(13).random((2000, 3))
+        for j, (a, b, lo, hi) in enumerate(spec.dims):
+            assert np.array_equal(draws[:, j], lo + (hi - lo) * beta_dist.ppf(uniforms[:, j], a, b))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             BetaInputSpec(dims=((0.0, 1.0, 0.0, 1.0),))
@@ -177,6 +194,38 @@ class TestUqMonteCarlo:
     def test_histogram_accounts_all_samples(self, toy_model):
         result = uq_monte_carlo(toy_model, default_beta(), n=250, seed=8)
         assert result.histogram_counts.sum() == 250
+
+    @pytest.mark.filterwarnings("ignore:n=")
+    @pytest.mark.parametrize("n", [1, UQ_BLOCK - 1, UQ_BLOCK, UQ_BLOCK + 1, 1000])
+    def test_blocks_match_per_point_loop(self, toy_model, n):
+        result = uq_monte_carlo(toy_model, default_beta(), n=n, seed=6, level=0.9)
+        series = [toy_model.predict(row) for row in sample_beta(default_beta(), n, 6)]
+        max_vals = np.array([max_elevation(s) for s in series])
+        mcil_vals = np.array([mcil(s, 0.9) for s in series])
+        assert np.allclose(result.max_values, max_vals, rtol=1e-12, atol=0.0)
+        assert np.allclose(result.mcil_values, mcil_vals, rtol=1e-12, atol=0.0)
+        for summary, values in ((result.max_elevation, max_vals),
+                                (result.mean_ci_length, mcil_vals)):
+            expected = np.quantile(values, np.array(summary.levels) / 100.0)
+            assert np.allclose(summary.values, expected, rtol=1e-12, atol=0.0)
+        assert result.clamped == sum(s.clamped for s in series)
+        assert result.extrapolated == 0
+
+    def test_health_counts(self, toy_model, tmp_path):
+        # x0 spread over [-4, 0] leaves the [-3, 1] box for about 5% of draws
+        spec = BetaInputSpec(dims=((5.0, 2.0, -4.0, 0.0), (2.0, 5.0, 1.0, 2.0),
+                                   (2.0, 5.0, 0.5, 2.5)))
+        result = uq_monte_carlo(toy_model, spec, n=400, seed=2)
+        space = toy_model.design.space
+        outside = sum(not space.contains(row) for row in result.samples)
+        assert outside > 0
+        assert result.extrapolated == outside
+        assert result.clamped == sum(toy_model.predict(r).clamped for r in result.samples)
+        path = tmp_path / "quantiles.json"
+        save_quantiles_json(result, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["extrapolated"] == outside
+        assert doc["clamped"] == result.clamped
 
     def test_exports(self, toy_model, tmp_path):
         result = uq_monte_carlo(toy_model, default_beta(), n=150, seed=8)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opemu
 from opemu.cli import main
 from opemu.config import RunConfig
 from opemu.errors import ConfigError
@@ -134,6 +138,15 @@ class TestPipeline:
         before = path.read_bytes()
         assert main(["uq", "--config", str(cfg_path)]) == 0
         assert path.read_bytes() == before
+
+    def test_uq_reports_health_counts(self, pipeline_dir, capsys):
+        workdir, cfg_path = pipeline_dir
+        assert main(["uq", "--config", str(cfg_path)]) == 0
+        doc = json.loads((workdir / "reports" / "uq_quantiles.json").read_text())
+        assert doc["extrapolated"] == 0  # the default Beta ranges lie in the box
+        assert doc["clamped"] >= 0
+        assert (f"health: {doc['extrapolated']} samples outside the design box, "
+                f"{doc['clamped']} variance entries clamped") in capsys.readouterr().out
 
     def test_global_flags_accepted_before_subcommand(self, pipeline_dir):
         workdir, cfg_path = pipeline_dir
@@ -275,3 +288,14 @@ class TestExitCodes:
         assert main(["predict", "--config", str(broken_cfg), "--point=-1.0,1.5,1.5",
                      "--out", out]) == 3
         assert "posterior.scale" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone takes longer to import than the rest of the CLI
+    src = os.path.dirname(os.path.dirname(opemu.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, opemu.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -47,6 +47,29 @@ def dense_problem(train, ib, ob, kern, jitter):
     )
 
 
+def dense_series(train, ob, kern, jitter, dense, r, times):
+    """Dense-oracle (location, scale) arrays at input r over times (None: grid)."""
+    K, Q, mn, Vn, an, dn = dense
+    gr = reference.input_regressors(r, train.design.space.bounds)
+    kr = np.array([
+        reference.correlation(r, 0, p, 0, kern.input_lengths, 1.0, kern.exponent)
+        for p in train.design.points
+    ])
+    out = []
+    for t in train.time_grid if times is None else times:
+        gs = reference.output_regressors(t, ob.frequencies)
+        ks = np.array([
+            reference.correlation([0], t, [0], tg, (1.0,), kern.output_length,
+                                  kern.exponent)
+            for tg in train.time_grid
+        ])
+        out.append(reference.dense_predict(
+            train.outputs, K, Q, mn, Vn, an, dn,
+            np.kron(gr, gs), np.kron(kr, ks), (1 + jitter) ** 2,
+        ))
+    return np.array(out).T
+
+
 class TestFitAgainstDenseOracle:
     def test_toy_instance_posterior(self):
         train, ib, ob, kern = small_problem(n=2, q=3, seed=1)
@@ -87,24 +110,10 @@ class TestFitAgainstDenseOracle:
         # rho is close to zero and the regression variance cancels the most
         for r, times in ((r, np.array([0.3, 1.7])), (train.design.points[0], None)):
             series = model.predict(r, times)
-            gr = reference.input_regressors(r, train.design.space.bounds)
-            kr = np.array([
-                reference.correlation(r, 0, p, 0, kern.input_lengths, 1.0, kern.exponent)
-                for p in train.design.points
-            ])
-            for j, t in enumerate(train.time_grid if times is None else times):
-                gs = reference.output_regressors(t, ob.frequencies)
-                ks = np.array([
-                    reference.correlation([0], t, [0], tg, (1.0,), kern.output_length,
-                                          kern.exponent)
-                    for tg in train.time_grid
-                ])
-                loc, scale = reference.dense_predict(
-                    train.outputs, K, Q, mn, Vn, an, dn,
-                    np.kron(gr, gs), np.kron(kr, ks), (1 + jitter) ** 2,
-                )
-                assert abs(series.location[j] - loc) < 1e-8 * (1 + abs(loc))
-                assert abs(series.scale[j] - scale) < 1e-8 * (1 + abs(scale))
+            loc, scale = dense_series(train, ob, kern, jitter, (K, Q, mn, Vn, an, dn),
+                                      r, times)
+            assert np.all(np.abs(series.location - loc) < 1e-8 * (1 + np.abs(loc)))
+            assert np.all(np.abs(series.scale - scale) < 1e-8 * (1 + np.abs(scale)))
 
     def test_positive_posterior_scalars(self):
         train, ib, ob, kern = small_problem(n=3, q=4, seed=5)
@@ -220,6 +229,87 @@ class TestPredictionBehavior:
             assert series.min_unit_variance >= -1e-12
 
 
+class TestPredictMany:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n,q", [(2, 3), (4, 5)])
+    def test_against_dense_oracle(self, n, q, seed):
+        train, ib, ob, kern = small_problem(n=n, q=q, seed=seed)
+        jitter = 1e-8
+        nu = ib.size * ob.size
+        prior = NigPrior.isotropic(nu, 0.25, 3.0, 0.5)
+        model = fit(prior, ib, ob, kern, train, jitter)
+        K, Q = dense_problem(train, ib, ob, kern, jitter)
+        mn, Vn, an, dn = reference.dense_fit(
+            train.outputs, K, Q, prior.mean, prior.cov, prior.dof, prior.scale
+        )
+        space = train.design.space
+        rng = np.random.default_rng(seed + 11)
+        # in the box, a design point, and a point beyond the box's upper corner
+        R = np.vstack([space.from_unit(rng.random(3)), train.design.points[:1],
+                       space.upper + 0.5 * space.widths])
+        for times, beyond in ((None, False), (np.array([0.3, 1.7]), False),
+                              (np.array([0.5, 2.5]), True)):
+            batch = model.predict_many(R, times)
+            assert batch.location.shape == batch.scale.shape == (3, batch.times.size)
+            for i, r in enumerate(R):
+                loc, scale = dense_series(train, ob, kern, jitter,
+                                          (K, Q, mn, Vn, an, dn), r, times)
+                assert np.all(np.abs(batch.location[i] - loc) < 1e-8 * (1 + np.abs(loc)))
+                assert np.all(np.abs(batch.scale[i] - scale) < 1e-8 * (1 + np.abs(scale)))
+            assert batch.extrapolation.tolist() == [beyond, beyond, True]
+
+    def test_matches_row_by_row_predict(self, wave_space):
+        design = lhd(10, wave_space, 9)
+        grid = np.round(0.2 * np.arange(30), 12)
+        train = toy_training_set(design, grid)
+        model = fit(
+            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            InputBasis(wave_space), OutputBasis(),
+            KernelSpec((1.5, 0.8, 1.2), 1.5), train,
+        )
+        rng = np.random.default_rng(5)
+        R = np.vstack([design.points,
+                       wave_space.from_unit(rng.random((20, 3))),
+                       wave_space.from_unit(rng.uniform(-0.5, 1.5, (10, 3)))])
+        inside = [wave_space.contains(r) for r in R]
+        assert not all(inside)
+        for times in (None, 0.03 + 0.35 * np.arange(15), np.array([1.0, 7.5])):
+            batch = model.predict_many(R, times)
+            assert batch.location.shape == (R.shape[0], batch.times.size)
+            for i, r in enumerate(R):
+                series = model.predict(r, times)
+                row = batch.series(i)
+                assert np.array_equal(row.times, series.times)
+                assert np.allclose(row.location, series.location, rtol=1e-12, atol=1e-14)
+                assert np.allclose(row.scale, series.scale, rtol=1e-12, atol=1e-14)
+                assert row.extrapolation == series.extrapolation
+                assert row.clamped == series.clamped
+                assert row.dof == series.dof
+            past_grid = times is not None and times.max() > grid[-1]
+            assert batch.extrapolation.tolist() == [past_grid or not ok for ok in inside]
+
+    def test_clamp_counts_per_row(self, wave_space):
+        # without jitter the unit variance at a design point on the grid is
+        # zero up to rounding, so some of its entries clip to zero
+        design = lhd(8, wave_space, 2)
+        grid = np.round(0.25 * np.arange(24), 12)
+        train = toy_training_set(design, grid)
+        model = fit(
+            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            InputBasis(wave_space), OutputBasis(),
+            KernelSpec((1.5, 0.8, 1.2), 1.5), train, jitter=0.0,
+        )
+        R = np.vstack([design.points, wave_space.from_unit([[0.5, 0.5, 0.5]])])
+        batch = model.predict_many(R)
+        assert batch.clamped.sum() > 0
+        assert batch.clamped[-1] == 0 and batch.min_unit_variance[-1] > 0
+        for i in range(R.shape[0]):
+            # a clipped entry has zero scale; rounding can also give exactly zero
+            assert batch.clamped[i] <= np.count_nonzero(batch.scale[i] == 0.0)
+            assert (batch.clamped[i] > 0) == (batch.min_unit_variance[i] < 0)
+            assert batch.min_unit_variance[i] >= -1e-12
+
+
 class TestCredibleInterval:
     def test_zero_scale_degenerates(self):
         series = PredictiveSeries([0.0, 1.0], [1.5, -2.0], [0.0, 0.0], dof=10.0)
@@ -245,6 +335,14 @@ class TestCredibleInterval:
         series = PredictiveSeries([0.0], [0.0], [1.0], dof=3.0)
         with pytest.raises(ValueError):
             credible_interval(series, 1.5)
+
+    @pytest.mark.parametrize("dof", [1.0, 3.0, 7043.0, 1e6])
+    def test_matches_scipy_stats_t(self, dof):
+        series = PredictiveSeries([0.0, 1.0], [0.25, -1.0], [1.0, 0.3], dof=dof)
+        for level in (0.5, 0.9, 0.95, 0.99):
+            _, hi = credible_interval(series, level)
+            half = student_t.ppf(0.5 * (1.0 + level), dof) * series.scale
+            assert np.array_equal(hi, series.location + half)
 
 
 class TestSerialization:
