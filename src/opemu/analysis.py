@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .emulator import OpeModel, PredictiveSeries, credible_interval
-from .ioutil import atomic_write_text, fmt, meta_lines
+from .ioutil import atomic_write_text, write_csv
 from .validation import mcil
 
 QUANTILE_LEVELS = (1.0, 5.0, 50.0, 95.0, 99.0)
@@ -247,19 +247,15 @@ def uq_monte_carlo(
 
 
 def save_sweep_csv(curve: SweepCurve, name: str, path: str, meta=None):
-    lines = meta_lines(meta)
-    lines.append(f"{name},max_elev,mcil")
-    for row in zip(curve.values, curve.max_elev, curve.mean_ci_length):
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, (name, "max_elev", "mcil"),
+              zip(curve.values, curve.max_elev, curve.mean_ci_length), meta)
 
 
 def save_quantiles_csv(result: UqResult, path: str, meta=None):
-    lines = meta_lines(meta)
-    lines.append("statistic," + ",".join(f"p{v:g}" for v in result.max_elevation.levels))
-    for summary in (result.max_elevation, result.mean_ci_length):
-        lines.append(summary.statistic + "," + ",".join(fmt(v) for v in summary.values))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ["statistic"] + [f"p{v:g}" for v in result.max_elevation.levels]
+    rows = [[summary.statistic, *summary.values]
+            for summary in (result.max_elevation, result.mean_ci_length)]
+    write_csv(path, header, rows, meta)
 
 
 def save_quantiles_json(result: UqResult, path: str, meta=None):
@@ -277,10 +273,6 @@ def save_quantiles_json(result: UqResult, path: str, meta=None):
 
 
 def save_histogram_csv(result: UqResult, path: str, meta=None):
-    lines = meta_lines(meta)
-    lines.append("bin_lo,bin_hi,count")
-    for lo, hi, c in zip(
-        result.histogram_edges[:-1], result.histogram_edges[1:], result.histogram_counts
-    ):
-        lines.append(f"{fmt(lo)},{fmt(hi)},{int(c)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    edges, counts = result.histogram_edges, result.histogram_counts
+    rows = [(lo, hi, str(int(c))) for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
+    write_csv(path, ("bin_lo", "bin_hi", "count"), rows, meta)

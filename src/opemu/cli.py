@@ -24,7 +24,7 @@ from .config import RunConfig
 from .design import load_design_csv, maximin_lhd, save_design_csv
 from .emulator import credible_interval, fit, load_model, save_model
 from .errors import ConfigError, DataError, NumericalDegeneracyError, OptimizationFailure
-from .ioutil import atomic_write_text, fmt, meta_lines
+from .ioutil import fmt, write_csv
 from .likelihood import (
     HyperparamEstimate,
     estimate_hyperparams,
@@ -161,20 +161,21 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 
 
 def _write_trace(trace, space, path, meta):
-    names = list(space.names) + ["time", "tau"]
-    lines = meta_lines(meta)
-    lines.append("restart,evaluation,log_likelihood,grad_norm," + ",".join(names))
-    for row in trace:
-        lines.append(",".join(
-            [str(row[0]), str(row[1]), fmt(row[2]), fmt(row[3])]
-            + [fmt(v) for v in row[4:]]
-        ))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ["restart", "evaluation", "log_likelihood", "grad_norm",
+              *space.names, "time", "tau"]
+    write_csv(path, header, ((str(r[0]), str(r[1]), *r[2:]) for r in trace), meta)
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
-    train = ingest_runs(cfg.raw["paths"]["training"], cfg.space())
-    model = load_model(cfg.raw["paths"]["model"])
+    training_path, model_path = cfg.raw["paths"]["training"], cfg.raw["paths"]["model"]
+    train = ingest_runs(training_path, cfg.space())
+    model = load_model(model_path)
+    # an empty fingerprint comes from a model file that predates it
+    if model.training_fingerprint and model.training_fingerprint != train.fingerprint():
+        raise DataError(
+            f"{training_path} is not the training set {model_path} was fitted to "
+            f"(training fingerprints differ); rerun fit"
+        )
     level = cfg.raw["validate"]["level"]
 
     refit = None
@@ -241,13 +242,10 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     level = cfg.raw["validate"]["level"]
     lo, hi = credible_interval(series, level)
     out = args.out or "prediction.csv"
-    lines = meta_lines(cfg.meta(_design_seed(cfg, args)))
-    lines.append(f"# point={args.point}")
-    lines.append(f"# dof={fmt(series.dof)}")
-    lines.append("time,location,scale,lo95,hi95")
-    for row in zip(series.times, series.location, series.scale, lo, hi):
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    meta = {**cfg.meta(_design_seed(cfg, args)), "point": args.point,
+            "dof": fmt(series.dof)}
+    write_csv(out, ("time", "location", "scale", "lo95", "hi95"),
+              zip(series.times, series.location, series.scale, lo, hi), meta)
     print(f"wrote {out}: {series.times.size} predictive marginals "
           f"(max location {series.location.max():.6g})")
     return 0

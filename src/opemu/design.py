@@ -13,9 +13,8 @@ across platforms for a given seed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
-from .ioutil import atomic_write_text, fmt, meta_lines, read_table
+from .ioutil import parse_rows, read_table, write_csv
 from .errors import DataError
 
 
@@ -102,8 +101,18 @@ class Design:
 
     def min_distance(self, unit: bool = True) -> float:
         """Smallest pairwise Euclidean distance (unit scale by default)."""
-        pts = self.unit_points if unit else self.points
-        return float(pdist(pts).min())
+        dist = pairwise_distances(self.unit_points if unit else self.points)
+        return float(dist[np.triu_indices(self.n, 1)].min())
+
+
+def pairwise_distances(points) -> np.ndarray:
+    """n x n Euclidean distances between the rows of ``points``.
+
+    Matches ``scipy.spatial.distance.pdist`` bit for bit (the maximin
+    designs depend on it); the expanded |a|^2 + |b|^2 - 2a.b form does not.
+    """
+    p = np.asarray(points, dtype=float)
+    return np.linalg.norm(p[:, None] - p[None], axis=-1)
 
 
 def _from_unit(unit: np.ndarray, space: DesignSpace, seed: int) -> Design:
@@ -240,11 +249,7 @@ def regular_grid(levels_per_dim, space: DesignSpace) -> Design:
 
 def save_design_csv(design: Design, path: str, meta: dict | None = None) -> None:
     """Write a design as CSV: named header row, physical units, full precision."""
-    lines = meta_lines(meta)
-    lines.append(",".join(design.space.names))
-    for row in design.points:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, design.space.names, design.points, meta)
 
 
 def load_design_csv(path: str, space: DesignSpace) -> Design:
@@ -261,14 +266,9 @@ def load_design_csv(path: str, space: DesignSpace) -> Design:
         )
     if not rows:
         raise DataError(f"{path}: no design points found")
-    try:
-        points = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric design entry ({exc})") from exc
-    if points.shape[1] != space.k:
-        raise DataError(f"{path}: expected {space.k} columns, got {points.shape[1]}")
-    for i, p in enumerate(points):
-        if not space.contains(p):
-            raise DataError(f"{path}: design point at row {i} lies outside the bounds")
+    points = parse_rows(path, header, rows)
+    outside = np.flatnonzero(~space.contains_rows(points))
+    if outside.size:
+        raise DataError(f"{path}: design point at row {outside[0]} lies outside the bounds")
     seed = int(meta.get("seed", 0)) if str(meta.get("seed", "0")).isdigit() else 0
     return Design(points=points, unit_points=space.to_unit(points), space=space, seed=seed)

@@ -1,13 +1,18 @@
-"""Small file helpers: atomic writes and self-describing CSV headers.
+"""The pipeline's file format: atomic writes and self-describing CSV tables.
 
 Every artifact the pipeline writes is reproducible byte for byte: no
 timestamps, floats serialized with ``repr`` (shortest round trip), and
 provenance (seed, config hash, version) carried in ``#``-prefixed comment
-lines that readers skip.
+lines that readers skip. :func:`write_csv` writes every CSV table and
+:func:`parse_rows` turns the data rows of :func:`read_table` into numbers.
 """
 
 import os
 import tempfile
+
+import numpy as np
+
+from .errors import DataError
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -25,11 +30,17 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def meta_lines(meta: dict | None) -> list[str]:
-    """Render provenance metadata as CSV comment lines."""
-    if not meta:
-        return []
-    return [f"# {key}={value}" for key, value in meta.items()]
+def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
+    """Write a CSV table atomically: ``meta`` comment lines, header, rows.
+
+    Number cells are written with :func:`fmt`; string cells as given (so
+    an integer count is passed as ``str(n)``). UTF-8, LF line endings.
+    """
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_table(path: str) -> tuple[list[str], list[list[str]], dict]:
@@ -59,6 +70,32 @@ def read_table(path: str) -> tuple[list[str], list[list[str]], dict]:
     if header is None:
         header = []
     return header, rows, meta
+
+
+def parse_rows(path: str, header, rows) -> np.ndarray:
+    """Data rows of :func:`read_table` as a finite float array.
+
+    A row whose length differs from the header's, a cell that is not a
+    number, or a non-finite cell raises :class:`DataError` naming the
+    row (0-based, after the header) and the header's column name.
+    """
+    width = len(header)
+    values = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                values[i, j] = float(cell)
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: row {i}, column {header[j]}: bad value {cell!r}"
+                ) from exc
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"{path}: non-finite value at row {i}, column {header[j]}")
+    return values
 
 
 def fmt(value: float) -> str:

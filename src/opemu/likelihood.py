@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize
 
 from .basis import InputBasis, OutputBasis
 from .design import DesignSpace, lhd
@@ -259,38 +258,36 @@ def optimize_correlation_lengths(
             )
         return -value, -grad_log
 
+    # imported here: scipy.optimize is the CLI's slowest import after
+    # scipy.stats, and only this function needs it
+    from scipy.optimize import minimize
+
     starts = _starting_points(log_bounds, restarts, seed, init)
     results = []
     diagnostics = []
     for idx, theta0 in enumerate(starts):
         counter = [0]
-        try:
-            res = minimize(
-                objective,
-                theta0,
-                args=(idx, counter),
-                method="L-BFGS-B",
-                jac=True,
-                bounds=log_bounds,
-                options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8},
-            )
-            ok = np.isfinite(res.fun) and res.fun < _BARRIER / 2
-            diagnostics.append(
-                {
-                    "start": idx,
-                    "x0": np.exp(theta0).tolist(),
-                    "value": float(-res.fun),
-                    "iterations": int(res.nit),
-                    "converged": bool(res.success),
-                    "message": str(res.message),
-                }
-            )
-            if ok:
-                results.append((idx, res))
-        except NumericalDegeneracyError as exc:
-            diagnostics.append(
-                {"start": idx, "x0": np.exp(theta0).tolist(), "error": str(exc)}
-            )
+        res = minimize(
+            objective,
+            theta0,
+            args=(idx, counter),
+            method="L-BFGS-B",
+            jac=True,
+            bounds=log_bounds,
+            options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8},
+        )
+        diagnostics.append(
+            {
+                "start": idx,
+                "x0": np.exp(theta0).tolist(),
+                "value": float(-res.fun),
+                "iterations": int(res.nit),
+                "converged": bool(res.success),
+                "message": str(res.message),
+            }
+        )
+        if np.isfinite(res.fun) and res.fun < _BARRIER / 2:
+            results.append((idx, res))
     if not results:
         raise OptimizationFailure(
             "all optimizer restarts failed to produce a finite likelihood",

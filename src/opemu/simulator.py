@@ -16,7 +16,7 @@ import numpy as np
 from .design import Design, DesignSpace
 from .emulator import TrainingSet
 from .errors import DataError
-from .ioutil import atomic_write_text, fmt, meta_lines, read_table
+from .ioutil import fmt, parse_rows, read_table, write_csv
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,8 @@ def toy_training_set(
 def write_training_csv(train: TrainingSet, path: str, meta: dict | None = None) -> None:
     """Write a training set: input columns, then one ``t=<value>`` column per
     grid time; one row per design point. UTF-8, dot decimal, LF newlines."""
-    lines = meta_lines(meta)
     header = list(train.design.space.names) + [f"t={fmt(t)}" for t in train.time_grid]
-    lines.append(",".join(header))
-    for inputs, outputs in zip(train.design.points, train.outputs):
-        row = [fmt(v) for v in inputs] + [fmt(v) for v in outputs]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, header, np.hstack([train.design.points, train.outputs]), meta)
 
 
 def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
@@ -89,8 +84,8 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
 
     The header's leading cells name the input dimensions (they must match
     ``space``); the remaining ``t=...`` cells define the time grid, which is
-    taken as authoritative (no resampling). Errors carry the offending
-    row/column location.
+    taken as authoritative (no resampling). Every cell must be a finite
+    number; errors carry the offending row/column location.
     """
     header, rows, _ = read_table(path)
     if not header:
@@ -117,35 +112,10 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    points = np.empty((len(rows), k))
-    outputs = np.empty((len(rows), grid.size))
-    for i, row in enumerate(rows):
-        if len(row) != k + grid.size:
-            raise DataError(
-                f"{path}: row {i} has {len(row)} fields, expected {k + grid.size}"
-            )
-        for j in range(k):
-            try:
-                points[i, j] = float(row[j])
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: row {i}, column {space.names[j]}: "
-                    f"bad value {row[j]!r}"
-                ) from exc
-        for j in range(grid.size):
-            try:
-                value = float(row[k + j])
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: row {i}, column {time_labels[j]}: bad value "
-                    f"{row[k + j]!r}"
-                ) from exc
-            if not np.isfinite(value):
-                raise DataError(
-                    f"{path}: non-finite value at row {i}, column {time_labels[j]}"
-                )
-            outputs[i, j] = value
-
+    values = parse_rows(path, header, rows)
+    # contiguous copies: numpy reduces a strided view in another order
+    points = np.ascontiguousarray(values[:, :k])
+    outputs = np.ascontiguousarray(values[:, k:])
     design = Design(
         points=points, unit_points=space.to_unit(points), space=space, seed=0
     )

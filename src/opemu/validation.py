@@ -17,9 +17,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import squareform, pdist
 
-from .design import Design
+from .design import Design, pairwise_distances
 from .emulator import (
     NigPrior,
     PredictiveSeries,
@@ -28,7 +27,7 @@ from .emulator import (
     fit,
 )
 from .errors import NumericalDegeneracyError, OptimizationFailure
-from .ioutil import atomic_write_text, fmt, meta_lines
+from .ioutil import atomic_write_text, write_csv
 from .kernels import DEFAULT_JITTER, KernelSpec
 
 
@@ -53,8 +52,7 @@ def med(design: Design, unit: bool = False) -> np.ndarray:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two design points")
-    dist = squareform(pdist(pts))
-    return dist.sum(axis=1) / (n - 1)
+    return pairwise_distances(pts).sum(axis=1) / (n - 1)
 
 
 def mcil(series: PredictiveSeries, level: float = 0.95) -> float:
@@ -179,11 +177,8 @@ def loo(
 def save_fold_csv(diag: LooDiagnostic, path: str, level: float = 0.95, meta=None):
     """Per-fold series for external plotting: observed vs predictive band."""
     lo, hi = credible_interval(diag.series, level)
-    lines = meta_lines(meta)
-    lines.append("time,observed,location,lo95,hi95")
-    for row in zip(diag.series.times, diag.observed, diag.series.location, lo, hi):
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ("time", "observed", "location", "lo95", "hi95"),
+              zip(diag.series.times, diag.observed, diag.series.location, lo, hi), meta)
 
 
 def save_report_json(report: DiagnosticsReport, path: str, meta=None):

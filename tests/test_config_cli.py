@@ -290,12 +290,58 @@ class TestExitCodes:
         assert "posterior.scale" in capsys.readouterr().err
 
 
+    @staticmethod
+    def _config_with(cfg_path, tmp_path, **paths):
+        config = json.loads(cfg_path.read_text())
+        config["paths"].update({key: str(value) for key, value in paths.items()})
+        out = tmp_path / "run.json"
+        out.write_text(json.dumps(config))
+        return str(out)
+
+    def test_non_finite_training_input_exit_3(self, pipeline_dir, tmp_path, capsys):
+        workdir, cfg_path = pipeline_dir
+        lines = (workdir / "training.csv").read_text().splitlines()
+        data = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+        cells = lines[data[3]].split(",")
+        cells[1] = "nan"  # u0 of data row 2
+        lines[data[3]] = ",".join(cells)
+        bad = tmp_path / "training.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = self._config_with(cfg_path, tmp_path, training=bad,
+                                model=tmp_path / "model.json")
+        assert main(["fit", "--config", cfg]) == 3
+        assert "row 2, column u0" in capsys.readouterr().err
+
+    def test_validate_rejects_other_training_set(self, pipeline_dir, tmp_path, capsys):
+        workdir, cfg_path = pipeline_dir
+        other = tmp_path / "training.csv"
+        cfg = self._config_with(cfg_path, tmp_path, design=tmp_path / "design.csv",
+                                training=other, model=workdir / "model.json",
+                                reports=tmp_path / "reports")
+        assert main(["design", "--config", cfg, "--seed", "11"]) == 0
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert str(other) in err and str(workdir / "model.json") in err
+
+        # model files without a fingerprint skip the check
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["training_fingerprint"] = ""
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        cfg = self._config_with(cfg_path, tmp_path, training=other,
+                                model=tmp_path / "model.json",
+                                reports=tmp_path / "reports")
+        assert main(["validate", "--config", cfg]) == 0
+
+
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats alone takes longer to import than the rest of the CLI
+    # scipy.stats alone takes longer to import than the rest of the CLI;
+    # scipy.optimize is loaded by the length search when it runs
     src = os.path.dirname(os.path.dirname(opemu.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, opemu.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    code = ("import sys, opemu.cli; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.stats', 'scipy.spatial', 'scipy.optimize'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"

@@ -105,6 +105,19 @@ class TestTrainingCsv:
         with pytest.raises(DataError, match=r"row 3, column t=1.2"):
             ingest_runs(str(path), wave_space)
 
+    def test_non_finite_input_names_location(self, wave_space, tmp_path):
+        design = lhd(5, wave_space, 3)
+        train_lines = ["x0,u0,c,t=0.8,t=1.2"]
+        for i, p in enumerate(design.points):
+            row = [repr(float(v)) for v in p] + ["1.0", "1.0"]
+            if i == 2:
+                row[1] = "nan"
+            train_lines.append(",".join(row))
+        path = tmp_path / "nan_input.csv"
+        path.write_text("\n".join(train_lines) + "\n")
+        with pytest.raises(DataError, match=r"row 2, column u0"):
+            ingest_runs(str(path), wave_space)
+
     def test_empty_data_section(self, wave_space, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x0,u0,c,t=0.0\n")
