@@ -145,15 +145,42 @@ def _refresh_row(unit: np.ndarray, dist2: np.ndarray, idx: int) -> None:
     dist2[:, idx] = row
 
 
+def _closest_pairs(dist2: np.ndarray, best: float) -> list:
+    """Index pairs (a, b), a < b, whose squared distance equals ``best``."""
+    rows, cols = np.nonzero(dist2 == best)
+    return [(int(a), int(b)) for a, b in zip(rows, cols) if a < b]
+
+
+def _next_partner(pairs: list, i: int, after: int, n: int):
+    """Smallest row j > ``after`` whose swap with row i could raise the minimum.
+
+    A swap of rows i and j rewrites only the distances in rows i and j, so
+    every closest pair that does not contain i must contain j. Returns
+    None when no such j remains.
+    """
+    others = [p for p in pairs if i not in p]
+    if not others:
+        return after + 1 if after + 1 < n else None
+    later = [j for j in set(others[0]).intersection(*others[1:]) if j > after]
+    return min(later) if later else None
+
+
 def _swap_refine(unit: np.ndarray) -> np.ndarray:
     """Greedy coordinate-swap hill climbing on the minimum pairwise distance.
 
     Swapping two entries within a column preserves the Latin property.
     Scans (column, i, j) in lexicographic order and keeps any strictly
     improving swap; repeats until a full pass finds none. Deterministic.
-    The squared-distance matrix is updated incrementally (a swap only
-    touches two rows), so each candidate swap costs O(nk + n^2) not a full
-    pairwise recomputation.
+
+    The scan is pruned exactly. A swap of rows i and j changes only the
+    distances in rows i and j, so while some pair at the current minimum
+    contains neither i nor j the new minimum cannot exceed the old one and
+    the swap would be rejected. Such swaps are skipped: for each (column,
+    i) only the j common to every closest pair that does not contain i are
+    tried, or every j > i when all closest pairs contain i. The closest
+    pairs are recomputed after each accepted swap, also within a row. A
+    rejected swap restores its two rows exactly, so the accepted swaps,
+    and the design, are those of the unpruned scan bit for bit.
     """
     unit = unit.copy()
     n, k = unit.shape
@@ -161,12 +188,14 @@ def _swap_refine(unit: np.ndarray) -> np.ndarray:
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(dist2, np.inf)
     best = dist2.min()
+    pairs = _closest_pairs(dist2, best)
     improved = True
     while improved:
         improved = False
         for col in range(k):
             for i in range(n - 1):
-                for j in range(i + 1, n):
+                j = _next_partner(pairs, i, i, n)
+                while j is not None:
                     unit[i, col], unit[j, col] = unit[j, col], unit[i, col]
                     saved_i = dist2[i, :].copy()
                     saved_j = dist2[j, :].copy()
@@ -176,12 +205,14 @@ def _swap_refine(unit: np.ndarray) -> np.ndarray:
                     if d > best:
                         best = d
                         improved = True
+                        pairs = _closest_pairs(dist2, best)
                     else:
                         unit[i, col], unit[j, col] = unit[j, col], unit[i, col]
                         dist2[i, :] = saved_i
                         dist2[:, i] = saved_i
                         dist2[j, :] = saved_j
                         dist2[:, j] = saved_j
+                    j = _next_partner(pairs, i, j, n)
     return unit
 
 

@@ -25,6 +25,7 @@ deterministic given the seed.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -85,13 +86,20 @@ class _Workspace:
         self.sigma2 = float(sigma2)
         self.exponent = float(exponent)
         self.jitter = float(jitter)
-        pts = train.design.points
-        self.input_gaps = [
-            np.abs(pts[:, j, None] - pts[None, :, j]) for j in range(pts.shape[1])
-        ]
-        grid = train.time_grid
-        self.output_gap = np.abs(grid[:, None] - grid[None, :])
-        self.k = pts.shape[1]
+        self.k = train.design.points.shape[1]
+
+    @cached_property
+    def gaps_p(self):
+        """|gap|^p per input, then for time: the kernel derivatives' factors.
+
+        Computed on the first gradient evaluation, so value-only callers
+        never pay for them.
+        """
+        pts, grid = self.design.points, self.grid
+        out = [np.abs(pts[:, j, None] - pts[None, :, j]) ** self.exponent
+               for j in range(self.k)]
+        out.append(np.abs(grid[:, None] - grid[None, :]) ** self.exponent)
+        return out
 
     def evaluate(self, lengths, tau, want_grad=False):
         """Log marginal likelihood (and gradient) at the given parameters."""
@@ -132,14 +140,15 @@ class _Workspace:
         KrGrU, KsGsU = core.KrGr @ core.Ur, core.KsGs @ core.Us
         regr_s, regr_r = core.D @ core.ls, core.lr @ core.D
 
+        gaps_p = self.gaps_p
         grad = np.empty(self.k + 2)
         for j in range(self.k):
-            dKr = Kr * (p * self.input_gaps[j] ** p / lengths[j] ** (p + 1))
+            dKr = Kr * (p * gaps_p[j] / lengths[j] ** (p + 1))
             term1 = float(np.sum(B * (dKr @ B @ Ks))) / (2.0 * tau)
             x = np.sum(KrGrU * (dKr @ KrGrU), axis=0)
             trace = q * float(np.sum(Kr_inv * dKr)) - float(x @ regr_s)
             grad[j] = term1 - 0.5 * trace
-        dKs = Ks * (p * self.output_gap ** p / lengths[-1] ** (p + 1))
+        dKs = Ks * (p * gaps_p[-1] / lengths[-1] ** (p + 1))
         term1 = float(np.sum(B * (Kr @ B @ dKs))) / (2.0 * tau)
         y = np.sum(KsGsU * (dKs @ KsGsU), axis=0)
         trace = n * float(np.sum(Ks_inv * dKs)) - float(regr_r @ y)

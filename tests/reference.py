@@ -117,3 +117,54 @@ def dense_predict(F, K, Q, mn, Vn, an, dn, q_star, k_star, kappa0):
     rho = q_star - Q.T @ Kinv @ k_star
     unit_var = kappa0 - k_star @ Kinv @ k_star + rho @ Vn @ rho
     return float(loc), float(math.sqrt(max(dn / an * unit_var, 0.0)))
+
+
+def _refresh_row(unit: np.ndarray, dist2: np.ndarray, idx: int) -> None:
+    d = unit - unit[idx]
+    row = np.einsum("ij,ij->i", d, d)
+    row[idx] = np.inf
+    dist2[idx, :] = row
+    dist2[:, idx] = row
+
+
+def full_swap_refine(unit: np.ndarray) -> np.ndarray:
+    """Greedy coordinate-swap hill climbing on the minimum pairwise distance.
+
+    The unpruned scan: every (column, i, j) swap is tried. Oracle for the
+    pruned ``opemu.design._swap_refine``, which must match it bit for bit.
+
+    Swapping two entries within a column preserves the Latin property.
+    Scans (column, i, j) in lexicographic order and keeps any strictly
+    improving swap; repeats until a full pass finds none. Deterministic.
+    The squared-distance matrix is updated incrementally (a swap only
+    touches two rows), so each candidate swap costs O(nk + n^2) not a full
+    pairwise recomputation.
+    """
+    unit = unit.copy()
+    n, k = unit.shape
+    diff = unit[:, None, :] - unit[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(dist2, np.inf)
+    best = dist2.min()
+    improved = True
+    while improved:
+        improved = False
+        for col in range(k):
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    unit[i, col], unit[j, col] = unit[j, col], unit[i, col]
+                    saved_i = dist2[i, :].copy()
+                    saved_j = dist2[j, :].copy()
+                    _refresh_row(unit, dist2, i)
+                    _refresh_row(unit, dist2, j)
+                    d = dist2.min()
+                    if d > best:
+                        best = d
+                        improved = True
+                    else:
+                        unit[i, col], unit[j, col] = unit[j, col], unit[i, col]
+                        dist2[i, :] = saved_i
+                        dist2[:, i] = saved_i
+                        dist2[j, :] = saved_j
+                        dist2[:, j] = saved_j
+    return unit

@@ -1,11 +1,19 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opemu import DesignSpace, lhd, maximin_lhd, regular_grid
-from opemu.design import load_design_csv, save_design_csv
+from opemu.config import RunConfig
+from opemu.design import _swap_refine, candidate_seed, load_design_csv, save_design_csv
 from opemu.errors import DataError
+from reference import full_swap_refine
+
+EXPECTED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "expected.json")
 
 
 def unit_space(k=1):
@@ -101,6 +109,52 @@ class TestMaximin:
         for j in range(3):
             strata = np.floor(np.sort(d.unit_points[:, j]) * 15).astype(int)
             assert np.array_equal(strata, np.arange(15))
+
+
+def pool_start(n, space, seed, candidates):
+    """The best candidate LHD, as maximin_lhd picks it before refinement."""
+    best, best_d = None, -np.inf
+    for idx in range(candidates):
+        cand = lhd(n, space, candidate_seed(seed, idx))
+        d = cand.min_distance(unit=True)
+        if d > best_d:
+            best, best_d = cand.unit_points, d
+    return best
+
+
+class TestSwapRefineOracle:
+    """The pruned refinement against the unpruned scan, bit for bit."""
+
+    @pytest.mark.parametrize("n,candidates", [(12, 10), (20, 30)])
+    def test_pool_starts(self, n, candidates):
+        for seed in range(10):
+            start = pool_start(n, unit_space(3), seed, candidates)
+            assert np.array_equal(_swap_refine(start), full_swap_refine(start)), seed
+
+    def test_forty_point_pool_start(self):
+        # one seed: the unpruned scan takes ~0.6 s at n=40
+        start = pool_start(40, unit_space(3), 0, 100)
+        assert np.array_equal(_swap_refine(start), full_swap_refine(start))
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_centred_lhds_with_tied_pairs(self, n, k):
+        # midpoint strata put many pairs at the same minimum distance
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            start = np.column_stack([(rng.permutation(n) + 0.5) / n for _ in range(k)])
+            assert np.array_equal(_swap_refine(start), full_swap_refine(start)), seed
+
+
+def test_default_design_keeps_recorded_min_distance():
+    # the benchmark gates this value exactly; a refinement that accepts a
+    # different swap sequence changes it
+    with open(EXPECTED, encoding="utf-8") as fh:
+        recorded = json.load(fh)["reference"]["min_distance"]
+    cfg = RunConfig()
+    d = cfg.raw["design"]
+    design = maximin_lhd(d["n"], cfg.space(), d["seed"], d["candidates"])
+    assert design.min_distance(unit=True) == recorded
 
 
 class TestRegularGrid:
