@@ -9,9 +9,9 @@ sensitivity and uncertainty analyses.
 
 __version__ = "0.1.0"
 
-from .design import Design, DesignSpace, lhd, maximin_lhd, regular_grid
+from .design import Design, DesignSpace, lhd, maximin_lhd
 from .basis import InputBasis, OutputBasis, RegressorMatrixPair, regressor_matrices
-from .kernels import KernelSpec, kernel_matrices, input_correlation, output_correlation
+from .kernels import KernelSpec, kernel_matrices
 from .emulator import (
     NigPrior,
     OpeModel,
@@ -21,7 +21,6 @@ from .emulator import (
     credible_interval,
     fit,
     load_model,
-    predict,
     save_model,
 )
 from .likelihood import (
@@ -58,15 +57,12 @@ __all__ = [
     "DesignSpace",
     "lhd",
     "maximin_lhd",
-    "regular_grid",
     "InputBasis",
     "OutputBasis",
     "RegressorMatrixPair",
     "regressor_matrices",
     "KernelSpec",
     "kernel_matrices",
-    "input_correlation",
-    "output_correlation",
     "NigPrior",
     "OpeModel",
     "PredictiveBatch",
@@ -74,7 +70,6 @@ __all__ = [
     "TrainingSet",
     "credible_interval",
     "fit",
-    "predict",
     "save_model",
     "load_model",
     "HyperparamEstimate",

@@ -32,17 +32,10 @@ QUANTILE_LEVELS = (1.0, 5.0, 50.0, 95.0, 99.0)
 UQ_BLOCK = 256
 
 
-def max_elevation(series: PredictiveSeries, pessimistic: bool = False, level: float = 0.95) -> float:
-    """Largest predicted elevation over the series.
-
-    Uses the predictive location; ``pessimistic=True`` instead takes the
-    maximum of the upper credible bound for hazard-style headroom.
-    """
+def max_elevation(series: PredictiveSeries) -> float:
+    """Largest predicted elevation over the series (the predictive location)."""
     if series.location.size == 0:
         raise ValueError("series is empty")
-    if pessimistic:
-        _, hi = credible_interval(series, level)
-        return float(hi.max())
     return float(series.location.max())
 
 
@@ -80,7 +73,7 @@ class SweepCurve:
 
 
 def sensitivity_sweep(
-    model: OpeModel, spec: SweepSpec, level: float = 0.95, pessimistic: bool = False
+    model: OpeModel, spec: SweepSpec, level: float = 0.95
 ) -> SweepCurve:
     """Evaluate the emulator along the sweep grid (training time grid)."""
     space = model.design.space
@@ -103,7 +96,7 @@ def sensitivity_sweep(
         point = fixed.copy()
         point[spec.dim] = v
         series = model.predict(point)
-        maxima[i] = max_elevation(series, pessimistic=pessimistic, level=level)
+        maxima[i] = max_elevation(series)
         widths[i] = mcil(series, level)
         scales[i] = float(np.mean(series.scale))
     return SweepCurve(

@@ -10,8 +10,8 @@ Note the pair is deliberately *not* orthogonal to the constant term; the
 printed form is used as is, not re-derived as Legendre polynomials.
 
 The output set holds a constant plus sin/cos pairs at a configurable list
-of frequencies. The full regressor set is the outer product of the two,
-which is only materialized on request (it has nu_r * nu_s columns).
+of frequencies. The full regressor set is the outer product of the two
+(nu_r * nu_s columns); only its two factors are ever built.
 """
 
 from dataclasses import dataclass
@@ -107,20 +107,6 @@ class RegressorMatrixPair:
 
     input_matrix: np.ndarray
     output_matrix: np.ndarray
-
-    @property
-    def columns(self) -> int:
-        return self.input_matrix.shape[1] * self.output_matrix.shape[1]
-
-    def full(self, max_elements: int = 10_000_000) -> np.ndarray:
-        """Materialize the Kronecker product; guarded against large sizes."""
-        n, q = self.input_matrix.shape[0], self.output_matrix.shape[0]
-        if n * q * self.columns > max_elements:
-            raise ValueError(
-                f"full regressor matrix would have {n * q} x {self.columns} "
-                "entries; raise max_elements to force materialization"
-            )
-        return np.kron(self.input_matrix, self.output_matrix)
 
 
 def regressor_matrices(

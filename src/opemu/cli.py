@@ -108,6 +108,16 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _optimize_lengths(cfg, train, ib, ob, sigma2, jitter, collect_trace=False):
+    """Length search as configured; `fit` and per-fold `validate` share it."""
+    k = cfg.raw["kernel"]
+    return optimize_correlation_lengths(
+        train, ib, ob, sigma2, bounds=k["length_bounds"], restarts=k["restarts"],
+        seed=k["opt_seed"], exponent=k["exponent"], jitter=jitter,
+        collect_trace=collect_trace,
+    )
+
+
 def cmd_fit(cfg: RunConfig, args) -> int:
     train = ingest_runs(cfg.raw["paths"]["training"], cfg.space())
     ib, ob = cfg.input_basis(), cfg.output_basis()
@@ -130,18 +140,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 
     kernel = cfg.kernel_spec()
     if kernel is None:
-        state = optimize_correlation_lengths(
-            train,
-            ib,
-            ob,
-            est.sigma2,
-            bounds=cfg.raw["kernel"]["length_bounds"],
-            restarts=cfg.raw["kernel"]["restarts"],
-            seed=cfg.raw["kernel"]["opt_seed"],
-            exponent=cfg.raw["kernel"]["exponent"],
-            jitter=jitter,
-            collect_trace=args.trace,
-        )
+        state = _optimize_lengths(cfg, train, ib, ob, est.sigma2, jitter, args.trace)
         kernel = state.kernel_spec(cfg.raw["kernel"]["exponent"])
         lengths = ", ".join(f"{v:.4g}" for v in kernel.lengths)
         print(f"optimized lengths: [{lengths}] log-likelihood={state.value:.4f}")
@@ -184,13 +183,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         sigma2 = model.prior.sigma2
 
         def refit(subset):
-            state = optimize_correlation_lengths(
-                subset, ib, ob, sigma2,
-                restarts=cfg.raw["kernel"]["restarts"],
-                seed=cfg.raw["kernel"]["opt_seed"],
-                exponent=cfg.raw["kernel"]["exponent"],
-                jitter=model.jitter,
-            )
+            state = _optimize_lengths(cfg, subset, ib, ob, sigma2, model.jitter)
             return state.kernel_spec(cfg.raw["kernel"]["exponent"])
 
     report = loo(

@@ -1,9 +1,8 @@
 """Space-filling experimental designs over a bounded box.
 
-Three constructions are provided: plain Latin Hypercube designs (each
-column stratified into n equal-probability bins), maximin Latin Hypercubes
-(best of N random candidates refined by coordinate swaps), and full
-factorial regular grids for comparison.
+Two constructions are provided: plain Latin Hypercube designs (each
+column stratified into n equal-probability bins) and maximin Latin
+Hypercubes (best of N random candidates refined by coordinate swaps).
 
 All randomness comes from NumPy's PCG64 generator
 (``numpy.random.default_rng(seed)``), so designs are bit-reproducible
@@ -253,29 +252,6 @@ def maximin_lhd(n: int, space: DesignSpace, seed: int, candidates: int = 100) ->
     if candidates > 1:
         best_unit = _swap_refine(best_unit)
     return _from_unit(best_unit, space, seed)
-
-
-def regular_grid(levels_per_dim, space: DesignSpace) -> Design:
-    """Full factorial grid with the given number of levels per dimension.
-
-    Levels are equally spaced and include both endpoints. Kept for
-    design comparison: a grid with L levels projects onto only L distinct
-    values per axis, whereas an n-point LHD projects onto n.
-    """
-    levels = [int(v) for v in levels_per_dim]
-    if len(levels) != space.k:
-        raise ValueError(
-            f"got {len(levels)} level counts for a {space.k}-dimensional space"
-        )
-    for i, lv in enumerate(levels):
-        if lv < 2:
-            raise ValueError(
-                f"dimension {space.names[i]}: need at least 2 levels, got {lv}"
-            )
-    axes = [np.linspace(0.0, 1.0, lv) for lv in levels]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    unit = np.column_stack([m.ravel() for m in mesh])
-    return _from_unit(unit, space, seed=0)
 
 
 def save_design_csv(design: Design, path: str, meta: dict | None = None) -> None:

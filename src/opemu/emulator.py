@@ -434,11 +434,6 @@ def fit(
     )
 
 
-def predict(model: OpeModel, r, times=None) -> PredictiveSeries:
-    """Functional alias for :meth:`OpeModel.predict`."""
-    return model.predict(r, times)
-
-
 # -- serialization -----------------------------------------------------
 
 

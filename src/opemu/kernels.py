@@ -47,20 +47,6 @@ class KernelSpec:
         return np.array(self.input_lengths + (self.output_length,))
 
 
-def input_correlation(r1, r2, spec: KernelSpec) -> float:
-    """Product power-exponential correlation between two input points."""
-    r1 = np.asarray(r1, dtype=float).ravel()
-    r2 = np.asarray(r2, dtype=float).ravel()
-    lengths = np.asarray(spec.input_lengths)
-    z = (np.abs(r1 - r2) / lengths) ** spec.exponent
-    return float(np.exp(-z.sum()))
-
-
-def output_correlation(t1: float, t2: float, spec: KernelSpec) -> float:
-    """Power-exponential correlation between two time points."""
-    return float(np.exp(-((abs(t1 - t2) / spec.output_length) ** spec.exponent)))
-
-
 def input_correlation_matrix(points_a, points_b, spec: KernelSpec) -> np.ndarray:
     """Cross-correlation matrix between two input point sets (no jitter)."""
     a = np.atleast_2d(np.asarray(points_a, dtype=float))

@@ -65,10 +65,6 @@ class HyperparamEstimate:
     scale: float
     provenance: str = "estimated"
 
-    @property
-    def mean(self) -> np.ndarray:
-        return np.zeros(self.size)
-
     def to_prior(self) -> NigPrior:
         return NigPrior.isotropic(self.size, self.sigma2, self.dof, self.scale)
 
@@ -267,8 +263,8 @@ def optimize_correlation_lengths(
             )
         return -value, -grad_log
 
-    # imported here: scipy.optimize is the CLI's slowest import after
-    # scipy.stats, and only this function needs it
+    # imported here: scipy.optimize adds ~0.1 s to `import opemu.cli` on
+    # top of scipy.linalg, and only this function needs it
     from scipy.optimize import minimize
 
     starts = _starting_points(log_bounds, restarts, seed, init)

@@ -91,12 +91,6 @@ class DiagnosticsReport:
         total = sum(d.observed.size for d in self.diagnostics)
         return inside / total if total else float("nan")
 
-    def rmse_values(self) -> np.ndarray:
-        return np.array([d.rmse for d in self.diagnostics])
-
-    def mcil_values(self) -> np.ndarray:
-        return np.array([d.mcil for d in self.diagnostics])
-
 
 def _drop_point(train: TrainingSet, i: int) -> TrainingSet:
     keep = np.arange(train.n) != i

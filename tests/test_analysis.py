@@ -42,10 +42,6 @@ class TestMaxElevation:
         series = PredictiveSeries([0, 1, 2], [-0.5, -0.1, -0.9], [0.0] * 3, dof=5.0)
         assert max_elevation(series) == -0.1
 
-    def test_pessimistic_uses_upper_bound(self):
-        series = PredictiveSeries([0, 1], [0.0, 0.5], [1.0, 0.0], dof=1e9)
-        assert abs(max_elevation(series, pessimistic=True) - 1.959964) < 1e-3
-
     def test_toy_grid_max_near_continuous_max(self):
         # oracle: continuous maximization of the closed-form toy series
         r = [-1.0, 1.5, 2.0]

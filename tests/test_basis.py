@@ -91,40 +91,12 @@ class TestRegressorMatrices:
         pair = regressor_matrices(design, grid, ib, ob)
         assert pair.input_matrix.shape == (40, 7)
         assert pair.output_matrix.shape == (176, 11)
-        assert pair.columns == 77
 
     def test_constant_column(self, wave_space, wave_bases):
         ib, ob = wave_bases
         design = lhd(5, wave_space, 1)
         pair = regressor_matrices(design, [0.0, 1.0], ib, ob)
         assert np.all(pair.input_matrix[:, 0] == 1.0)
-
-    def test_single_point_kron_row(self, wave_space, wave_bases):
-        # 1 x 77 full matrix equals the outer product of the two vectors
-        ib, ob = wave_bases
-        design = lhd(2, wave_space, 3)
-        pair = regressor_matrices(design, [0.0], ib, ob)
-        full = pair.full()
-        expected = np.kron(ib.evaluate(design.points[0]), ob.evaluate(0.0))
-        assert np.allclose(full[0], expected, atol=1e-15)
-
-    def test_kron_consistency_small(self, wave_space, wave_bases):
-        ib, ob = wave_bases
-        design = lhd(3, wave_space, 5)
-        grid = [0.0, 0.7, 1.3]
-        full = regressor_matrices(design, grid, ib, ob).full()
-        for i in range(3):
-            for j in range(3):
-                row = np.kron(ib.evaluate(design.points[i]), ob.evaluate(grid[j]))
-                assert np.allclose(full[i * 3 + j], row, atol=1e-15)
-
-    def test_size_guard(self, wave_space, wave_bases):
-        ib, ob = wave_bases
-        design = lhd(40, wave_space, 0)
-        grid = np.round(0.2 * np.arange(176), 12)
-        pair = regressor_matrices(design, grid, ib, ob)
-        with pytest.raises(ValueError, match="max_elements"):
-            pair.full(max_elements=1000)
 
     def test_rejects_empty_grid(self, wave_space, wave_bases):
         ib, ob = wave_bases

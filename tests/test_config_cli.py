@@ -236,6 +236,35 @@ class TestDefaultConfig:
         assert model.prior.sigma2 == 0.257
 
 
+def test_validate_reoptimize_uses_configured_bounds(tmp_path, monkeypatch, capsys):
+    # every per-fold length search must search the box the full fit used
+    bounds = [[0.5, 8.0], [0.2, 4.0], [0.3, 6.0], [1.0, 40.0]]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "design": {"n": 6, "seed": 2, "candidates": 5},
+        "time": {"t_min": 0.0, "t_max": 20.0, "dt": 1.0},
+        "kernel": {"restarts": 1, "length_bounds": bounds},
+        "validate": {"reoptimize": True},
+        "paths": {"design": str(tmp_path / "d.csv"),
+                  "training": str(tmp_path / "t.csv"),
+                  "model": str(tmp_path / "m.json"),
+                  "reports": str(tmp_path / "reports")},
+    }))
+    seen = []
+    real = opemu.cli.optimize_correlation_lengths
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("bounds"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opemu.cli, "optimize_correlation_lengths", spy)
+    for command in ("design", "simulate", "fit", "validate"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    assert "6/6 folds completed" in capsys.readouterr().out
+    assert len(seen) == 1 + 6
+    assert all(b == bounds for b in seen)
+
+
 class TestExitCodes:
     def test_invalid_bounds_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opemu import DesignSpace, lhd, maximin_lhd, regular_grid
+from opemu import DesignSpace, lhd, maximin_lhd
 from opemu.config import RunConfig
 from opemu.design import _swap_refine, candidate_seed, load_design_csv, save_design_csv
 from opemu.errors import DataError
@@ -155,33 +155,6 @@ def test_default_design_keeps_recorded_min_distance():
     d = cfg.raw["design"]
     design = maximin_lhd(d["n"], cfg.space(), d["seed"], d["candidates"])
     assert design.min_distance(unit=True) == recorded
-
-
-class TestRegularGrid:
-    def test_corners(self):
-        d = regular_grid([2, 2, 2], unit_space(3))
-        assert d.points.shape == (8, 3)
-        assert sorted(map(tuple, d.points)) == sorted(
-            (a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)
-        )
-
-    def test_collapsing_projections(self, wave_space):
-        d = regular_grid([3, 3, 3], wave_space)
-        assert d.n == 27
-        for j in range(3):
-            assert len(np.unique(d.points[:, j])) == 3
-        # an LHD of the same size projects onto n distinct values
-        h = lhd(27, wave_space, 0)
-        for j in range(3):
-            assert len(np.unique(h.points[:, j])) == 27
-
-    def test_endpoints(self):
-        d = regular_grid([2], DesignSpace(bounds=[(-3.0, 1.0)]))
-        assert sorted(d.points[:, 0]) == [-3.0, 1.0]
-
-    def test_rejects_single_level(self, wave_space):
-        with pytest.raises(ValueError):
-            regular_grid([2, 1, 2], wave_space)
 
 
 class TestDesignCsv:

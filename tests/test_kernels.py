@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opemu import KernelSpec, input_correlation, kernel_matrices, lhd, output_correlation
+from opemu import KernelSpec, kernel_matrices, lhd
 from opemu.design import Design, DesignSpace
 from opemu.errors import NumericalDegeneracyError
+from opemu.kernels import input_correlation_matrix, output_correlation_matrix
 from reference import correlation as reference_correlation
 
 
@@ -18,26 +19,28 @@ def spec3(lx=1.0, lu=0.5, lc=0.8, lt=1.0, p=1.5):
 class TestPointwise:
     def test_zero_distance(self):
         r = [0.3, 1.5, 2.0]
-        assert input_correlation(r, r, spec3()) == 1.0
-        assert output_correlation(4.2, 4.2, spec3()) == 1.0
+        assert input_correlation_matrix([r], [r], spec3())[0, 0] == 1.0
+        assert output_correlation_matrix([4.2], [4.2], spec3())[0, 0] == 1.0
 
     def test_one_length_gap(self):
         # moving exactly one correlation length in one dimension
-        value = input_correlation([1.0, 1.5, 2.0], [0.0, 1.5, 2.0], spec3(lx=1.0))
+        value = input_correlation_matrix([[1.0, 1.5, 2.0]], [[0.0, 1.5, 2.0]],
+                                         spec3(lx=1.0))[0, 0]
         assert abs(value - math.exp(-1.0)) < 1e-15
         assert abs(value - 0.3679) < 1e-4
 
     def test_one_length_gap_time(self):
-        assert abs(output_correlation(0.0, 1.0, spec3(lt=1.0)) - math.exp(-1.0)) < 1e-15
+        value = output_correlation_matrix([0.0], [1.0], spec3(lt=1.0))[0, 0]
+        assert abs(value - math.exp(-1.0)) < 1e-15
 
     def test_two_lengths_gap_time(self):
-        value = output_correlation(0.0, 2.0, spec3(lt=1.0))
+        value = output_correlation_matrix([0.0], [2.0], spec3(lt=1.0))[0, 0]
         assert abs(value - math.exp(-(2.0 ** 1.5))) < 1e-15
         assert abs(value - 0.0591) < 1e-4
 
     def test_infinite_length_limit(self):
-        value = input_correlation([1.0, 2.0, 3.0], [0.0, 1.0, 2.5],
-                                  KernelSpec((np.inf, np.inf, np.inf), 1.0))
+        value = input_correlation_matrix([[1.0, 2.0, 3.0]], [[0.0, 1.0, 2.5]],
+                                         KernelSpec((np.inf, np.inf, np.inf), 1.0))[0, 0]
         assert value == 1.0
 
     def test_rejects_bad_parameters(self):
@@ -59,10 +62,11 @@ class TestPointwise:
         lo, hi = sorted((d1, d2))
         if lo == hi:
             return
+        rho_hi, rho_lo = output_correlation_matrix([0.0], [hi, lo], spec)[0]
         # gaps a few ulps apart can round to the same float64 correlation
-        assert output_correlation(0.0, hi, spec) <= output_correlation(0.0, lo, spec)
+        assert rho_hi <= rho_lo
         if hi > lo * (1 + 1e-9):
-            assert output_correlation(0.0, hi, spec) < output_correlation(0.0, lo, spec)
+            assert rho_hi < rho_lo
 
 
 class TestMatrices:
