@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .emulator import OpeModel, PredictiveSeries, credible_interval
 from .ioutil import atomic_write_text, write_csv
@@ -131,6 +130,8 @@ class BetaInputSpec:
 
 def sample_beta(spec: BetaInputSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. input draws, Beta per dimension mapped onto [lower, upper]."""
+    from scipy.special import betaincinv
+
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     rng = np.random.default_rng(seed)

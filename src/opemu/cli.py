@@ -11,6 +11,13 @@ import math
 import os
 import sys
 
+# One BLAS/OpenMP thread unless the caller set a count: predictions differ
+# in their last bits between thread counts, and reruns are byte-identical
+# only at a fixed one. This must run before the first import that loads
+# numpy; the library modules leave the environment alone.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import __version__
 from .analysis import (
     save_histogram_csv,

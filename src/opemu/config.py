@@ -11,6 +11,7 @@ hash is embedded in every output file.
 import copy
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -87,6 +88,28 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _check_length_bounds(bounds, dims):
+    """One [lower, upper] pair per dimension, finite, with 0 < lower < upper."""
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != len(dims):
+        raise ConfigError(
+            f"kernel.length_bounds needs {len(dims)} [lower, upper] pairs, one per "
+            f"dimension ({', '.join(dims)}), got {bounds!r}"
+        )
+    for dim, pair in zip(dims, bounds):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in pair)):
+            raise ConfigError(
+                f"kernel.length_bounds for dimension {dim}: need two finite "
+                f"numbers, got {pair!r}"
+            )
+        if not 0 < pair[0] < pair[1]:
+            raise ConfigError(
+                f"kernel.length_bounds for dimension {dim}: need 0 < lower < upper, "
+                f"got {list(pair)}"
+            )
+
+
 class RunConfig:
     """Resolved configuration with typed accessors for the domain objects."""
 
@@ -129,6 +152,8 @@ class RunConfig:
                 raise ConfigError(
                     f"kernel.lengths needs {k + 1} entries (inputs then time)"
                 )
+        if self.raw["kernel"]["length_bounds"] is not None:
+            _check_length_bounds(self.raw["kernel"]["length_bounds"], [*names, "time"])
         beta = self.raw["analysis"]["beta"]
         if len(beta) != k:
             raise ConfigError(

@@ -34,8 +34,6 @@ import json
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import stdtrit
 
 from . import __version__
 from .basis import InputBasis, OutputBasis, regressor_matrices
@@ -97,6 +95,8 @@ class _KronEigen:
     """
 
     def __init__(self, km: KernelMatrices, Gr: np.ndarray, Gs: np.ndarray, sigma2: float):
+        from scipy.linalg import cho_solve
+
         self.km, self.Gr, self.Gs = km, Gr, Gs
         self.KrGr = cho_solve(km.input_chol, Gr, check_finite=False)
         self.KsGs = cho_solve(km.output_chol, Gs, check_finite=False)
@@ -120,6 +120,8 @@ class _KronEigen:
 
     def whiten(self, F: np.ndarray) -> np.ndarray:
         """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
+        from scipy.linalg import cho_solve
+
         W = cho_solve(self.km.input_chol, F, check_finite=False)
         return cho_solve(self.km.output_chol, W.T, check_finite=False).T
 
@@ -242,6 +244,8 @@ def credible_interval(series, level: float = 0.95):
     Takes a :class:`PredictiveSeries` or a :class:`PredictiveBatch` (then
     the arrays are m x q); the t quantile is computed once per call.
     """
+    from scipy.special import stdtrit
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     half = stdtrit(series.dof, 0.5 * (1.0 + level)) * series.scale
@@ -316,6 +320,8 @@ class OpeModel:
         and B = Ks_cross K_output^-1 G_output Us are the time halves of the
         regression-uncertainty term.
         """
+        from scipy.linalg import cho_solve
+
         t = np.asarray(times, dtype=float).ravel()
         core = self._core
         Gs_new = self.output_basis.evaluate_many(t)
@@ -346,6 +352,8 @@ class OpeModel:
         cached. Rows outside the design box, or every row when ``times``
         reach beyond the training grid, are flagged as extrapolation.
         """
+        from scipy.linalg import cho_solve
+
         R = np.atleast_2d(np.asarray(R, dtype=float))
         if times is None:
             t = self.time_grid

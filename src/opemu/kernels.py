@@ -16,7 +16,6 @@ singular without it.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .design import Design
 from .errors import NumericalDegeneracyError
@@ -83,6 +82,8 @@ class KernelMatrices:
 
 
 def _factor(matrix: np.ndarray, name: str) -> tuple:
+    from scipy.linalg import cho_factor
+
     try:
         c, low = cho_factor(matrix, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

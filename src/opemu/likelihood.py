@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .basis import InputBasis, OutputBasis
 from .design import DesignSpace, lhd
@@ -99,6 +98,8 @@ class _Workspace:
 
     def evaluate(self, lengths, tau, want_grad=False):
         """Log marginal likelihood (and gradient) at the given parameters."""
+        from scipy.linalg import cho_solve
+
         lengths = np.asarray(lengths, dtype=float)
         tau = float(tau)
         p = self.exponent
@@ -263,8 +264,10 @@ def optimize_correlation_lengths(
             )
         return -value, -grad_log
 
-    # imported here: scipy.optimize adds ~0.1 s to `import opemu.cli` on
-    # top of scipy.linalg, and only this function needs it
+    # package rule: scipy is imported in the functions that call it, never
+    # at module level, so `import opemu.cli` loads no scipy and `opemu
+    # design` and `opemu simulate` never do. scipy.optimize alone adds
+    # ~0.1 s on top of scipy.linalg, and only the length search needs it
     from scipy.optimize import minimize
 
     starts = _starting_points(log_bounds, restarts, seed, init)

@@ -12,6 +12,7 @@ its short size, once untraced and once traced.
 import importlib
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -122,3 +123,30 @@ def test_traced_library_pass_gives_every_library_metric(bench, short, tmp_path, 
     # the pass removed its wrappers again
     assert not hasattr(opemu.emulator.OpeModel.predict, "__wrapped__")
     assert not hasattr(opemu.analysis.credible_interval, "__wrapped__")
+
+
+def test_traced_cli_child_sees_every_layer(tmp_path):
+    # bench/child.py imports opemu.cli before installing the tracer, and the
+    # tracer rebinds names only in the opemu modules loaded by then: the
+    # CLI must keep importing its layers at module level
+    paths = {"design": "d.csv", "training": "t.csv", "model": "m.json", "reports": "r"}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "design": {"n": 6, "seed": 2, "candidates": 5},
+        "time": {"t_min": 0.0, "t_max": 10.0, "dt": 1.0},
+        "kernel": {"lengths": [2.0, 1.0, 0.6, 3.0]},
+        "paths": {key: str(tmp_path / name) for key, name in paths.items()},
+    }))
+    from opemu.cli import main
+
+    for command in ("design", "simulate"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    spans_path = tmp_path / "spans.json"
+    src = os.path.dirname(os.path.dirname(opemu.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, os.path.join(BENCH, "child.py"), str(spans_path),
+                    "fit", "--config", str(cfg)],
+                   env=env, capture_output=True, text=True, timeout=120, check=True)
+    names = {span[0] for span in json.loads(spans_path.read_text())}
+    assert {"cli.import", "cli.main", "emulator.fit", "kernels.kernel_matrices",
+            "likelihood.estimate_hyperparams", "simulator.ingest_runs"} <= names

@@ -272,6 +272,19 @@ class TestExitCodes:
         assert main(["design", "--config", str(cfg)]) == 2
         assert "u0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [
+        [[-1.0, 4.0], [0.2, 4.0], [0.3, 6.0], [1.0, 40.0]],  # negative lower bound
+        [[5.0, 2.0], [0.2, 4.0], [0.3, 6.0], [1.0, 40.0]],  # inverted pair
+        "abc",
+    ], ids=["negative", "inverted", "string"])
+    def test_bad_length_bounds_exit_2(self, tmp_path, capsys, bounds):
+        # rejected with the config, before fit reads training data or estimates the prior
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kernel": {"length_bounds": bounds}}))
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kernel.length_bounds" in err and "x0" in err
+
     def test_missing_design_exit_3(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -364,13 +377,58 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg]) == 0
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats alone takes longer to import than the rest of the CLI;
-    # scipy.optimize is loaded by the length search when it runs
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _run_python(code, **env_vars):
+    """Run ``code`` in a fresh interpreter without the thread variables set;
+    returns the last line it printed."""
     src = os.path.dirname(os.path.dirname(opemu.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, opemu.cli; print(sorted(m for m in sys.modules if "
-            "m.startswith(('scipy.stats', 'scipy.spatial', 'scipy.optimize'))))")
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    env.update(PYTHONPATH=src, **env_vars)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy is imported by the functions that call it; the CLI's first
+    # factorization or Beta draw loads it
+    assert _run_python(f"import sys, opemu.cli; print({LOADED_SCIPY})") == "[]"
+
+
+def test_design_and_simulate_load_no_scipy(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "design": {"n": 5, "seed": 1, "candidates": 3},
+        "time": {"t_min": 0.0, "t_max": 4.0, "dt": 1.0},
+        "paths": {"design": str(tmp_path / "d.csv"), "training": str(tmp_path / "t.csv"),
+                  "model": str(tmp_path / "m.json"), "reports": str(tmp_path / "r")},
+    }))
+    code = ("import sys; from opemu.cli import main\n"
+            f"assert main(['design', '--config', {str(cfg)!r}]) == 0\n"
+            f"assert main(['simulate', '--config', {str(cfg)!r}]) == 0\n"
+            f"print({LOADED_SCIPY})")
+    assert _run_python(code) == "[]"
+    assert (tmp_path / "t.csv").exists()
+
+
+class TestThreadPin:
+    READ_VARS = f"import os; print([os.environ.get(v) for v in {THREAD_VARS!r}])"
+
+    def test_cli_pins_one_thread(self):
+        assert _run_python(f"import opemu.cli; {self.READ_VARS}") == "['1', '1', '1']"
+
+    def test_cli_keeps_a_thread_count_the_caller_set(self):
+        out = _run_python(f"import opemu.cli; {self.READ_VARS}", OPENBLAS_NUM_THREADS="3")
+        assert out == "['3', '1', '1']"
+
+    def test_package_import_loads_no_numpy(self):
+        # so `python -m opemu.cli` pins the threads before numpy loads
+        assert _run_python("import sys, opemu; print('numpy' in sys.modules)") == "False"
+
+    def test_library_leaves_the_environment_alone(self):
+        code = ("import os; before = dict(os.environ); import opemu.emulator; "
+                "print(dict(os.environ) == before)")
+        assert _run_python(code) == "True"
