@@ -32,54 +32,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Design",
-    "DesignSpace",
-    "lhd",
-    "maximin_lhd",
-    "InputBasis",
-    "OutputBasis",
-    "RegressorMatrixPair",
-    "regressor_matrices",
-    "KernelSpec",
-    "kernel_matrices",
-    "NigPrior",
-    "OpeModel",
-    "PredictiveBatch",
-    "PredictiveSeries",
-    "TrainingSet",
-    "credible_interval",
-    "fit",
-    "save_model",
-    "load_model",
-    "HyperparamEstimate",
-    "MarginalLikelihoodState",
-    "estimate_hyperparams",
-    "log_marginal_likelihood",
-    "log_marginal_likelihood_gradient",
-    "optimize_correlation_lengths",
-    "DiagnosticsReport",
-    "LooDiagnostic",
-    "loo",
-    "mcil",
-    "med",
-    "rmse",
-    "BetaInputSpec",
-    "SweepSpec",
-    "max_elevation",
-    "sample_beta",
-    "sensitivity_sweep",
-    "uq_monte_carlo",
-    "DimensionalScaling",
-    "ToyWaveParams",
-    "dimensionalize",
-    "ingest_runs",
-    "nondimensionalize",
-    "toy_simulate",
-    "toy_training_set",
-    "write_training_csv",
-]
+__all__ = ["__version__", *_MODULE_OF]
 
 
 def __getattr__(name):

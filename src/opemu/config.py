@@ -173,6 +173,19 @@ class RunConfig:
                     f"analysis.sweeps[{i}].fixed needs {k} values, got "
                     f"{len(sweep['fixed'])}"
                 )
+        # the domain objects check their own values; build each once so a
+        # bad value fails at load, named by its key, not in a later command
+        exponent = self.raw["kernel"]["exponent"]
+        for key, build in (("kernel.exponent", lambda: KernelSpec((1.0,), 1.0, exponent)),
+                           ("kernel.lengths", self.kernel_spec),
+                           ("basis.frequencies", self.output_basis),
+                           ("simulator", self.toy_params),
+                           ("analysis.beta", self.beta_spec),
+                           ("analysis.sweeps", self.sweep_specs)):
+            try:
+                build()
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
     def _sweep_dim(self, sweep: dict) -> int:
         dim = sweep.get("dim")

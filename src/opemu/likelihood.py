@@ -12,15 +12,20 @@ regressor matrix. The log marginal likelihood
 and its analytic gradient over (input lengths..., output length, tau) are
 evaluated through the per-factor Cholesky decompositions plus the
 matrix-inversion and determinant lemmas for the rank-nu regression term;
-the nq x nq matrix is never formed. tau enters only as a device to make
-the maximization well-posed; its estimate is reported but not used by the
-conjugate update.
+the nq x nq matrix is never formed.
+
+tau is profiled out of the search (the concentrated likelihood of Santner,
+Williams & Notz 2003). Given the lengths, L is maximized in tau by
+tau_hat = y' M^-1 y / (nq), with M = C / tau, and dL/dtau = 0 there, so
+the profiled gradient is the length part of the partial gradient at
+tau_hat. The ML tau_hat only conditions the length search: it is reported
+but not used by the conjugate update.
 
 Correlation lengths are estimated by multi-start quasi-Newton ascent
-(L-BFGS-B on the negative likelihood) in log-parameter space, which both
-enforces positivity and makes the box bounds scale-free. Starting points
-come from a seeded Latin Hypercube over the log bounds, so results are
-deterministic given the seed.
+(L-BFGS-B on the negative profiled likelihood) over the k+1 log-lengths,
+which both enforces positivity and makes the box bounds scale-free.
+Starting points come from a seeded Latin Hypercube over the log bounds, so
+results are deterministic given the seed.
 """
 
 import math
@@ -96,12 +101,14 @@ class _Workspace:
         out.append(np.abs(grid[:, None] - grid[None, :]) ** self.exponent)
         return out
 
-    def evaluate(self, lengths, tau, want_grad=False):
-        """Log marginal likelihood (and gradient) at the given parameters."""
+    def evaluate(self, lengths, tau=None, want_grad=False):
+        """(value, gradient or None, tau) at the given lengths.
+
+        With ``tau`` None it is profiled out: tau_hat = quad_M / (nq).
+        """
         from scipy.linalg import cho_solve
 
         lengths = np.asarray(lengths, dtype=float)
-        tau = float(tau)
         p = self.exponent
         n, q, nu = self.n, self.q, self.nu
 
@@ -114,6 +121,7 @@ class _Workspace:
         Z = core.solve(b)
         quad_K = float(np.sum(self.F * W0))
         quad_M = quad_K - float(np.sum(b * Z))
+        tau = quad_M / (n * q) if tau is None else float(tau)
 
         ld_r = 2.0 * np.sum(np.log(np.diag(km.input_chol[0])))
         ld_s = 2.0 * np.sum(np.log(np.diag(km.output_chol[0])))
@@ -125,7 +133,7 @@ class _Workspace:
             - 0.5 * n * q * math.log(2.0 * math.pi)
         )
         if not want_grad:
-            return value, None
+            return value, None, tau
 
         # beta = M^-1 y reshaped to n x q
         B = W0 - core.KrGr @ Z @ core.KsGs.T
@@ -151,7 +159,7 @@ class _Workspace:
         trace = n * float(np.sum(Ks_inv * dKs)) - float(regr_r @ y)
         grad[self.k] = term1 - 0.5 * trace
         grad[self.k + 1] = 0.5 * quad_M / tau**2 - 0.5 * n * q / tau
-        return value, grad
+        return value, grad, tau
 
 
 def log_marginal_likelihood(
@@ -171,7 +179,7 @@ def log_marginal_likelihood(
     """
     _check_positive(lengths, tau, sigma2)
     ws = _Workspace(train, input_basis, output_basis, sigma2, exponent, jitter)
-    value, _ = ws.evaluate(lengths, tau)
+    value, _, _ = ws.evaluate(lengths, tau)
     return value
 
 
@@ -188,7 +196,7 @@ def log_marginal_likelihood_gradient(
     """Analytic gradient over (input lengths..., output length, tau)."""
     _check_positive(lengths, tau, sigma2)
     ws = _Workspace(train, input_basis, output_basis, sigma2, exponent, jitter)
-    _, grad = ws.evaluate(lengths, tau, want_grad=True)
+    _, grad, _ = ws.evaluate(lengths, tau, want_grad=True)
     return grad
 
 
@@ -213,20 +221,20 @@ def optimize_correlation_lengths(
     sigma2: float,
     init=None,
     bounds=None,
-    tau_bounds=None,
     restarts: int = 5,
     seed: int = 0,
     exponent: float = 1.5,
     jitter: float = DEFAULT_JITTER,
     collect_trace: bool = False,
 ) -> MarginalLikelihoodState:
-    """Maximize the marginal likelihood over correlation lengths and tau.
+    """Maximize the marginal likelihood over the correlation lengths.
 
-    Multi-start L-BFGS-B in log space. If ``init`` is given (k+2 values:
-    lengths then tau) it seeds the first start; the rest come from a Latin
-    Hypercube over the log bounds with the given seed. The best final value
-    wins, ties broken by the lowest start index. Raises
-    :class:`OptimizationFailure` if every start fails.
+    tau is profiled out at each evaluation, and the returned state's ``tau``
+    is tau_hat at the optimum. Multi-start L-BFGS-B over the log-lengths. If
+    ``init`` is given (k+1 lengths, inputs then time) it seeds the first
+    start; the rest come from a Latin Hypercube over the log bounds with the
+    given seed. The best final value wins, ties broken by the lowest start
+    index. Raises :class:`OptimizationFailure` if every start fails.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -236,31 +244,29 @@ def optimize_correlation_lengths(
         bounds = default_length_bounds(space, t_span)
     if len(bounds) != space.k + 1:
         raise ValueError(f"need {space.k + 1} length bounds, got {len(bounds)}")
-    if tau_bounds is None:
-        pooled = float(np.var(train.outputs))
-        base = pooled if pooled > 0 else 1.0
-        tau_bounds = (1e-4 * base, 1e4 * base)
-    all_bounds = list(bounds) + [tuple(tau_bounds)]
-    log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in all_bounds]
+    if not np.any(train.outputs):
+        # y' M^-1 y = 0, so tau_hat = 0 and the likelihood has no maximum
+        raise DataError("training outputs are all zero; no tau maximizes the likelihood")
+    log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in bounds]
 
     ws = _Workspace(train, input_basis, output_basis, sigma2, exponent, jitter)
     trace: list = []
 
     def objective(theta, start_idx, counter):
-        params = np.exp(theta)
+        lengths = np.exp(theta)
         try:
-            value, grad = ws.evaluate(params[:-1], params[-1], want_grad=True)
+            value, grad, tau = ws.evaluate(lengths, want_grad=True)
         except NumericalDegeneracyError:
             return _BARRIER, np.zeros_like(theta)
         if not np.isfinite(value):
             return _BARRIER, np.zeros_like(theta)
-        # chain rule: d/d log(theta) = theta * d/d theta
-        grad_log = np.exp(theta) * grad
+        # chain rule: d/d log(l) = l * d/dl; the tau entry is 0 at tau_hat
+        grad_log = lengths * grad[:-1]
         if collect_trace:
             counter[0] += 1
             trace.append(
                 (start_idx, counter[0], value, float(np.linalg.norm(grad_log)))
-                + tuple(np.exp(theta))
+                + tuple(lengths) + (tau,)
             )
         return -value, -grad_log
 
@@ -302,12 +308,12 @@ def optimize_correlation_lengths(
             diagnostics,
         )
     best_idx, best = min(results, key=lambda item: (item[1].fun, item[0]))
-    params = np.exp(best.x)
-    value, grad = ws.evaluate(params[:-1], params[-1], want_grad=True)
+    lengths = np.exp(best.x)
+    value, grad, tau = ws.evaluate(lengths, want_grad=True)
     return MarginalLikelihoodState(
-        input_lengths=tuple(params[: space.k]),
-        output_length=float(params[space.k]),
-        tau=float(params[-1]),
+        input_lengths=tuple(lengths[: space.k]),
+        output_length=float(lengths[space.k]),
+        tau=float(tau),
         value=float(value),
         gradient=grad,
         trace=trace,

@@ -150,3 +150,54 @@ def test_traced_cli_child_sees_every_layer(tmp_path):
     names = {span[0] for span in json.loads(spans_path.read_text())}
     assert {"cli.import", "cli.main", "emulator.fit", "kernels.kernel_matrices",
             "likelihood.estimate_hyperparams", "simulator.ingest_runs"} <= names
+
+
+# the `reference` workload's calibration and UQ, as bench/passes.py runs them
+REFERENCE_CALIBRATION = """
+import json
+import opemu
+from opemu.config import RunConfig
+
+cfg = RunConfig()
+raw = cfg.raw
+design = opemu.maximin_lhd(raw["design"]["n"], cfg.space(), raw["design"]["seed"],
+                           raw["design"]["candidates"])
+train = opemu.toy_training_set(design, cfg.time_grid(), cfg.toy_params())
+ib, ob = cfg.input_basis(), cfg.output_basis()
+est = opemu.estimate_hyperparams(train, ib, ob, raw["prior"]["dof"], raw["prior"]["split"])
+state = opemu.optimize_correlation_lengths(
+    train, ib, ob, est.sigma2, restarts=raw["kernel"]["restarts"],
+    seed=raw["kernel"]["opt_seed"], exponent=raw["kernel"]["exponent"],
+    jitter=raw["kernel"]["jitter"])
+model = opemu.fit(est.to_prior(), ib, ob, state.kernel_spec(raw["kernel"]["exponent"]),
+                  train, raw["kernel"]["jitter"])
+uq = opemu.uq_monte_carlo(model, cfg.beta_spec(), n=raw["analysis"]["mc_samples"],
+                          seed=raw["analysis"]["seed"], level=raw["validate"]["level"],
+                          bins=raw["analysis"]["bins"])
+print(json.dumps({"loglik": state.value,
+                  "uq_max_elevation": uq.max_elevation.values.tolist(),
+                  "uq_mean_ci_length": uq.mean_ci_length.values.tolist()}))
+"""
+
+
+def test_default_calibration_meets_the_reference_gates():
+    # the benchmark gates the default calibration's log-likelihood and UQ
+    # quantiles against its recorded values, so a change to the length
+    # search can fail it by moving the optimizer's endpoint. The benchmark
+    # pins BLAS to one thread, and the quantiles move by ~3e-9 relative
+    # under more threads, so this runs in a child process with the same pin
+    with open(os.path.join(BENCH, "expected.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    tol, exp = recorded["tolerances"], recorded["reference"]
+    src = os.path.dirname(os.path.dirname(opemu.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", REFERENCE_CALIBRATION], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    got = json.loads(out.stdout)
+    assert abs(got["loglik"] - exp["loglik"]) <= tol["loglik_rtol"] * abs(exp["loglik"])
+    for name in ("uq_max_elevation", "uq_mean_ci_length"):
+        observed, expected = np.asarray(got[name]), np.asarray(exp[name])
+        assert observed.shape == expected.shape, name
+        assert np.all(np.abs(observed - expected) <= tol["uq_rtol"] * np.abs(expected)), (
+            name, observed.tolist())

@@ -285,6 +285,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "kernel.length_bounds" in err and "x0" in err
 
+    @pytest.mark.parametrize("override, names", [
+        ({"kernel": {"exponent": 3.0}}, ["kernel.exponent"]),
+        ({"kernel": {"lengths": [-1.0, 1.0, 0.6, 3.0]}}, ["kernel.lengths"]),
+        ({"kernel": {"lengths": [1.0, 1.0, "x", 3.0]}}, ["kernel.lengths"]),
+        ({"analysis": {"beta": [[-5.0, 2.0, -2.0, 0.0], [2.0, 5.0, 1.0, 2.0],
+                                [2.0, 5.0, 0.5, 2.5]]}}, ["analysis.beta"]),
+        ({"analysis": {"sweeps": [{"dim": "x0", "lower": -2.0, "upper": 0.0,
+                                   "resolution": 1, "fixed": [-1.0, 1.5, 1.5]}]}},
+         ["analysis.sweeps", "resolution"]),
+        ({"simulator": {"damping": -1.0}}, ["simulator", "damping"]),
+        ({"basis": {"frequencies": [0]}}, ["basis.frequencies"]),
+    ], ids=["exponent", "negative-length", "string-length", "beta-shape", "sweep-resolution",
+            "damping", "frequency"])
+    def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
+        # rejected with the config, so `design` fails, not a later command
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**override,
+                                   "paths": {"design": str(tmp_path / "d.csv")}}))
+        assert main(["design", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_missing_design_exit_3(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

@@ -183,7 +183,7 @@ class TestOptimizer:
         init = np.array([0.2, 0.7, 0.3, 2.0, 0.5])
         initial = log_marginal_likelihood(train, ib, ob, init[:4], init[4], 0.1)
         state = optimize_correlation_lengths(
-            train, ib, ob, 0.1, init=init, restarts=1, seed=0
+            train, ib, ob, 0.1, init=init[:4], restarts=1, seed=0
         )
         assert state.value >= initial
 
@@ -212,7 +212,9 @@ class TestOptimizer:
 
     def test_log_and_linear_space_agree(self):
         # reparameterization invariance: same box, same start, tight
-        # tolerances; the achieved maxima must agree
+        # tolerances; the achieved maxima must agree. The reference searches
+        # (lengths, tau) jointly, so this also checks that profiling tau
+        # out reaches the joint optimum
         from scipy.optimize import minimize
 
         train, ib, ob = synthetic_from_kernel(
@@ -221,8 +223,7 @@ class TestOptimizer:
         init = np.array([0.3, 0.3, 0.3, 0.8, 0.5])
         box = [(0.05, 20.0)] * 5
         state = optimize_correlation_lengths(
-            train, ib, ob, 0.1, init=init, restarts=1, seed=0,
-            bounds=box[:4], tau_bounds=box[4],
+            train, ib, ob, 0.1, init=init[:4], restarts=1, seed=0, bounds=box[:4],
         )
 
         def negative(theta):
@@ -238,6 +239,24 @@ class TestOptimizer:
             options={"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-10},
         )
         assert abs(-res.fun - state.value) < 1e-6 * max(1.0, abs(state.value))
+
+    def test_tau_is_profiled_out(self):
+        # dL/dtau = nq/(2 tau) (quad_M/(nq tau) - 1) vanishes at tau_hat; its
+        # two terms, each of size nq/(2 tau), cancel up to a few ulps
+        train, ib, ob = synthetic_from_kernel(
+            6, 8, (0.4, 0.4, 0.4, 1.0), tau=1.0, sigma2=0.1, seed=21
+        )
+        state = optimize_correlation_lengths(train, ib, ob, 0.1, restarts=2, seed=0)
+        assert state.gradient.shape == (5,)
+        scale = train.n * train.q / (2.0 * state.tau)
+        assert abs(state.gradient[-1]) <= 1e-12 * scale
+
+    def test_zero_outputs_rejected(self):
+        # tau_hat would be 0: the profiled likelihood has no maximum
+        train, ib, ob = random_instance(n=4, q=5, seed=3)
+        train = TrainingSet(train.design, train.time_grid, np.zeros_like(train.outputs))
+        with pytest.raises(DataError, match="all zero"):
+            optimize_correlation_lengths(train, ib, ob, 0.1, restarts=1)
 
     def test_trace_collection(self):
         train, ib, ob = synthetic_from_kernel(
