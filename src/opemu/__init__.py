@@ -16,7 +16,7 @@ import importlib
 # variables before numpy starts a BLAS thread pool.
 _EXPORTS = {
     "design": ("Design", "DesignSpace", "lhd", "maximin_lhd"),
-    "basis": ("InputBasis", "OutputBasis", "RegressorMatrixPair", "regressor_matrices"),
+    "basis": ("InputBasis", "OutputBasis", "regressor_matrices"),
     "kernels": ("KernelSpec", "kernel_matrices"),
     "emulator": ("NigPrior", "OpeModel", "PredictiveBatch", "PredictiveSeries",
                  "TrainingSet", "credible_interval", "fit", "load_model", "save_model"),

@@ -177,7 +177,6 @@ def uq_monte_carlo(
     spec: BetaInputSpec,
     n: int = 1000,
     seed: int = 0,
-    levels=QUANTILE_LEVELS,
     level: float = 0.95,
     bins: int = 30,
 ) -> UqResult:
@@ -208,18 +207,18 @@ def uq_monte_carlo(
         extrapolated += int(np.sum(batch.extrapolation))
         clamped += int(np.sum(batch.clamped))
 
-    lv = tuple(float(x) for x in levels)
+    probs = np.array(QUANTILE_LEVELS) / 100.0
     max_summary = QuantileSummary(
         statistic="max-elevation",
-        levels=lv,
-        values=np.quantile(max_vals, np.array(lv) / 100.0),
+        levels=QUANTILE_LEVELS,
+        values=np.quantile(max_vals, probs),
         n_samples=n,
         seed=seed,
     )
     mcil_summary = QuantileSummary(
         statistic="mean-CI-length",
-        levels=lv,
-        values=np.quantile(mcil_vals, np.array(lv) / 100.0),
+        levels=QUANTILE_LEVELS,
+        values=np.quantile(mcil_vals, probs),
         n_samples=n,
         seed=seed,
     )

@@ -96,29 +96,14 @@ class OutputBasis:
         return out
 
 
-@dataclass(frozen=True)
-class RegressorMatrixPair:
-    """Per-factor regressor matrices whose Kronecker product is the full set.
-
-    ``input_matrix`` is n x nu_r (design points), ``output_matrix`` is
-    q x nu_s (time grid). The implicit full matrix has nu_r * nu_s columns
-    and rows ordered with the input index outermost.
-    """
-
-    input_matrix: np.ndarray
-    output_matrix: np.ndarray
-
-
 def regressor_matrices(
     design: Design, time_grid, input_basis: InputBasis, output_basis: OutputBasis
-) -> RegressorMatrixPair:
-    """Evaluate both bases over a design and a time grid."""
+) -> tuple:
+    """(Gr, Gs): the input basis at the n design points (n x nu_r) and the
+    output basis on the time grid (q x nu_s), the factors of the full set."""
     grid = np.asarray(time_grid, dtype=float).ravel()
     if design.points.shape[0] == 0:
         raise ValueError("design has no points")
     if grid.size == 0:
         raise ValueError("time grid is empty")
-    return RegressorMatrixPair(
-        input_matrix=input_basis.evaluate_many(design.points),
-        output_matrix=output_basis.evaluate_many(grid),
-    )
+    return input_basis.evaluate_many(design.points), output_basis.evaluate_many(grid)

@@ -207,10 +207,8 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     meta = cfg.meta(_design_seed(cfg, args))
     save_report_json(report, os.path.join(reports_dir, "loo_report.json"), meta)
     for diag in report.diagnostics:
-        save_fold_csv(
-            diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"),
-            level, meta,
-        )
+        save_fold_csv(diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"),
+                      meta)
     print(f"leave-one-out: {len(report.diagnostics)}/{train.n} folds completed")
     print(f"pooled {level:.0%} coverage: {report.pooled_coverage:.4f}")
     print(f"corr(MED, RMSE)={report.corr_med_rmse:.4f} "

@@ -88,6 +88,19 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+# integer keys with their smallest allowed value, and keys that take any
+# finite number; checked before anything compares or computes with them
+_INT_KEYS = (("design.n", 2), ("design.candidates", 1), ("design.seed", 0),
+             ("kernel.restarts", 1), ("kernel.opt_seed", 0), ("analysis.seed", 0),
+             ("analysis.mc_samples", 1), ("analysis.bins", 1))
+_NUMBER_KEYS = ("time.t_min", "time.t_max", "time.dt", "kernel.jitter", "prior.dof",
+                "prior.split", "validate.level")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_length_bounds(bounds, dims):
     """One [lower, upper] pair per dimension, finite, with 0 < lower < upper."""
     if not isinstance(bounds, (list, tuple)) or len(bounds) != len(dims):
@@ -97,8 +110,7 @@ def _check_length_bounds(bounds, dims):
         )
     for dim, pair in zip(dims, bounds):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v) for v in pair)):
+                and all(_is_number(v) and math.isfinite(v) for v in pair)):
             raise ConfigError(
                 f"kernel.length_bounds for dimension {dim}: need two finite "
                 f"numbers, got {pair!r}"
@@ -131,6 +143,16 @@ class RunConfig:
         return cls(raw)
 
     def _validate(self):
+        for key, minimum in _INT_KEYS:
+            section, name = key.split(".")
+            value = self.raw[section][name]
+            if not (_is_number(value) and isinstance(value, int) and value >= minimum):
+                raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+        for key in _NUMBER_KEYS:
+            section, name = key.split(".")
+            value = self.raw[section][name]
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         d = self.raw["design"]
         names = d["names"]
         if len(names) != len(d["bounds"]):
@@ -141,8 +163,6 @@ class RunConfig:
                     f"design bounds for dimension {name}: lower {lo} must be "
                     f"strictly below upper {hi}"
                 )
-        if d["n"] < 2:
-            raise ConfigError(f"design.n must be >= 2, got {d['n']}")
         t = self.raw["time"]
         if not t["t_min"] < t["t_max"] or t["dt"] <= 0:
             raise ConfigError("time section needs t_min < t_max and dt > 0")

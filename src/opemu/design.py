@@ -75,13 +75,13 @@ class DesignSpace:
         """Affine map from [0, 1]^k back to physical coordinates."""
         return self.lower + np.atleast_2d(unit_points) * self.widths
 
-    def contains(self, point, rtol: float = 1e-9) -> bool:
-        return bool(self.contains_rows(point, rtol).all())
+    def contains(self, point) -> bool:
+        return bool(self.contains_rows(point).all())
 
-    def contains_rows(self, points, rtol: float = 1e-9) -> np.ndarray:
-        """Per-row flags: which of the points (one per row) lie in the box."""
+    def contains_rows(self, points) -> np.ndarray:
+        """Per-row flags: which points lie in the box (widened by 1e-9 of each width)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        slack = rtol * self.widths
+        slack = 1e-9 * self.widths
         return np.all((p >= self.lower - slack) & (p <= self.upper + slack), axis=1)
 
 

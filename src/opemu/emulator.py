@@ -6,15 +6,17 @@ Training outputs form an n x q matrix F (n design points, q time points).
 Stacked row-major with the input index outermost, y = vec(F) follows
 
     y = Q beta + eps,     Q = G_input (x) G_output          (Kronecker)
-    beta | tau  ~ Normal(m, tau V),   V = sigma2 * I
+    beta | tau  ~ Normal(0, tau sigma2 I)
     eps  | tau  ~ Normal(0, tau K),   K = K_input (x) K_output
     tau         ~ InverseGamma with density  tau^-(a/2 + 1) exp(-d / (2 tau))
 
-With that parameterization ``a`` counts degrees of freedom directly and the
-posterior is again of the same family with
+The prior mean is zero, so this is the model whose marginal likelihood the
+length search maximizes (:mod:`opemu.likelihood`). With that
+parameterization ``a`` counts degrees of freedom directly and the posterior
+is again of the same family with
 
-    Vn^-1 = V^-1 + Q' K^-1 Q          an = a + n*q
-    mn    = Vn (V^-1 m + Q' K^-1 y)   dn = d + res' K^-1 res + (mn-m)' V^-1 (mn-m)
+    Vn^-1 = I / sigma2 + Q' K^-1 Q    an = a + n*q
+    mn    = Vn Q' K^-1 y              dn = d + res' K^-1 res + mn' mn / sigma2
 
 where res = y - Q mn. Predictions at a new input r over any times are
 Student-t with an degrees of freedom. Every K^-1 application goes through
@@ -53,18 +55,18 @@ _PRECISION = "the posterior precision matrix"
 
 
 class NigPrior:
-    """Normal--Inverse-Gamma prior with isotropic coefficient scale V = sigma2 * I.
+    """Zero-mean Normal--Inverse-Gamma prior with coefficient scale V = sigma2 * I.
 
     Parameters
     ----------
-    mean : prior coefficient mean vector (length nu).
+    size : number of coefficients nu.
     sigma2 : prior coefficient variance multiplier, V = sigma2 * I.
     dof : degrees of freedom a > 0.
     scale : tau scale d > 0.
     """
 
-    def __init__(self, mean, sigma2: float, dof: float, scale: float):
-        self.mean = np.asarray(mean, dtype=float).ravel()
+    def __init__(self, size: int, sigma2: float, dof: float, scale: float):
+        self.size = int(size)
         self.sigma2 = float(sigma2)
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be strictly positive")
@@ -73,15 +75,10 @@ class NigPrior:
         self.dof = float(dof)
         self.scale = float(scale)
 
-    @classmethod
-    def isotropic(cls, size: int, sigma2: float, dof: float, scale: float) -> "NigPrior":
-        """Zero-mean prior with V = sigma2 * I."""
-        return cls(np.zeros(size), sigma2, dof, scale)
-
     @property
     def cov(self) -> np.ndarray:
         """Dense prior coefficient scale matrix V = sigma2 * I."""
-        return self.sigma2 * np.eye(self.mean.size)
+        return self.sigma2 * np.eye(self.size)
 
 
 class _KronEigen:
@@ -114,9 +111,8 @@ class _KronEigen:
     @classmethod
     def build(cls, design, grid, input_basis, output_basis, kernel, jitter, sigma2):
         """Factor the kernel and the regressors of a design and time grid."""
-        pair = regressor_matrices(design, grid, input_basis, output_basis)
-        km = kernel_matrices(design, grid, kernel, jitter)
-        return cls(km, pair.input_matrix, pair.output_matrix, sigma2)
+        Gr, Gs = regressor_matrices(design, grid, input_basis, output_basis)
+        return cls(kernel_matrices(design, grid, kernel, jitter), Gr, Gs, sigma2)
 
     def whiten(self, F: np.ndarray) -> np.ndarray:
         """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
@@ -403,10 +399,8 @@ def fit(
     O((nq)^3).
     """
     nu = input_basis.size * output_basis.size
-    if prior.mean.size != nu:
-        raise ValueError(
-            f"prior has {prior.mean.size} coefficients, bases imply {nu}"
-        )
+    if prior.size != nu:
+        raise ValueError(f"prior has {prior.size} coefficients, bases imply {nu}")
     if train.design.space.k != input_basis.space.k:
         raise ValueError("training design dimension does not match the input basis")
 
@@ -414,15 +408,13 @@ def fit(
                            kernel, jitter, prior.sigma2)
     Gr, Gs, F = core.Gr, core.Gs, train.outputs
 
-    # mn = Vn (V^-1 m + Q' K^-1 y), with Q' K^-1 y = vec(Gr' K^-1 F Gs)
-    m = prior.mean.reshape(input_basis.size, output_basis.size)
-    coeff = core.solve(m / prior.sigma2 + Gr.T @ core.whiten(F) @ Gs)
+    # mn = Vn Q' K^-1 y, with Q' K^-1 y = vec(Gr' K^-1 F Gs)
+    coeff = core.solve(Gr.T @ core.whiten(F) @ Gs)
 
     # scale update in residual form: guaranteed to stay positive
     R = F - Gr @ coeff @ Gs.T
     W = core.whiten(R)
-    dm = coeff - m
-    post_scale = float(prior.scale + np.sum(R * W) + np.sum(dm * dm) / prior.sigma2)
+    post_scale = float(prior.scale + np.sum(R * W) + np.sum(coeff * coeff) / prior.sigma2)
     post_dof = prior.dof + train.n * train.q
 
     return OpeModel(
@@ -467,7 +459,6 @@ def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
         },
         "jitter": model.jitter,
         "prior": {
-            "mean": model.prior.mean.tolist(),
             "dof": model.prior.dof,
             "scale": model.prior.scale,
             "sigma2": model.prior.sigma2,
@@ -490,7 +481,9 @@ def load_model(path: str) -> OpeModel:
 
     Raises :class:`DataError` naming the key when a required key is missing
     or an array's shape does not match the design, the time grid and the
-    bases. A ``posterior.coeff_cov`` stored by older versions is ignored.
+    bases. A ``posterior.coeff_cov`` stored by older versions is ignored,
+    and so is their ``prior.mean`` when it is all zero; a non-zero one is
+    rejected, since the prior is zero-mean.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -532,6 +525,9 @@ def load_model(path: str) -> OpeModel:
         input_basis = InputBasis(space)
         output_basis = OutputBasis(tuple(get("output_basis.frequencies")))
         nu = (input_basis.size * output_basis.size,)
+        if isinstance(prior_doc, dict) and "mean" in prior_doc and np.any(
+                get("prior.mean", nu)):
+            raise DataError("'prior.mean' is non-zero; only zero-mean priors are supported")
         return OpeModel(
             input_basis=input_basis,
             output_basis=output_basis,
@@ -540,8 +536,8 @@ def load_model(path: str) -> OpeModel:
                 output_length=get("kernel.output_length"),
                 exponent=get("kernel.exponent"),
             ),
-            prior=NigPrior(get("prior.mean", nu), get("prior.sigma2"),
-                           get("prior.dof"), get("prior.scale")),
+            prior=NigPrior(nu[0], get("prior.sigma2"), get("prior.dof"),
+                           get("prior.scale")),
             jitter=get("jitter"),
             design=design,
             time_grid=grid,

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import InputBasis, OutputBasis
+from .basis import InputBasis, OutputBasis, regressor_matrices
 from .design import DesignSpace, lhd
 from .emulator import NigPrior, TrainingSet, _KronEigen
 from .errors import DataError, NumericalDegeneracyError, OptimizationFailure
@@ -70,7 +70,7 @@ class HyperparamEstimate:
     provenance: str = "estimated"
 
     def to_prior(self) -> NigPrior:
-        return NigPrior.isotropic(self.size, self.sigma2, self.dof, self.scale)
+        return NigPrior(self.size, self.sigma2, self.dof, self.scale)
 
 
 class _Workspace:
@@ -80,8 +80,8 @@ class _Workspace:
         self.F = train.outputs
         self.n, self.q = self.F.shape
         self.design, self.grid = train.design, train.time_grid
-        self.Gr = input_basis.evaluate_many(train.design.points)
-        self.Gs = output_basis.evaluate_many(train.time_grid)
+        self.Gr, self.Gs = regressor_matrices(train.design, train.time_grid,
+                                              input_basis, output_basis)
         self.nu = self.Gr.shape[1] * self.Gs.shape[1]
         self.sigma2 = float(sigma2)
         self.exponent = float(exponent)
@@ -366,8 +366,7 @@ def estimate_hyperparams(
     pooled_var = float(np.var(train.outputs))
     if pooled_var <= 0.0:
         raise DataError("training outputs are constant; cannot match moments")
-    Gr = input_basis.evaluate_many(train.design.points)
-    Gs = output_basis.evaluate_many(train.time_grid)
+    Gr, Gs = regressor_matrices(train.design, train.time_grid, input_basis, output_basis)
     g2 = float(np.mean(np.sum(Gr**2, axis=1)) * np.mean(np.sum(Gs**2, axis=1)))
     sigma2 = split * pooled_var * (dof - 2.0) / (dof * g2)
     scale = (1.0 - split) * pooled_var * (dof - 2.0)

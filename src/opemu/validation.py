@@ -42,17 +42,12 @@ def rmse(observed, predicted) -> float:
     return float(np.sqrt(np.mean((pred - obs) ** 2)))
 
 
-def med(design: Design, unit: bool = False) -> np.ndarray:
-    """Mean Euclidean distance from each point to the other n-1 points.
-
-    Physical coordinates by default (the reported diagnostic); unit-scale
-    available for design work.
-    """
-    pts = design.unit_points if unit else design.points
-    n = pts.shape[0]
+def med(design: Design) -> np.ndarray:
+    """Mean Euclidean distance (physical units) from each point to the other n-1."""
+    n = design.points.shape[0]
     if n < 2:
         raise ValueError("need at least two design points")
-    return pairwise_distances(pts).sum(axis=1) / (n - 1)
+    return pairwise_distances(design.points).sum(axis=1) / (n - 1)
 
 
 def mcil(series: PredictiveSeries, level: float = 0.95) -> float:
@@ -68,6 +63,8 @@ class LooDiagnostic:
     index: int
     observed: np.ndarray
     series: PredictiveSeries
+    lower: np.ndarray  # credible interval at the report's level, per time
+    upper: np.ndarray
     rmse: float
     mcil: float
     coverage_95: float
@@ -135,6 +132,8 @@ def loo(
             index=i,
             observed=observed,
             series=series,
+            lower=lo,
+            upper=hi,
             rmse=rmse(observed, series.location),
             mcil=float(np.mean(hi - lo)),
             coverage_95=float(inside),
@@ -168,11 +167,11 @@ def loo(
 # -- exports -------------------------------------------------------------
 
 
-def save_fold_csv(diag: LooDiagnostic, path: str, level: float = 0.95, meta=None):
+def save_fold_csv(diag: LooDiagnostic, path: str, meta=None):
     """Per-fold series for external plotting: observed vs predictive band."""
-    lo, hi = credible_interval(diag.series, level)
     write_csv(path, ("time", "observed", "location", "lo95", "hi95"),
-              zip(diag.series.times, diag.observed, diag.series.location, lo, hi), meta)
+              zip(diag.series.times, diag.observed, diag.series.location,
+                  diag.lower, diag.upper), meta)
 
 
 def save_report_json(report: DiagnosticsReport, path: str, meta=None):

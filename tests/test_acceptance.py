@@ -167,7 +167,7 @@ def test_criterion_03_structured_vs_dense():
             kern = KernelSpec((1.1, 0.6, 0.9), 1.0)
             sigma2, tau, a, d = 0.25, 0.15, 3.0, 0.5
             nu = ib.size * ob.size
-            prior = NigPrior.isotropic(nu, sigma2, a, d)
+            prior = NigPrior(nu, sigma2, a, d)
 
             K, Q = reference.dense_matrices(
                 design.points, grid, space.bounds, ob.frequencies,
@@ -200,7 +200,7 @@ def test_criterion_03_structured_vs_dense():
                         / np.abs(dense_grad).max())
 
             # fit + predict
-            mn, Vn, an, dn = reference.dense_fit(F, K, Q, prior.mean, prior.cov, a, d)
+            mn, Vn, an, dn = reference.dense_fit(F, K, Q, np.zeros(nu), prior.cov, a, d)
             model = fit(prior, ib, ob, kern, train, JITTER)
             worst = max(worst, np.abs(model.coeff_mean - mn).max() / (1 + np.abs(mn).max()))
             worst = max(worst, np.abs(model.coeff_cov - Vn).max())

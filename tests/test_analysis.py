@@ -68,7 +68,7 @@ def toy_model():
     grid = np.round(0.25 * np.arange(61), 12)
     train = toy_training_set(design, grid)
     ib, ob = InputBasis(space), OutputBasis()
-    prior = NigPrior.isotropic(77, 0.01, 3.0, 0.1)
+    prior = NigPrior(77, 0.01, 3.0, 0.1)
     kern = KernelSpec((2.0, 1.0, 0.6), 1.5)
     return fit(prior, ib, ob, kern, train)
 

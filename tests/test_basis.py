@@ -88,15 +88,15 @@ class TestRegressorMatrices:
         ib, ob = wave_bases
         design = lhd(40, wave_space, 0)
         grid = np.round(0.2 * np.arange(176), 12)
-        pair = regressor_matrices(design, grid, ib, ob)
-        assert pair.input_matrix.shape == (40, 7)
-        assert pair.output_matrix.shape == (176, 11)
+        Gr, Gs = regressor_matrices(design, grid, ib, ob)
+        assert Gr.shape == (40, 7)
+        assert Gs.shape == (176, 11)
 
     def test_constant_column(self, wave_space, wave_bases):
         ib, ob = wave_bases
         design = lhd(5, wave_space, 1)
-        pair = regressor_matrices(design, [0.0, 1.0], ib, ob)
-        assert np.all(pair.input_matrix[:, 0] == 1.0)
+        Gr, _ = regressor_matrices(design, [0.0, 1.0], ib, ob)
+        assert np.all(Gr[:, 0] == 1.0)
 
     def test_rejects_empty_grid(self, wave_space, wave_bases):
         ib, ob = wave_bases

@@ -296,8 +296,19 @@ class TestExitCodes:
          ["analysis.sweeps", "resolution"]),
         ({"simulator": {"damping": -1.0}}, ["simulator", "damping"]),
         ({"basis": {"frequencies": [0]}}, ["basis.frequencies"]),
+        ({"design": {"n": "40"}}, ["design.n"]),
+        ({"design": {"n": 2.5}}, ["design.n"]),
+        ({"design": {"candidates": "x"}}, ["design.candidates"]),
+        ({"time": {"dt": "0.2"}}, ["time.dt"]),
+        ({"design": {"seed": -1}}, ["design.seed"]),
+        ({"kernel": {"restarts": "3"}}, ["kernel.restarts"]),
+        ({"analysis": {"seed": -1}}, ["analysis.seed"]),
+        ({"prior": {"dof": "x"}}, ["prior.dof"]),
+        ({"validate": {"level": "x"}}, ["validate.level"]),
     ], ids=["exponent", "negative-length", "string-length", "beta-shape", "sweep-resolution",
-            "damping", "frequency"])
+            "damping", "frequency", "string-n", "fractional-n", "string-candidates",
+            "string-dt", "negative-seed", "string-restarts", "negative-analysis-seed",
+            "string-dof", "string-level"])
     def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
         # rejected with the config, so `design` fails, not a later command
         cfg = tmp_path / "bad.json"

@@ -76,7 +76,7 @@ class TestFitAgainstDenseOracle:
         jitter = 1e-8
         sigma2, a, d = 0.3, 3.0, 0.4
         nu = ib.size * ob.size
-        prior = NigPrior.isotropic(nu, sigma2, a, d)
+        prior = NigPrior(nu, sigma2, a, d)
         model = fit(prior, ib, ob, kern, train, jitter)
 
         K, Q = dense_problem(train, ib, ob, kern, jitter)
@@ -94,12 +94,12 @@ class TestFitAgainstDenseOracle:
         train, ib, ob, kern = small_problem(n=n, q=q, seed=seed)
         jitter = 1e-8
         nu = ib.size * ob.size
-        prior = NigPrior.isotropic(nu, 0.25, 3.0, 0.5)
+        prior = NigPrior(nu, 0.25, 3.0, 0.5)
         model = fit(prior, ib, ob, kern, train, jitter)
 
         K, Q = dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
-            train.outputs, K, Q, prior.mean, prior.cov, prior.dof, prior.scale
+            train.outputs, K, Q, np.zeros(nu), prior.cov, prior.dof, prior.scale
         )
         assert np.abs(model.coeff_mean - mn).max() < 1e-8 * (1 + np.abs(mn).max())
         assert np.abs(model.coeff_cov - Vn).max() < 1e-8
@@ -117,7 +117,7 @@ class TestFitAgainstDenseOracle:
 
     def test_positive_posterior_scalars(self):
         train, ib, ob, kern = small_problem(n=3, q=4, seed=5)
-        prior = NigPrior.isotropic(ib.size * ob.size, 0.1, 3.0, 0.2)
+        prior = NigPrior(ib.size * ob.size, 0.1, 3.0, 0.2)
         model = fit(prior, ib, ob, kern, train)
         assert model.dof > 0
         assert model.scale > 0
@@ -125,14 +125,14 @@ class TestFitAgainstDenseOracle:
     def test_zero_data_zero_posterior_mean(self):
         train, ib, ob, kern = small_problem(n=3, q=4, seed=2)
         train = TrainingSet(train.design, train.time_grid, np.zeros_like(train.outputs))
-        prior = NigPrior.isotropic(ib.size * ob.size, 0.1, 3.0, 0.2)
+        prior = NigPrior(ib.size * ob.size, 0.1, 3.0, 0.2)
         model = fit(prior, ib, ob, kern, train)
         assert np.abs(model.coeff_mean).max() == 0.0
 
     def test_dimension_mismatch(self):
         train, ib, ob, kern = small_problem()
         with pytest.raises(ValueError, match="coefficients"):
-            fit(NigPrior.isotropic(5, 0.1, 3.0, 0.2), ib, ob, kern, train)
+            fit(NigPrior(5, 0.1, 3.0, 0.2), ib, ob, kern, train)
 
 
 class TestPredictionBehavior:
@@ -141,7 +141,7 @@ class TestPredictionBehavior:
         grid = np.round(0.5 * np.arange(9), 12)
         train = toy_training_set(design, grid)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior.isotropic(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(77, 0.05, 3.0, 0.1)
         jitter = 1e-8
         model = fit(prior, ib, ob, KernelSpec((1.0, 0.5, 0.8), 1.0), train, jitter)
         std = train.outputs.std()
@@ -160,7 +160,7 @@ class TestPredictionBehavior:
         grid = np.round(0.5 * np.arange(7), 12)
         train = toy_training_set(design, grid)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior.isotropic(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(77, 0.05, 3.0, 0.1)
         kern = KernelSpec((1e-3, 1e-3, 1e-3), 1.0)
         model = fit(prior, ib, ob, kern, train)
         r = np.array([-0.987, 1.456, 2.345])  # not close to any design point
@@ -175,7 +175,7 @@ class TestPredictionBehavior:
         grid = np.round(0.5 * np.arange(5), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            NigPrior(77, 0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.0, 0.5, 0.8), 1.0), train,
         )
@@ -187,7 +187,7 @@ class TestPredictionBehavior:
         # adding a training run at the prediction site shrinks its scale
         grid = np.round(0.5 * np.arange(7), 12)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior.isotropic(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(77, 0.05, 3.0, 0.1)
         kern = KernelSpec((1.0, 0.5, 0.8), 1.0)
         design = lhd(5, wave_space, 7)
         train = toy_training_set(design, grid)
@@ -207,7 +207,7 @@ class TestPredictionBehavior:
     def test_dof_grows_by_q_per_point(self, wave_space):
         grid = np.round(0.5 * np.arange(7), 12)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior.isotropic(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(77, 0.05, 3.0, 0.1)
         kern = KernelSpec((1.0, 0.5, 0.8), 1.0)
         m5 = fit(prior, ib, ob, kern, toy_training_set(lhd(5, wave_space, 1), grid))
         m6 = fit(prior, ib, ob, kern, toy_training_set(lhd(6, wave_space, 1), grid))
@@ -218,7 +218,7 @@ class TestPredictionBehavior:
         grid = np.round(0.2 * np.arange(30), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            NigPrior(77, 0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.5, 0.8, 1.2), 1.5), train,
         )
@@ -236,11 +236,11 @@ class TestPredictMany:
         train, ib, ob, kern = small_problem(n=n, q=q, seed=seed)
         jitter = 1e-8
         nu = ib.size * ob.size
-        prior = NigPrior.isotropic(nu, 0.25, 3.0, 0.5)
+        prior = NigPrior(nu, 0.25, 3.0, 0.5)
         model = fit(prior, ib, ob, kern, train, jitter)
         K, Q = dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
-            train.outputs, K, Q, prior.mean, prior.cov, prior.dof, prior.scale
+            train.outputs, K, Q, np.zeros(nu), prior.cov, prior.dof, prior.scale
         )
         space = train.design.space
         rng = np.random.default_rng(seed + 11)
@@ -263,7 +263,7 @@ class TestPredictMany:
         grid = np.round(0.2 * np.arange(30), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            NigPrior(77, 0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.5, 0.8, 1.2), 1.5), train,
         )
@@ -295,7 +295,7 @@ class TestPredictMany:
         grid = np.round(0.25 * np.arange(24), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            NigPrior(77, 0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.5, 0.8, 1.2), 1.5), train, jitter=0.0,
         )
@@ -351,7 +351,7 @@ class TestSerialization:
         grid = np.round(0.5 * np.arange(8), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            NigPrior(77, 0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.0, 0.5, 0.8), 1.0), train,
         )
@@ -369,7 +369,7 @@ class TestSerialization:
         design = lhd(5, wave_space, 12)
         train = toy_training_set(design, np.round(0.5 * np.arange(6), 12))
         model = fit(
-            NigPrior.isotropic(77, 0.05, 3.0, 0.1),
+            NigPrior(77, 0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.0, 0.5, 0.8), 1.0), train,
         )
@@ -416,6 +416,34 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="dense 'cov' and no 'sigma2'"):
             load_model(str(path))
+
+    def test_stored_zero_prior_mean_loads_identically(self, wave_space, tmp_path):
+        # files written before the prior became zero-mean store prior.mean
+        model, path, doc = self._saved_doc(wave_space, tmp_path)
+        assert "mean" not in doc["prior"]
+        loaded = load_model(str(path))
+        doc["prior"]["mean"] = [0.0] * 77
+        path.write_text(json.dumps(doc))
+        older = load_model(str(path))
+        r = [-0.5, 1.2, 2.7]
+        a, b = loaded.predict(r), older.predict(r)
+        assert np.array_equal(a.location, b.location)
+        assert np.array_equal(a.scale, b.scale)
+
+    def test_nonzero_prior_mean_rejected(self, wave_space, tmp_path):
+        from opemu.cli import main
+        from opemu.errors import DataError
+
+        _, path, doc = self._saved_doc(wave_space, tmp_path)
+        doc["prior"]["mean"] = [0.0] * 76 + [0.5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="prior.mean"):
+            load_model(str(path))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"paths": {"model": str(path)}}))
+        assert main(["predict", "--config", str(cfg), "--point=-0.5,1.2,2.7",
+                     "--out", str(tmp_path / "p.csv")]) == 3
+        assert not (tmp_path / "p.csv").exists()
 
     def test_rejects_non_model_json(self, tmp_path):
         from opemu.errors import DataError

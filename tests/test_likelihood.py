@@ -7,16 +7,20 @@ import reference
 from opemu import (
     InputBasis,
     KernelSpec,
+    NigPrior,
     OutputBasis,
     TrainingSet,
     estimate_hyperparams,
+    fit,
     lhd,
     log_marginal_likelihood,
     log_marginal_likelihood_gradient,
     optimize_correlation_lengths,
+    toy_training_set,
 )
 from opemu.design import DesignSpace
 from opemu.errors import DataError
+from opemu.likelihood import _Workspace
 
 
 def random_instance(n=3, q=4, seed=0):
@@ -282,6 +286,25 @@ class TestOptimizer:
             first = next(row[2] for row in state.trace if row[0] == diag["start"])
             assert diag["value"] >= first - 1e-9
             assert state.value >= diag["value"] - 1e-9
+
+
+class TestFitSharesTheSearchModel:
+    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("lengths", [(2.0, 0.5, 0.8, 1.5), (25.75, 4.75, 0.54, 1.58)])
+    def test_posterior_scale_is_profiled_quadratic_form(self, wave_space, wave_bases,
+                                                        n, lengths):
+        # with a zero-mean prior, dn - d = res' K^-1 res + mn' mn / sigma2
+        # = y' M^-1 y = nq tau_hat: two summation orders of one quadratic
+        # form, which agree to a few ulps (<= 4e-16 measured); a prior mean
+        # in only one of the two paths breaks the equality
+        ib, ob = wave_bases
+        train = toy_training_set(lhd(n, wave_space, 3), np.round(0.2 * np.arange(176), 12))
+        sigma2, jitter = 0.05, 1e-8
+        prior = NigPrior(ib.size * ob.size, sigma2, 3.0, 0.1)
+        model = fit(prior, ib, ob, KernelSpec(lengths[:-1], lengths[-1]), train, jitter)
+        _, _, tau_hat = _Workspace(train, ib, ob, sigma2, 1.5, jitter).evaluate(lengths)
+        nq = train.n * train.q
+        assert model.scale - prior.scale == pytest.approx(nq * tau_hat, rel=1e-10)
 
 
 class TestHyperparamEstimation:
