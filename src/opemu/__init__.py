@@ -18,13 +18,13 @@ _EXPORTS = {
     "design": ("Design", "DesignSpace", "lhd", "maximin_lhd"),
     "basis": ("InputBasis", "OutputBasis", "regressor_matrices"),
     "kernels": ("KernelSpec", "kernel_matrices"),
-    "emulator": ("NigPrior", "OpeModel", "PredictiveBatch", "PredictiveSeries",
-                 "TrainingSet", "credible_interval", "fit", "load_model", "save_model"),
+    "emulator": ("NigPrior", "OpeModel", "Predictive", "TrainingSet", "credible_interval",
+                 "fit", "load_model", "save_model"),
     "likelihood": ("HyperparamEstimate", "MarginalLikelihoodState", "estimate_hyperparams",
                    "log_marginal_likelihood", "log_marginal_likelihood_gradient",
                    "optimize_correlation_lengths"),
-    "validation": ("DiagnosticsReport", "LooDiagnostic", "loo", "mcil", "med", "rmse"),
-    "analysis": ("BetaInputSpec", "SweepSpec", "max_elevation", "sample_beta",
+    "validation": ("DiagnosticsReport", "LooDiagnostic", "loo", "med", "rmse"),
+    "analysis": ("BetaInputSpec", "SweepSpec", "max_elevation", "mcil", "sample_beta",
                  "sensitivity_sweep", "uq_monte_carlo"),
     "simulator": ("DimensionalScaling", "ToyWaveParams", "dimensionalize", "ingest_runs",
                   "nondimensionalize", "toy_simulate", "toy_training_set",

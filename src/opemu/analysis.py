@@ -4,7 +4,9 @@ A sweep varies one input over a grid while the others stay fixed, tracking
 the maximum predicted elevation (and interval width) along the curve. The
 uncertainty analysis pushes Beta-distributed inputs through the emulator
 and summarizes per-sample maximum elevation and mean CI length as
-empirical quantiles.
+empirical quantiles. Both reduce a :class:`~opemu.emulator.Predictive`
+over time, at one input or at a block of inputs, with the same two
+functions, :func:`max_elevation` and :func:`mcil`.
 
 Reproducibility: Beta draws use inverse-CDF transforms of a single seeded
 uniform stream (one column per dimension, drawn in one block, so results
@@ -23,19 +25,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import OpeModel, PredictiveSeries, credible_interval
+from .emulator import OpeModel, Predictive, credible_interval
 from .ioutil import atomic_write_text, write_csv
-from .validation import mcil
 
 QUANTILE_LEVELS = (1.0, 5.0, 50.0, 95.0, 99.0)
 UQ_BLOCK = 256
 
 
-def max_elevation(series: PredictiveSeries) -> float:
-    """Largest predicted elevation over the series (the predictive location)."""
-    if series.location.size == 0:
+def max_elevation(pred: Predictive):
+    """Largest predicted elevation over time (the predictive location).
+
+    A number for one input, one per row for m inputs.
+    """
+    if pred.location.size == 0:
         raise ValueError("series is empty")
-    return float(series.location.max())
+    return pred.location.max(axis=-1)
+
+
+def mcil(pred: Predictive, level: float = 0.95):
+    """Mean credible-interval length over time, shaped as :func:`max_elevation`."""
+    lo, hi = credible_interval(pred, level)
+    return np.mean(hi - lo, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -183,9 +193,9 @@ def uq_monte_carlo(
     """Monte-Carlo uncertainty propagation through the emulator.
 
     Draws n inputs, predicts them on the training time grid in blocks of
-    ``UQ_BLOCK`` rows, reduces each series to (max elevation, mean CI
-    length) as :func:`max_elevation` and :func:`~opemu.validation.mcil`
-    do, and reports their empirical percentiles plus histogram data for
+    ``UQ_BLOCK`` rows, reduces each block to (max elevation, mean CI
+    length) per row with :func:`max_elevation` and :func:`mcil`, and
+    reports their empirical percentiles plus histogram data for
     the maximum. Deterministic per (model, spec, n, seed).
     """
     if n < 100:
@@ -201,9 +211,8 @@ def uq_monte_carlo(
     for start in range(0, n, UQ_BLOCK):
         rows = slice(start, start + UQ_BLOCK)
         batch = model.predict_many(inputs[rows])
-        lo, hi = credible_interval(batch, level)
-        max_vals[rows] = batch.location.max(axis=1)
-        mcil_vals[rows] = np.mean(hi - lo, axis=1)
+        max_vals[rows] = max_elevation(batch)
+        mcil_vals[rows] = mcil(batch, level)
         extrapolated += int(np.sum(batch.extrapolation))
         clamped += int(np.sum(batch.clamped))
 

@@ -311,6 +311,8 @@ def main(argv=None) -> int:
     args.seed = getattr(args, "seed", None)
     args.trace = getattr(args, "trace", False)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

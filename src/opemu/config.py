@@ -180,9 +180,24 @@ class RunConfig:
                 f"analysis.beta needs one [alpha, beta, lower, upper] row per "
                 f"input dimension ({k}), got {len(beta)}"
             )
+        level = self.raw["validate"]["level"]
+        if not 0 < level < 1:
+            raise ConfigError(f"validate.level must lie strictly between 0 and 1, "
+                              f"got {level!r}")
         prior = self.raw["prior"]
         if (prior["sigma2"] is None) != (prior["scale"] is None):
             raise ConfigError("prior.sigma2 and prior.scale must be set together")
+        for name in ("sigma2", "scale", "dof"):
+            value = prior[name]
+            if value is not None and not (_is_number(value) and 0 < value < math.inf):
+                raise ConfigError(f"prior.{name} must be a finite number > 0, got {value!r}")
+        # without prior.sigma2, fit matches the prior's moments to the training data
+        if prior["sigma2"] is None and not prior["dof"] > 2:
+            raise ConfigError(f"prior.dof must exceed 2 for moment matching, "
+                              f"got {prior['dof']!r}")
+        if prior["sigma2"] is None and not 0 < prior["split"] < 1:
+            raise ConfigError(f"prior.split must lie strictly between 0 and 1, "
+                              f"got {prior['split']!r}")
         for i, sweep in enumerate(self.raw["analysis"]["sweeps"]):
             for required in ("dim", "lower", "upper", "fixed"):
                 if required not in sweep:

@@ -24,7 +24,8 @@ the per-factor Cholesky decompositions, and Vn through the eigenbasis of
 Q' K^-1 Q (:class:`_KronEigen`); neither the n*q x n*q matrix nor the
 nu x nu posterior precision is ever formed. :meth:`OpeModel.predict_many`
 predicts m input points at once with matrix products over the m rows;
-:meth:`OpeModel.predict` is its one-row case.
+:meth:`OpeModel.predict` is its one-row case. Both return a
+:class:`Predictive`.
 
 Vectorization convention used throughout: for row-major vec,
 (A (x) B) vec(X) = vec(A X B'); y = vec(F) and coefficient vectors reshape
@@ -192,53 +193,33 @@ class TrainingSet:
         return "sha256:" + h.hexdigest()
 
 
-class PredictiveSeries:
-    """Per-time Student-t predictive marginals at one input point."""
+class Predictive:
+    """Per-time Student-t predictive marginals at one or m input points.
+
+    For one input ``location`` and ``scale`` are length-q arrays and the
+    health fields are scalars; for m inputs they are m x q arrays and each
+    health field holds one entry per row.
+    """
 
     def __init__(self, times, location, scale, dof, extrapolation=False,
                  clamped=0, min_unit_variance=0.0):
-        self.times = np.asarray(times, dtype=float).ravel()
-        self.location = np.asarray(location, dtype=float).ravel()
-        self.scale = np.asarray(scale, dtype=float).ravel()
-        self.dof = float(dof)
-        self.extrapolation = bool(extrapolation)
-        #: number of variance entries clipped up to zero (float cancellation)
-        self.clamped = int(clamped)
-        #: smallest pre-clamp unit variance; barely-negative values are
-        #: cancellation noise, anything grossly negative is a bug signal
-        self.min_unit_variance = float(min_unit_variance)
-
-
-class PredictiveBatch:
-    """Student-t predictive marginals at m input points over shared times.
-
-    ``location`` and ``scale`` are m x q arrays; ``extrapolation``,
-    ``clamped`` and ``min_unit_variance`` hold one entry per input row
-    (see :class:`PredictiveSeries` for their meaning).
-    """
-
-    def __init__(self, times, location, scale, dof, extrapolation, clamped,
-                 min_unit_variance):
-        self.times = times
-        self.location = location
-        self.scale = scale
+        self.times = np.asarray(times, dtype=float)
+        self.location = np.asarray(location, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
         self.dof = float(dof)
         self.extrapolation = extrapolation
+        #: number of variance entries clipped up to zero (float cancellation)
         self.clamped = clamped
+        #: smallest pre-clamp unit variance; barely-negative values are
+        #: cancellation noise, anything grossly negative is a bug signal
         self.min_unit_variance = min_unit_variance
-
-    def series(self, i: int) -> PredictiveSeries:
-        """The predictive marginals of row ``i``."""
-        return PredictiveSeries(self.times, self.location[i], self.scale[i], self.dof,
-                                self.extrapolation[i], self.clamped[i],
-                                self.min_unit_variance[i])
 
 
 def credible_interval(series, level: float = 0.95):
     """Symmetric Student-t interval per time point: (lower, upper) arrays.
 
-    Takes a :class:`PredictiveSeries` or a :class:`PredictiveBatch` (then
-    the arrays are m x q); the t quantile is computed once per call.
+    The arrays have the shape of ``series.location``; the t quantile is
+    computed once per call.
     """
     from scipy.special import stdtrit
 
@@ -332,15 +313,18 @@ class OpeModel:
             self._grid_cache = self._output_side(self.time_grid)
         return self._grid_cache
 
-    def predict(self, r, times=None) -> PredictiveSeries:
+    def predict(self, r, times=None) -> Predictive:
         """Student-t predictive marginals at input ``r`` over ``times``.
 
-        The one-row case of :meth:`predict_many`.
+        The one-row case of :meth:`predict_many`, with scalar health fields.
         """
         r = np.asarray(r, dtype=float).ravel()
-        return self.predict_many(r[None, :], times).series(0)
+        b = self.predict_many(r[None, :], times)
+        return Predictive(b.times, b.location[0], b.scale[0], b.dof,
+                          bool(b.extrapolation[0]), int(b.clamped[0]),
+                          float(b.min_unit_variance[0]))
 
-    def predict_many(self, R, times=None) -> PredictiveBatch:
+    def predict_many(self, R, times=None) -> Predictive:
         """Student-t predictive marginals at each row of ``R`` over ``times``.
 
         ``R`` is an m x k array of input points. ``times=None`` predicts on
@@ -380,8 +364,8 @@ class OpeModel:
         extrapolation = ~self.design.space.contains_rows(R)
         if t.size and (t.min() < self.time_grid[0] or t.max() > self.time_grid[-1]):
             extrapolation[:] = True
-        return PredictiveBatch(t, location, scale, self.dof, extrapolation,
-                               clamped, min_unit_var)
+        return Predictive(t, location, scale, self.dof, extrapolation, clamped,
+                          min_unit_var)
 
 
 def fit(

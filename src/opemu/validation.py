@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import Design, pairwise_distances
-from .emulator import (
-    NigPrior,
-    PredictiveSeries,
-    TrainingSet,
-    credible_interval,
-    fit,
-)
+from .emulator import NigPrior, Predictive, TrainingSet, credible_interval, fit
 from .errors import NumericalDegeneracyError, OptimizationFailure
 from .ioutil import atomic_write_text, write_csv
 from .kernels import DEFAULT_JITTER, KernelSpec
@@ -50,19 +44,13 @@ def med(design: Design) -> np.ndarray:
     return pairwise_distances(design.points).sum(axis=1) / (n - 1)
 
 
-def mcil(series: PredictiveSeries, level: float = 0.95) -> float:
-    """Mean credible-interval length across the series' time points."""
-    lo, hi = credible_interval(series, level)
-    return float(np.mean(hi - lo))
-
-
 @dataclass
 class LooDiagnostic:
     """One fold: held-out observations vs the refitted emulator's prediction."""
 
     index: int
     observed: np.ndarray
-    series: PredictiveSeries
+    series: Predictive
     lower: np.ndarray  # credible interval at the report's level, per time
     upper: np.ndarray
     rmse: float

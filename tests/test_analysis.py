@@ -13,7 +13,7 @@ from opemu import (
     KernelSpec,
     NigPrior,
     OutputBasis,
-    PredictiveSeries,
+    Predictive,
     SweepSpec,
     fit,
     max_elevation,
@@ -35,12 +35,21 @@ from opemu.analysis import (
 
 class TestMaxElevation:
     def test_picks_largest_location(self):
-        series = PredictiveSeries([0, 1, 2], [0.1, 0.9, 0.3], [0.0] * 3, dof=5.0)
+        series = Predictive([0, 1, 2], [0.1, 0.9, 0.3], [0.0] * 3, dof=5.0)
         assert max_elevation(series) == 0.9
 
     def test_all_negative(self):
-        series = PredictiveSeries([0, 1, 2], [-0.5, -0.1, -0.9], [0.0] * 3, dof=5.0)
+        series = Predictive([0, 1, 2], [-0.5, -0.1, -0.9], [0.0] * 3, dof=5.0)
         assert max_elevation(series) == -0.1
+
+    def test_rows_reduce_as_one_input_each(self):
+        rng = np.random.default_rng(4)
+        times = np.arange(176.0)
+        loc, scale = rng.normal(size=(2, 176)), rng.random((2, 176))
+        both = max_elevation(Predictive(times, loc, scale, dof=5.0))
+        assert both.shape == (2,)
+        for i in range(2):
+            assert both[i] == max_elevation(Predictive(times, loc[i], scale[i], dof=5.0))
 
     def test_toy_grid_max_near_continuous_max(self):
         # oracle: continuous maximization of the closed-form toy series

@@ -305,10 +305,17 @@ class TestExitCodes:
         ({"analysis": {"seed": -1}}, ["analysis.seed"]),
         ({"prior": {"dof": "x"}}, ["prior.dof"]),
         ({"validate": {"level": "x"}}, ["validate.level"]),
+        ({"validate": {"level": 2}}, ["validate.level"]),
+        ({"prior": {"split": 2}}, ["prior.split"]),
+        ({"prior": {"dof": 1.5}}, ["prior.dof"]),
+        ({"prior": {"sigma2": -1, "scale": 1.0}}, ["prior.sigma2"]),
+        ({"prior": {"sigma2": "x", "scale": 1.0}}, ["prior.sigma2"]),
+        ({"prior": {"sigma2": 1.0, "scale": 0}}, ["prior.scale"]),
     ], ids=["exponent", "negative-length", "string-length", "beta-shape", "sweep-resolution",
             "damping", "frequency", "string-n", "fractional-n", "string-candidates",
             "string-dt", "negative-seed", "string-restarts", "negative-analysis-seed",
-            "string-dof", "string-level"])
+            "string-dof", "string-level", "level-range", "split-range", "estimated-dof",
+            "negative-sigma2", "string-sigma2", "zero-scale"])
     def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
         # rejected with the config, so `design` fails, not a later command
         cfg = tmp_path / "bad.json"
@@ -317,6 +324,15 @@ class TestExitCodes:
         assert main(["design", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1", "design"], ["--seed=-1", "design"],
+                                      ["design", "--seed=-1"]])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"paths": {"design": str(tmp_path / "d.csv")}}))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
     def test_missing_design_exit_3(self, tmp_path):

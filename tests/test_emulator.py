@@ -10,7 +10,7 @@ from opemu import (
     KernelSpec,
     NigPrior,
     OutputBasis,
-    PredictiveSeries,
+    Predictive,
     TrainingSet,
     credible_interval,
     fit,
@@ -278,13 +278,15 @@ class TestPredictMany:
             assert batch.location.shape == (R.shape[0], batch.times.size)
             for i, r in enumerate(R):
                 series = model.predict(r, times)
-                row = batch.series(i)
-                assert np.array_equal(row.times, series.times)
-                assert np.allclose(row.location, series.location, rtol=1e-12, atol=1e-14)
-                assert np.allclose(row.scale, series.scale, rtol=1e-12, atol=1e-14)
-                assert row.extrapolation == series.extrapolation
-                assert row.clamped == series.clamped
-                assert row.dof == series.dof
+                assert np.array_equal(batch.times, series.times)
+                assert np.allclose(batch.location[i], series.location, rtol=1e-12, atol=1e-14)
+                assert np.allclose(batch.scale[i], series.scale, rtol=1e-12, atol=1e-14)
+                assert batch.extrapolation[i] == series.extrapolation
+                assert batch.clamped[i] == series.clamped
+                assert batch.dof == series.dof
+                # one input: health fields are plain Python scalars
+                assert type(series.extrapolation) is bool and type(series.clamped) is int
+                assert type(series.min_unit_variance) is float
             past_grid = times is not None and times.max() > grid[-1]
             assert batch.extrapolation.tolist() == [past_grid or not ok for ok in inside]
 
@@ -312,19 +314,19 @@ class TestPredictMany:
 
 class TestCredibleInterval:
     def test_zero_scale_degenerates(self):
-        series = PredictiveSeries([0.0, 1.0], [1.5, -2.0], [0.0, 0.0], dof=10.0)
+        series = Predictive([0.0, 1.0], [1.5, -2.0], [0.0, 0.0], dof=10.0)
         lo, hi = credible_interval(series, 0.95)
         assert np.array_equal(lo, series.location)
         assert np.array_equal(hi, series.location)
 
     def test_normal_limit(self):
-        series = PredictiveSeries([0.0], [0.0], [1.0], dof=1e9)
+        series = Predictive([0.0], [0.0], [1.0], dof=1e9)
         lo, hi = credible_interval(series, 0.95)
         assert abs(hi[0] - 1.959964) < 1e-4
 
     def test_dof_three_quantile(self):
         # Student-t table value at 97.5%, 3 dof
-        series = PredictiveSeries([0.0], [0.0], [1.0], dof=3.0)
+        series = Predictive([0.0], [0.0], [1.0], dof=3.0)
         lo, hi = credible_interval(series, 0.95)
         oracle = student_t.ppf(0.975, 3.0)
         assert abs(hi[0] - oracle) < 1e-12
@@ -332,13 +334,13 @@ class TestCredibleInterval:
         assert lo[0] == -hi[0]
 
     def test_rejects_bad_level(self):
-        series = PredictiveSeries([0.0], [0.0], [1.0], dof=3.0)
+        series = Predictive([0.0], [0.0], [1.0], dof=3.0)
         with pytest.raises(ValueError):
             credible_interval(series, 1.5)
 
     @pytest.mark.parametrize("dof", [1.0, 3.0, 7043.0, 1e6])
     def test_matches_scipy_stats_t(self, dof):
-        series = PredictiveSeries([0.0, 1.0], [0.25, -1.0], [1.0, 0.3], dof=dof)
+        series = Predictive([0.0, 1.0], [0.25, -1.0], [1.0, 0.3], dof=dof)
         for level in (0.5, 0.9, 0.95, 0.99):
             _, hi = credible_interval(series, level)
             half = student_t.ppf(0.5 * (1.0 + level), dof) * series.scale

@@ -6,7 +6,7 @@ from opemu import (
     KernelSpec,
     NigPrior,
     OutputBasis,
-    PredictiveSeries,
+    Predictive,
     TrainingSet,
     lhd,
     loo,
@@ -73,18 +73,28 @@ class TestMed:
 
 class TestMcil:
     def test_zero_scale(self):
-        series = PredictiveSeries([0, 1], [0.5, 0.5], [0.0, 0.0], dof=5.0)
+        series = Predictive([0, 1], [0.5, 0.5], [0.0, 0.0], dof=5.0)
         assert mcil(series) == 0.0
 
     def test_normal_limit_width(self):
-        series = PredictiveSeries([0, 1, 2], [0.0] * 3, [2.0] * 3, dof=1e9)
+        series = Predictive([0, 1, 2], [0.0] * 3, [2.0] * 3, dof=1e9)
         assert abs(mcil(series, 0.95) - 2 * 1.959964 * 2.0) < 1e-3
 
     def test_linear_in_scale(self):
         s = np.array([0.5, 1.0, 2.0])
-        a = PredictiveSeries([0, 1, 2], [0.0] * 3, s, dof=7.0)
-        b = PredictiveSeries([0, 1, 2], [0.0] * 3, s / 2, dof=7.0)
+        a = Predictive([0, 1, 2], [0.0] * 3, s, dof=7.0)
+        b = Predictive([0, 1, 2], [0.0] * 3, s / 2, dof=7.0)
         assert abs(mcil(a) - 2 * mcil(b)) < 1e-12
+
+    @pytest.mark.parametrize("q", [1, 7, 176, 701])
+    def test_rows_reduce_as_one_input_each(self, q):
+        rng = np.random.default_rng(q)
+        times = np.arange(float(q))
+        loc, scale = rng.normal(size=(2, q)), rng.random((2, q))
+        both = mcil(Predictive(times, loc, scale, dof=7.0), 0.9)
+        assert both.shape == (2,)
+        for i in range(2):
+            assert both[i] == mcil(Predictive(times, loc[i], scale[i], dof=7.0), 0.9)
 
 
 def _fit_inputs(space, n=8, seed=3, q=13):
