@@ -180,6 +180,9 @@ class RunConfig:
                 f"analysis.beta needs one [alpha, beta, lower, upper] row per "
                 f"input dimension ({k}), got {len(beta)}"
             )
+        jitter = self.raw["kernel"]["jitter"]
+        if jitter < 0:
+            raise ConfigError(f"kernel.jitter must be >= 0, got {jitter!r}")
         level = self.raw["validate"]["level"]
         if not 0 < level < 1:
             raise ConfigError(f"validate.level must lie strictly between 0 and 1, "

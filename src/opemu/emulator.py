@@ -50,6 +50,7 @@ from .kernels import (
     input_correlation_matrix,
     kernel_matrices,
     output_correlation_matrix,
+    output_factor,
 )
 
 _PRECISION = "the posterior precision matrix"
@@ -82,6 +83,64 @@ class NigPrior:
         return self.sigma2 * np.eye(self.size)
 
 
+class _TimeFactor:
+    """The time side of the factorization for one grid and time kernel.
+
+    Holds Gs, the jittered Ks and its Cholesky factor, Ks^-1 Gs and the
+    eigenpairs of As = Gs' Ks^-1 Gs = Us diag(ls) Us'. None of it depends
+    on the design, so fits that share the grid, the output basis, the
+    jitter and the kernel's output length and exponent can share one
+    factor. The training-grid predict factors (:meth:`side` of the grid)
+    are built on first use and kept in ``grid_cache``.
+    """
+
+    def __init__(self, grid, output_basis, kernel, Gs, Ks, chol):
+        from scipy.linalg import cho_solve
+
+        self.grid, self.output_basis, self.kernel = grid, output_basis, kernel
+        self.Gs, self.Ks, self.chol = Gs, Ks, chol
+        self.KsGs = cho_solve(chol, Gs, check_finite=False)
+        try:
+            self.ls, self.Us = np.linalg.eigh(Gs.T @ self.KsGs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDegeneracyError(_PRECISION, str(exc)) from exc
+        self.grid_cache = None
+
+    @classmethod
+    def build(cls, grid, output_basis, kernel, jitter):
+        """Factor the time kernel and the output regressors of a grid."""
+        Ks, chol = output_factor(grid, kernel, jitter)
+        return cls(grid, output_basis, kernel, output_basis.evaluate_many(grid), Ks, chol)
+
+    def serves(self, kernel: KernelSpec) -> bool:
+        """Whether ``kernel`` has this factor's output length and exponent."""
+        return (kernel.output_length, kernel.exponent) == (
+            self.kernel.output_length, self.kernel.exponent)
+
+    def side(self, times):
+        """Precompute everything of a prediction that depends only on its times.
+
+        Returns (Gs_new, Ks_cross, explained_out, A, B) where A = Gs_new Us
+        and B = Ks_cross K_output^-1 G_output Us are the time halves of the
+        regression-uncertainty term.
+        """
+        from scipy.linalg import cho_solve
+
+        t = np.asarray(times, dtype=float).ravel()
+        Gs_new = self.output_basis.evaluate_many(t)
+        Ks_cross = output_correlation_matrix(t, self.grid, self.kernel)
+        Ks_solve = cho_solve(self.chol, Ks_cross.T, check_finite=False)
+        explained_out = np.einsum("ji,ij->j", Ks_cross, Ks_solve)
+        A, B = Gs_new @ self.Us, Ks_solve.T @ (self.Gs @ self.Us)
+        return Gs_new, Ks_cross, explained_out, A, B
+
+    def grid_side(self):
+        """:meth:`side` of the training grid, built once."""
+        if self.grid_cache is None:
+            self.grid_cache = self.side(self.grid)
+        return self.grid_cache
+
+
 class _KronEigen:
     """Per-factor Cholesky factors plus the eigenbasis of the regression term.
 
@@ -89,18 +148,19 @@ class _KronEigen:
     Us diag(ls) Us', the posterior precision S = I/sigma2 + Ar (x) As is
     diagonal in Ur (x) Us with eigenvalues P = 1/sigma2 + lr ls' on the
     nu_r x nu_s grid. Solves, log|S|, trace terms and predictive variances
-    are then elementwise work on that grid; S itself is never formed.
+    are then elementwise work on that grid; S itself is never formed. The
+    time half comes from a :class:`_TimeFactor` whose Ks factor is the one
+    in ``km``.
     """
 
-    def __init__(self, km: KernelMatrices, Gr: np.ndarray, Gs: np.ndarray, sigma2: float):
+    def __init__(self, km: KernelMatrices, Gr: np.ndarray, time: _TimeFactor, sigma2: float):
         from scipy.linalg import cho_solve
 
-        self.km, self.Gr, self.Gs = km, Gr, Gs
+        self.km, self.Gr, self.time = km, Gr, time
+        self.Gs, self.KsGs, self.ls, self.Us = time.Gs, time.KsGs, time.ls, time.Us
         self.KrGr = cho_solve(km.input_chol, Gr, check_finite=False)
-        self.KsGs = cho_solve(km.output_chol, Gs, check_finite=False)
         try:
             self.lr, self.Ur = np.linalg.eigh(Gr.T @ self.KrGr)
-            self.ls, self.Us = np.linalg.eigh(Gs.T @ self.KsGs)
         except np.linalg.LinAlgError as exc:
             raise NumericalDegeneracyError(_PRECISION, str(exc)) from exc
         P = 1.0 / sigma2 + np.outer(self.lr, self.ls)
@@ -110,10 +170,21 @@ class _KronEigen:
         self.logdet = float(np.sum(np.log(P)))
 
     @classmethod
-    def build(cls, design, grid, input_basis, output_basis, kernel, jitter, sigma2):
-        """Factor the kernel and the regressors of a design and time grid."""
+    def build(cls, design, grid, input_basis, output_basis, kernel, jitter, sigma2,
+              time=None):
+        """Factor the kernel and the regressors of a design and time grid.
+
+        ``time`` is a prebuilt :class:`_TimeFactor` for this grid, output
+        basis, jitter and time kernel; without it the time side is built
+        here.
+        """
         Gr, Gs = regressor_matrices(design, grid, input_basis, output_basis)
-        return cls(kernel_matrices(design, grid, kernel, jitter), Gr, Gs, sigma2)
+        km = kernel_matrices(design, grid, kernel, jitter,
+                             None if time is None else (time.Ks, time.chol))
+        if time is None:
+            time = _TimeFactor(grid, output_basis, kernel, Gs, km.output_matrix,
+                               km.output_chol)
+        return cls(km, Gr, time, sigma2)
 
     def whiten(self, F: np.ndarray) -> np.ndarray:
         """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
@@ -236,7 +307,8 @@ class OpeModel:
     rebuilds it from the factors on first access. :meth:`predict` and
     :meth:`predict_many` are pure apart from caching the time-side factors
     of the training grid (``_grid_cache``, ``None`` until the first
-    training-grid prediction).
+    training-grid prediction). Models fitted with one shared time side
+    share that cache too.
     """
 
     def __init__(
@@ -269,7 +341,6 @@ class OpeModel:
         self.training_fingerprint = training_fingerprint
         self._core = core or _KronEigen.build(design, self.time_grid, input_basis,
                                               output_basis, kernel, jitter, prior.sigma2)
-        self._grid_cache = None
 
     # -- derived shapes ------------------------------------------------
 
@@ -290,28 +361,10 @@ class OpeModel:
 
     # -- prediction ----------------------------------------------------
 
-    def _output_side(self, times):
-        """Precompute everything that depends only on the prediction times.
-
-        Returns (Gs_new, Ks_cross, explained_out, A, B) where A = Gs_new Us
-        and B = Ks_cross K_output^-1 G_output Us are the time halves of the
-        regression-uncertainty term.
-        """
-        from scipy.linalg import cho_solve
-
-        t = np.asarray(times, dtype=float).ravel()
-        core = self._core
-        Gs_new = self.output_basis.evaluate_many(t)
-        Ks_cross = output_correlation_matrix(t, self.time_grid, self.kernel)
-        Ks_solve = cho_solve(core.km.output_chol, Ks_cross.T, check_finite=False)
-        explained_out = np.einsum("ji,ij->j", Ks_cross, Ks_solve)
-        A, B = Gs_new @ core.Us, Ks_solve.T @ (core.Gs @ core.Us)
-        return Gs_new, Ks_cross, explained_out, A, B
-
-    def _grid_side(self):
-        if self._grid_cache is None:
-            self._grid_cache = self._output_side(self.time_grid)
-        return self._grid_cache
+    @property
+    def _grid_cache(self):
+        """The training grid's time-side predict factors; None until built."""
+        return self._core.time.grid_cache
 
     def predict(self, r, times=None) -> Predictive:
         """Student-t predictive marginals at input ``r`` over ``times``.
@@ -335,14 +388,14 @@ class OpeModel:
         from scipy.linalg import cho_solve
 
         R = np.atleast_2d(np.asarray(R, dtype=float))
+        core = self._core
         if times is None:
             t = self.time_grid
-            Gs_new, Ks_cross, explained_out, A, B = self._grid_side()
+            Gs_new, Ks_cross, explained_out, A, B = core.time.grid_side()
         else:
             t = np.asarray(times, dtype=float).ravel()
-            Gs_new, Ks_cross, explained_out, A, B = self._output_side(t)
+            Gs_new, Ks_cross, explained_out, A, B = core.time.side(t)
 
-        core = self._core
         Gr_new = self.input_basis.evaluate_many(R)
         Kr_cross = input_correlation_matrix(R, self.design.points, self.kernel)
         kr_solve = cho_solve(core.km.input_chol, Kr_cross.T, check_finite=False)
@@ -375,12 +428,15 @@ def fit(
     kernel: KernelSpec,
     train: TrainingSet,
     jitter: float = DEFAULT_JITTER,
+    _time: _TimeFactor | None = None,
 ) -> OpeModel:
     """Conjugate posterior update from a training set.
 
     All solves go through the per-factor Cholesky decompositions and the
     eigenbasis of the regression term; cost is O(n^3 + q^3) rather than
-    O((nq)^3).
+    O((nq)^3). ``_time`` is internal: a time side already built for this
+    training grid, output basis, jitter and time kernel, which the fit then
+    shares instead of building its own.
     """
     nu = input_basis.size * output_basis.size
     if prior.size != nu:
@@ -389,7 +445,7 @@ def fit(
         raise ValueError("training design dimension does not match the input basis")
 
     core = _KronEigen.build(train.design, train.time_grid, input_basis, output_basis,
-                           kernel, jitter, prior.sigma2)
+                           kernel, jitter, prior.sigma2, _time)
     Gr, Gs, F = core.Gr, core.Gs, train.outputs
 
     # mn = Vn Q' K^-1 y, with Q' K^-1 y = vec(Gr' K^-1 F Gs)

@@ -81,9 +81,13 @@ class KernelMatrices:
         return (1.0 + self.jitter) ** 2
 
 
-def _factor(matrix: np.ndarray, name: str) -> tuple:
+def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:
+    """Add ``jitter`` to the diagonal of ``matrix`` in place, then factor it."""
     from scipy.linalg import cho_factor
 
+    if jitter < 0:
+        raise ValueError(f"jitter must be non-negative, got {jitter}")
+    matrix[np.diag_indices_from(matrix)] += jitter
     try:
         c, low = cho_factor(matrix, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -91,26 +95,39 @@ def _factor(matrix: np.ndarray, name: str) -> tuple:
     return c, low
 
 
+def output_factor(time_grid, spec: KernelSpec, jitter: float) -> tuple:
+    """The jittered time correlation matrix and its Cholesky factor.
+
+    The time half of :func:`kernel_matrices`, built alone. It does not
+    depend on the design, so fits on one grid can share it.
+    """
+    grid = np.asarray(time_grid, dtype=float).ravel()
+    Ks = output_correlation_matrix(grid, grid, spec)
+    return Ks, _factor(Ks, jitter, "the output correlation matrix")
+
+
 def kernel_matrices(
-    design: Design, time_grid, spec: KernelSpec, jitter: float = DEFAULT_JITTER
+    design: Design, time_grid, spec: KernelSpec, jitter: float = DEFAULT_JITTER,
+    output: tuple | None = None,
 ) -> KernelMatrices:
     """Build and factorize both correlation matrices.
+
+    The input and time matrices are factored separately. ``output`` is a
+    prebuilt time factor, the (matrix, Cholesky) pair :func:`output_factor`
+    returns for the same time grid, spec and jitter; when given, only the
+    input matrix is built.
 
     Raises :class:`NumericalDegeneracyError` naming the offending factor if
     Cholesky fails even after jitter (e.g. duplicated design points with
     jitter=0).
     """
-    if jitter < 0:
-        raise ValueError(f"jitter must be non-negative, got {jitter}")
-    grid = np.asarray(time_grid, dtype=float).ravel()
     Kr = input_correlation_matrix(design.points, design.points, spec)
-    Ks = output_correlation_matrix(grid, grid, spec)
-    Kr[np.diag_indices_from(Kr)] += jitter
-    Ks[np.diag_indices_from(Ks)] += jitter
+    input_chol = _factor(Kr, jitter, "the input correlation matrix")
+    Ks, output_chol = output_factor(time_grid, spec, jitter) if output is None else output
     return KernelMatrices(
         input_matrix=Kr,
         output_matrix=Ks,
         jitter=float(jitter),
-        input_chol=_factor(Kr, "the input correlation matrix"),
-        output_chol=_factor(Ks, "the output correlation matrix"),
+        input_chol=input_chol,
+        output_chol=output_chol,
     )

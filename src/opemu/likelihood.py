@@ -36,7 +36,7 @@ import numpy as np
 
 from .basis import InputBasis, OutputBasis, regressor_matrices
 from .design import DesignSpace, lhd
-from .emulator import NigPrior, TrainingSet, _KronEigen
+from .emulator import NigPrior, TrainingSet, _KronEigen, _TimeFactor
 from .errors import DataError, NumericalDegeneracyError, OptimizationFailure
 from .kernels import DEFAULT_JITTER, KernelSpec, kernel_matrices
 
@@ -80,6 +80,7 @@ class _Workspace:
         self.F = train.outputs
         self.n, self.q = self.F.shape
         self.design, self.grid = train.design, train.time_grid
+        self.output_basis = output_basis
         self.Gr, self.Gs = regressor_matrices(train.design, train.time_grid,
                                               input_basis, output_basis)
         self.nu = self.Gr.shape[1] * self.Gs.shape[1]
@@ -114,7 +115,9 @@ class _Workspace:
 
         spec = KernelSpec(tuple(lengths[:-1]), lengths[-1], p)
         km = kernel_matrices(self.design, self.grid, spec, self.jitter)
-        core = _KronEigen(km, self.Gr, self.Gs, self.sigma2)
+        time = _TimeFactor(self.grid, self.output_basis, spec, self.Gs, km.output_matrix,
+                           km.output_chol)
+        core = _KronEigen(km, self.Gr, time, self.sigma2)
 
         W0 = core.whiten(self.F)
         b = self.Gr.T @ W0 @ self.Gs

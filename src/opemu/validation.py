@@ -5,6 +5,12 @@ grid, by an emulator refitted to the remaining points. Correlation lengths
 stay frozen at the full-data values by default (re-optimizing per fold is
 available but 40x slower and not required for the diagnostic's purpose).
 
+Dropping a design point leaves the time side of the model unchanged: Gs,
+Ks and its Cholesky factor, Ks^-1 Gs, the eigenbasis of Gs' Ks^-1 Gs and
+the training-grid predict factors. :func:`loo` builds them once and every
+fold shares them; a fold rebuilds them only when its kernel has another
+output length or exponent, which only a per-fold re-optimization gives.
+
 Summary metrics per fold: RMSE against the held-out series, mean 95%
 credible-interval length (MCIL), and empirical CI coverage. The report
 also carries each point's mean Euclidean distance to the rest of the
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import Design, pairwise_distances
-from .emulator import NigPrior, Predictive, TrainingSet, credible_interval, fit
+from .emulator import NigPrior, Predictive, TrainingSet, _TimeFactor, credible_interval, fit
 from .errors import NumericalDegeneracyError, OptimizationFailure
 from .ioutil import atomic_write_text, write_csv
 from .kernels import DEFAULT_JITTER, KernelSpec
@@ -104,14 +110,23 @@ def loo(
     to a KernelSpec, enabling per-fold re-optimization; by default the
     given kernel is used unchanged for every fold. A fold that fails
     numerically is recorded and skipped.
+
+    The folds share one time side (see the module docstring), built by the
+    first fold and kept while each fold's kernel has its output length and
+    exponent. A fold whose ``refit_lengths`` kernel differs there builds a
+    new one, which the folds after it share in turn.
     """
     if train.n < 3:
         raise ValueError(f"leave-one-out needs at least 3 points, got {train.n}")
+    time = None
 
     def run_fold(i: int):
+        nonlocal time
         subset = _drop_point(train, i)
         spec = refit_lengths(subset) if refit_lengths is not None else kernel
-        model = fit(prior, input_basis, output_basis, spec, subset, jitter)
+        if time is None or not time.serves(spec):
+            time = _TimeFactor.build(train.time_grid, output_basis, spec, jitter)
+        model = fit(prior, input_basis, output_basis, spec, subset, jitter, time)
         series = model.predict(train.design.points[i])
         observed = train.outputs[i]
         lo, hi = credible_interval(series, level)

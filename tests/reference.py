@@ -119,6 +119,42 @@ def dense_predict(F, K, Q, mn, Vn, an, dn, q_star, k_star, kappa0):
     return float(loc), float(math.sqrt(max(dn / an * unit_var, 0.0)))
 
 
+def dense_problem(train, ib, ob, kern, jitter):
+    """:func:`dense_matrices` of a training set, bases and kernel spec."""
+    return dense_matrices(
+        train.design.points,
+        train.time_grid,
+        train.design.space.bounds,
+        ob.frequencies,
+        kern.input_lengths,
+        kern.output_length,
+        kern.exponent,
+        jitter,
+    )
+
+
+def dense_series(train, ob, kern, jitter, dense, r, times):
+    """Dense-oracle (location, scale) arrays at input r over times (None: grid)."""
+    K, Q, mn, Vn, an, dn = dense
+    gr = input_regressors(r, train.design.space.bounds)
+    kr = np.array([
+        correlation(r, 0, p, 0, kern.input_lengths, 1.0, kern.exponent)
+        for p in train.design.points
+    ])
+    out = []
+    for t in train.time_grid if times is None else times:
+        gs = output_regressors(t, ob.frequencies)
+        ks = np.array([
+            correlation([0], t, [0], tg, (1.0,), kern.output_length, kern.exponent)
+            for tg in train.time_grid
+        ])
+        out.append(dense_predict(
+            train.outputs, K, Q, mn, Vn, an, dn,
+            np.kron(gr, gs), np.kron(kr, ks), (1 + jitter) ** 2,
+        ))
+    return np.array(out).T
+
+
 def _refresh_row(unit: np.ndarray, dist2: np.ndarray, idx: int) -> None:
     d = unit - unit[idx]
     row = np.einsum("ij,ij->i", d, d)

@@ -132,6 +132,15 @@ class TestPipeline:
         assert main(["design", "--config", str(cfg_path)]) == 0
         assert (workdir / "design.csv").read_bytes() == before
 
+    def test_validate_rerun_is_byte_identical(self, pipeline_dir):
+        workdir, cfg_path = pipeline_dir
+        reports = workdir / "reports"
+        paths = [reports / "loo_report.json", *sorted(reports.glob("loo_fold_*.csv"))]
+        assert len(paths) == 1 + 9
+        before = [path.read_bytes() for path in paths]
+        assert main(["validate", "--config", str(cfg_path)]) == 0
+        assert [path.read_bytes() for path in paths] == before
+
     def test_uq_rerun_is_byte_identical(self, pipeline_dir):
         workdir, cfg_path = pipeline_dir
         path = workdir / "reports" / "uq_quantiles.csv"
@@ -311,11 +320,12 @@ class TestExitCodes:
         ({"prior": {"sigma2": -1, "scale": 1.0}}, ["prior.sigma2"]),
         ({"prior": {"sigma2": "x", "scale": 1.0}}, ["prior.sigma2"]),
         ({"prior": {"sigma2": 1.0, "scale": 0}}, ["prior.scale"]),
+        ({"kernel": {"jitter": -1}}, ["kernel.jitter"]),
     ], ids=["exponent", "negative-length", "string-length", "beta-shape", "sweep-resolution",
             "damping", "frequency", "string-n", "fractional-n", "string-candidates",
             "string-dt", "negative-seed", "string-restarts", "negative-analysis-seed",
             "string-dof", "string-level", "level-range", "split-range", "estimated-dof",
-            "negative-sigma2", "string-sigma2", "zero-scale"])
+            "negative-sigma2", "string-sigma2", "zero-scale", "negative-jitter"])
     def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
         # rejected with the config, so `design` fails, not a later command
         cfg = tmp_path / "bad.json"

@@ -34,42 +34,6 @@ def small_problem(n=2, q=3, seed=0, k=3, freqs=(0.25, 0.5)):
     return train, ib, ob, kern
 
 
-def dense_problem(train, ib, ob, kern, jitter):
-    return reference.dense_matrices(
-        train.design.points,
-        train.time_grid,
-        train.design.space.bounds,
-        ob.frequencies,
-        kern.input_lengths,
-        kern.output_length,
-        kern.exponent,
-        jitter,
-    )
-
-
-def dense_series(train, ob, kern, jitter, dense, r, times):
-    """Dense-oracle (location, scale) arrays at input r over times (None: grid)."""
-    K, Q, mn, Vn, an, dn = dense
-    gr = reference.input_regressors(r, train.design.space.bounds)
-    kr = np.array([
-        reference.correlation(r, 0, p, 0, kern.input_lengths, 1.0, kern.exponent)
-        for p in train.design.points
-    ])
-    out = []
-    for t in train.time_grid if times is None else times:
-        gs = reference.output_regressors(t, ob.frequencies)
-        ks = np.array([
-            reference.correlation([0], t, [0], tg, (1.0,), kern.output_length,
-                                  kern.exponent)
-            for tg in train.time_grid
-        ])
-        out.append(reference.dense_predict(
-            train.outputs, K, Q, mn, Vn, an, dn,
-            np.kron(gr, gs), np.kron(kr, ks), (1 + jitter) ** 2,
-        ))
-    return np.array(out).T
-
-
 class TestFitAgainstDenseOracle:
     def test_toy_instance_posterior(self):
         train, ib, ob, kern = small_problem(n=2, q=3, seed=1)
@@ -79,7 +43,7 @@ class TestFitAgainstDenseOracle:
         prior = NigPrior(nu, sigma2, a, d)
         model = fit(prior, ib, ob, kern, train, jitter)
 
-        K, Q = dense_problem(train, ib, ob, kern, jitter)
+        K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
             train.outputs, K, Q, np.zeros(nu), sigma2 * np.eye(nu), a, d
         )
@@ -97,7 +61,7 @@ class TestFitAgainstDenseOracle:
         prior = NigPrior(nu, 0.25, 3.0, 0.5)
         model = fit(prior, ib, ob, kern, train, jitter)
 
-        K, Q = dense_problem(train, ib, ob, kern, jitter)
+        K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
             train.outputs, K, Q, np.zeros(nu), prior.cov, prior.dof, prior.scale
         )
@@ -110,8 +74,8 @@ class TestFitAgainstDenseOracle:
         # rho is close to zero and the regression variance cancels the most
         for r, times in ((r, np.array([0.3, 1.7])), (train.design.points[0], None)):
             series = model.predict(r, times)
-            loc, scale = dense_series(train, ob, kern, jitter, (K, Q, mn, Vn, an, dn),
-                                      r, times)
+            loc, scale = reference.dense_series(train, ob, kern, jitter,
+                                                (K, Q, mn, Vn, an, dn), r, times)
             assert np.all(np.abs(series.location - loc) < 1e-8 * (1 + np.abs(loc)))
             assert np.all(np.abs(series.scale - scale) < 1e-8 * (1 + np.abs(scale)))
 
@@ -238,7 +202,7 @@ class TestPredictMany:
         nu = ib.size * ob.size
         prior = NigPrior(nu, 0.25, 3.0, 0.5)
         model = fit(prior, ib, ob, kern, train, jitter)
-        K, Q = dense_problem(train, ib, ob, kern, jitter)
+        K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
             train.outputs, K, Q, np.zeros(nu), prior.cov, prior.dof, prior.scale
         )
@@ -252,8 +216,8 @@ class TestPredictMany:
             batch = model.predict_many(R, times)
             assert batch.location.shape == batch.scale.shape == (3, batch.times.size)
             for i, r in enumerate(R):
-                loc, scale = dense_series(train, ob, kern, jitter,
-                                          (K, Q, mn, Vn, an, dn), r, times)
+                loc, scale = reference.dense_series(train, ob, kern, jitter,
+                                                    (K, Q, mn, Vn, an, dn), r, times)
                 assert np.all(np.abs(batch.location[i] - loc) < 1e-8 * (1 + np.abs(loc)))
                 assert np.all(np.abs(batch.scale[i] - scale) < 1e-8 * (1 + np.abs(scale)))
             assert batch.extrapolation.tolist() == [beyond, beyond, True]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from opemu import (
     InputBasis,
     KernelSpec,
@@ -8,6 +9,8 @@ from opemu import (
     OutputBasis,
     Predictive,
     TrainingSet,
+    credible_interval,
+    fit,
     lhd,
     loo,
     mcil,
@@ -107,6 +110,14 @@ def _fit_inputs(space, n=8, seed=3, q=13):
     return train, ib, ob, kern, prior
 
 
+def _without(train, i):
+    """The training set without design point i, built apart from loo."""
+    keep = np.arange(train.n) != i
+    d = train.design
+    return TrainingSet(Design(d.points[keep], d.unit_points[keep], d.space),
+                       train.time_grid, train.outputs[keep])
+
+
 class TestLoo:
     def test_minimal_three_folds(self, wave_space):
         train, ib, ob, kern, prior = _fit_inputs(wave_space, n=3)
@@ -151,6 +162,44 @@ class TestLoo:
         assert len(report.failures) == 1
         assert report.failures[0]["index"] == 0
         assert len(report.diagnostics) == 4
+
+    @pytest.mark.parametrize("per_fold_time", [False, True], ids=["fixed", "refit"])
+    def test_folds_equal_independent_fits(self, wave_space, per_fold_time):
+        # the folds share one time side; with a new output length per fold,
+        # a stale shared one would give another prediction
+        train, ib, ob, kern, prior = _fit_inputs(wave_space, n=6)
+
+        def fold_kernel(subset):
+            kept = {tuple(p) for p in subset.design.points}
+            held_out = next(i for i, p in enumerate(train.design.points)
+                            if tuple(p) not in kept)
+            return KernelSpec(kern.input_lengths, 0.6 + 0.1 * held_out, kern.exponent)
+
+        refit = fold_kernel if per_fold_time else None
+        report = loo(train, ib, ob, kern, prior, level=0.9, refit_lengths=refit)
+        assert [d.index for d in report.diagnostics] == list(range(train.n))
+        for d in report.diagnostics:
+            subset = _without(train, d.index)
+            spec = fold_kernel(subset) if per_fold_time else kern
+            series = fit(prior, ib, ob, spec, subset).predict(train.design.points[d.index])
+            lo, hi = credible_interval(series, 0.9)
+            for got, want in ((d.series.location, series.location),
+                              (d.series.scale, series.scale), (d.lower, lo), (d.upper, hi)):
+                assert np.array_equal(got, want)
+
+    def test_fold_matches_dense_oracle(self, wave_space):
+        train, ib, ob, kern, prior = _fit_inputs(wave_space, n=5, q=6)
+        i = 2
+        fold = loo(train, ib, ob, kern, prior).diagnostics[i]
+        subset = _without(train, i)
+        jitter = 1e-8
+        K, Q = reference.dense_problem(subset, ib, ob, kern, jitter)
+        posterior = reference.dense_fit(subset.outputs, K, Q, np.zeros(prior.size),
+                                        prior.cov, prior.dof, prior.scale)
+        loc, scale = reference.dense_series(subset, ob, kern, jitter, (K, Q, *posterior),
+                                            train.design.points[i], None)
+        assert np.all(np.abs(fold.series.location - loc) <= 1e-10 * np.abs(loc))
+        assert np.all(np.abs(fold.series.scale - scale) <= 1e-10 * np.abs(scale))
 
     def test_rejects_tiny_design(self, wave_space):
         train, ib, ob, kern, prior = _fit_inputs(wave_space, n=3)
