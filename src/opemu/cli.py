@@ -31,7 +31,7 @@ from .config import RunConfig
 from .design import load_design_csv, maximin_lhd, save_design_csv
 from .emulator import credible_interval, fit, load_model, save_model
 from .errors import ConfigError, DataError, NumericalDegeneracyError, OptimizationFailure
-from .ioutil import fmt, write_csv
+from .ioutil import fmt, interval_columns, write_csv
 from .likelihood import (
     HyperparamEstimate,
     estimate_hyperparams,
@@ -208,7 +208,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     save_report_json(report, os.path.join(reports_dir, "loo_report.json"), meta)
     for diag in report.diagnostics:
         save_fold_csv(diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"),
-                      meta)
+                      meta, level)
     print(f"leave-one-out: {len(report.diagnostics)}/{train.n} folds completed")
     print(f"pooled {level:.0%} coverage: {report.pooled_coverage:.4f}")
     print(f"corr(MED, RMSE)={report.corr_med_rmse:.4f} "
@@ -242,7 +242,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     out = args.out or "prediction.csv"
     meta = {**cfg.meta(_design_seed(cfg, args)), "point": args.point,
             "dof": fmt(series.dof)}
-    write_csv(out, ("time", "location", "scale", "lo95", "hi95"),
+    write_csv(out, ("time", "location", "scale", *interval_columns(level)),
               zip(series.times, series.location, series.scale, lo, hi), meta)
     print(f"wrote {out}: {series.times.size} predictive marginals "
           f"(max location {series.location.max():.6g})")

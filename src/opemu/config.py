@@ -167,11 +167,14 @@ class RunConfig:
         if not t["t_min"] < t["t_max"] or t["dt"] <= 0:
             raise ConfigError("time section needs t_min < t_max and dt > 0")
         k = len(names)
-        if self.raw["kernel"]["lengths"] is not None:
-            if len(self.raw["kernel"]["lengths"]) != k + 1:
+        lengths = self.raw["kernel"]["lengths"]
+        if lengths is not None:
+            if len(lengths) != k + 1:
                 raise ConfigError(
                     f"kernel.lengths needs {k + 1} entries (inputs then time)"
                 )
+            if not all(_is_number(v) and math.isfinite(v) for v in lengths):
+                raise ConfigError(f"kernel.lengths must be finite numbers, got {lengths!r}")
         if self.raw["kernel"]["length_bounds"] is not None:
             _check_length_bounds(self.raw["kernel"]["length_bounds"], [*names, "time"])
         beta = self.raw["analysis"]["beta"]

@@ -45,7 +45,6 @@ from .errors import DataError, NumericalDegeneracyError
 from .ioutil import atomic_write_text
 from .kernels import (
     DEFAULT_JITTER,
-    KernelMatrices,
     KernelSpec,
     input_correlation_matrix,
     kernel_matrices,
@@ -86,36 +85,25 @@ class NigPrior:
 class _TimeFactor:
     """The time side of the factorization for one grid and time kernel.
 
-    Holds Gs, the jittered Ks and its Cholesky factor, Ks^-1 Gs and the
-    eigenpairs of As = Gs' Ks^-1 Gs = Us diag(ls) Us'. None of it depends
-    on the design, so fits that share the grid, the output basis, the
-    jitter and the kernel's output length and exponent can share one
-    factor. The training-grid predict factors (:meth:`side` of the grid)
-    are built on first use and kept in ``grid_cache``.
+    Factors the jittered Ks and holds it with its Cholesky factor, Gs (the
+    output regressors on the grid), Ks^-1 Gs and the eigenpairs of
+    As = Gs' Ks^-1 Gs = Us diag(ls) Us'. None of it depends on the design,
+    so fits on one grid with one output basis, jitter and time kernel can
+    share one. The training-grid predict factors (:meth:`side` of the
+    grid) are built on first use and kept in ``grid_cache``.
     """
 
-    def __init__(self, grid, output_basis, kernel, Gs, Ks, chol):
+    def __init__(self, grid, output_basis, kernel, jitter, Gs):
         from scipy.linalg import cho_solve
 
-        self.grid, self.output_basis, self.kernel = grid, output_basis, kernel
-        self.Gs, self.Ks, self.chol = Gs, Ks, chol
-        self.KsGs = cho_solve(chol, Gs, check_finite=False)
+        self.grid, self.output_basis, self.kernel, self.Gs = grid, output_basis, kernel, Gs
+        self.Ks, self.chol = output_factor(grid, kernel, jitter)
+        self.KsGs = cho_solve(self.chol, Gs, check_finite=False)
         try:
             self.ls, self.Us = np.linalg.eigh(Gs.T @ self.KsGs)
         except np.linalg.LinAlgError as exc:
             raise NumericalDegeneracyError(_PRECISION, str(exc)) from exc
         self.grid_cache = None
-
-    @classmethod
-    def build(cls, grid, output_basis, kernel, jitter):
-        """Factor the time kernel and the output regressors of a grid."""
-        Ks, chol = output_factor(grid, kernel, jitter)
-        return cls(grid, output_basis, kernel, output_basis.evaluate_many(grid), Ks, chol)
-
-    def serves(self, kernel: KernelSpec) -> bool:
-        """Whether ``kernel`` has this factor's output length and exponent."""
-        return (kernel.output_length, kernel.exponent) == (
-            self.kernel.output_length, self.kernel.exponent)
 
     def side(self, times):
         """Precompute everything of a prediction that depends only on its times.
@@ -149,42 +137,26 @@ class _KronEigen:
     diagonal in Ur (x) Us with eigenvalues P = 1/sigma2 + lr ls' on the
     nu_r x nu_s grid. Solves, log|S|, trace terms and predictive variances
     are then elementwise work on that grid; S itself is never formed. The
-    time half comes from a :class:`_TimeFactor` whose Ks factor is the one
-    in ``km``.
+    time half is ``time``, a :class:`_TimeFactor` for the same kernel and
+    jitter; only the input half (Kr from the design, and Gr) is built here.
     """
 
-    def __init__(self, km: KernelMatrices, Gr: np.ndarray, time: _TimeFactor, sigma2: float):
+    def __init__(self, design: Design, Gr: np.ndarray, kernel: KernelSpec, jitter: float,
+                 time: _TimeFactor, sigma2: float):
         from scipy.linalg import cho_solve
 
-        self.km, self.Gr, self.time = km, Gr, time
-        self.Gs, self.KsGs, self.ls, self.Us = time.Gs, time.KsGs, time.ls, time.Us
-        self.KrGr = cho_solve(km.input_chol, Gr, check_finite=False)
+        self.km = kernel_matrices(design, time.grid, kernel, jitter, (time.Ks, time.chol))
+        self.Gr, self.time = Gr, time
+        self.KrGr = cho_solve(self.km.input_chol, Gr, check_finite=False)
         try:
             self.lr, self.Ur = np.linalg.eigh(Gr.T @ self.KrGr)
         except np.linalg.LinAlgError as exc:
             raise NumericalDegeneracyError(_PRECISION, str(exc)) from exc
-        P = 1.0 / sigma2 + np.outer(self.lr, self.ls)
+        P = 1.0 / sigma2 + np.outer(self.lr, time.ls)
         if not np.all(P > 0.0):
             raise NumericalDegeneracyError(_PRECISION, f"smallest eigenvalue {P.min():.3g}")
         self.D = 1.0 / P
         self.logdet = float(np.sum(np.log(P)))
-
-    @classmethod
-    def build(cls, design, grid, input_basis, output_basis, kernel, jitter, sigma2,
-              time=None):
-        """Factor the kernel and the regressors of a design and time grid.
-
-        ``time`` is a prebuilt :class:`_TimeFactor` for this grid, output
-        basis, jitter and time kernel; without it the time side is built
-        here.
-        """
-        Gr, Gs = regressor_matrices(design, grid, input_basis, output_basis)
-        km = kernel_matrices(design, grid, kernel, jitter,
-                             None if time is None else (time.Ks, time.chol))
-        if time is None:
-            time = _TimeFactor(grid, output_basis, kernel, Gs, km.output_matrix,
-                               km.output_chol)
-        return cls(km, Gr, time, sigma2)
 
     def whiten(self, F: np.ndarray) -> np.ndarray:
         """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
@@ -195,11 +167,11 @@ class _KronEigen:
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """S^-1 vec(B) as a nu_r x nu_s matrix."""
-        return self.Ur @ (self.D * (self.Ur.T @ B @ self.Us)) @ self.Us.T
+        return self.Ur @ (self.D * (self.Ur.T @ B @ self.time.Us)) @ self.time.Us.T
 
     def dense_inverse(self) -> np.ndarray:
         """S^-1 as a dense nu x nu matrix (for inspection and dense checks)."""
-        E = np.einsum("ai,bj->abij", self.Ur, self.Us).reshape(self.D.size, self.D.size)
+        E = np.einsum("ai,bj->abij", self.Ur, self.time.Us).reshape(self.D.size, self.D.size)
         return (E * self.D.ravel()) @ E.T
 
     def regression_variance(self, Gr_new, U, A, B) -> np.ndarray:
@@ -325,7 +297,7 @@ class OpeModel:
         scale: float,
         residual_weights: np.ndarray,
         training_fingerprint: str,
-        core: _KronEigen | None = None,
+        core: _KronEigen,
     ):
         self.input_basis = input_basis
         self.output_basis = output_basis
@@ -339,8 +311,7 @@ class OpeModel:
         self.scale = float(scale)
         self.residual_weights = np.asarray(residual_weights, dtype=float)
         self.training_fingerprint = training_fingerprint
-        self._core = core or _KronEigen.build(design, self.time_grid, input_basis,
-                                              output_basis, kernel, jitter, prior.sigma2)
+        self._core = core
 
     # -- derived shapes ------------------------------------------------
 
@@ -434,9 +405,9 @@ def fit(
 
     All solves go through the per-factor Cholesky decompositions and the
     eigenbasis of the regression term; cost is O(n^3 + q^3) rather than
-    O((nq)^3). ``_time`` is internal: a time side already built for this
-    training grid, output basis, jitter and time kernel, which the fit then
-    shares instead of building its own.
+    O((nq)^3). ``_time`` is internal: a :class:`_TimeFactor` already built
+    for this training grid, output basis, jitter and kernel, which the fit
+    then shares instead of building its own.
     """
     nu = input_basis.size * output_basis.size
     if prior.size != nu:
@@ -444,9 +415,10 @@ def fit(
     if train.design.space.k != input_basis.space.k:
         raise ValueError("training design dimension does not match the input basis")
 
-    core = _KronEigen.build(train.design, train.time_grid, input_basis, output_basis,
-                           kernel, jitter, prior.sigma2, _time)
-    Gr, Gs, F = core.Gr, core.Gs, train.outputs
+    Gr, Gs = regressor_matrices(train.design, train.time_grid, input_basis, output_basis)
+    time = _time or _TimeFactor(train.time_grid, output_basis, kernel, jitter, Gs)
+    core = _KronEigen(train.design, Gr, kernel, jitter, time, prior.sigma2)
+    F = train.outputs
 
     # mn = Vn Q' K^-1 y, with Q' K^-1 y = vec(Gr' K^-1 F Gs)
     coeff = core.solve(Gr.T @ core.whiten(F) @ Gs)
@@ -519,11 +491,12 @@ def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
 def load_model(path: str) -> OpeModel:
     """Read a model written by :func:`save_model`; rebuilds solver factors.
 
-    Raises :class:`DataError` naming the key when a required key is missing
-    or an array's shape does not match the design, the time grid and the
-    bases. A ``posterior.coeff_cov`` stored by older versions is ignored,
-    and so is their ``prior.mean`` when it is all zero; a non-zero one is
-    rejected, since the prior is zero-mean.
+    Raises :class:`DataError` naming the key when a required key is missing,
+    a number is not finite (JSON's ``NaN`` and ``Infinity``) or an array's
+    shape does not match the design, the time grid and the bases. A
+    ``posterior.coeff_cov`` stored by older versions is ignored, and so is
+    their ``prior.mean`` when it is all zero; a non-zero one is rejected,
+    since the prior is zero-mean.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -537,7 +510,10 @@ def load_model(path: str) -> OpeModel:
         raise DataError(f"{path}: prior has a dense 'cov' and no 'sigma2'; "
                         "only isotropic priors (V = sigma2 * I) are supported")
 
-    def get(key, shape=None):
+    def get(key, shape=()):
+        """The finite number(s) at ``key``: a float for ``shape=()``, else an
+        array of ``shape`` (None matches any length); ``shape=None`` returns
+        the raw node."""
         node = doc
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
@@ -548,37 +524,41 @@ def load_model(path: str) -> OpeModel:
         try:
             arr = np.array(node, dtype=float)
         except (TypeError, ValueError):
-            raise DataError(f"{key!r} is not a numeric array") from None
+            raise DataError(f"{key!r} is not numeric") from None
         if arr.ndim != len(shape) or any(
                 s not in (None, n) for n, s in zip(arr.shape, shape)):
-            want = "x".join("*" if s is None else str(s) for s in shape)
+            want = "x".join("*" if s is None else str(s) for s in shape) or "a scalar"
             raise DataError(f"{key!r} has shape {arr.shape}, expected {want}")
-        return arr
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{key!r} holds a non-finite value")
+        return arr if shape else float(arr)
 
     try:
-        space = DesignSpace(bounds=[tuple(b) for b in get("space.bounds")],
-                            names=tuple(get("space.names")))
+        space = DesignSpace(bounds=get("space.bounds", (None, 2)).tolist(),
+                            names=tuple(get("space.names", None)))
         points = get("design.points", (None, space.k))
         grid = get("time_grid", (None,))
         design = Design(points=points, unit_points=space.to_unit(points), space=space,
                         seed=int(doc["design"].get("seed", 0)))
         input_basis = InputBasis(space)
-        output_basis = OutputBasis(tuple(get("output_basis.frequencies")))
+        output_basis = OutputBasis(tuple(get("output_basis.frequencies", (None,))))
         nu = (input_basis.size * output_basis.size,)
         if isinstance(prior_doc, dict) and "mean" in prior_doc and np.any(
                 get("prior.mean", nu)):
             raise DataError("'prior.mean' is non-zero; only zero-mean priors are supported")
+        kernel = KernelSpec(input_lengths=tuple(get("kernel.input_lengths", (space.k,))),
+                            output_length=get("kernel.output_length"),
+                            exponent=get("kernel.exponent"))
+        prior = NigPrior(nu[0], get("prior.sigma2"), get("prior.dof"), get("prior.scale"))
+        jitter = get("jitter")
+        Gr, Gs = regressor_matrices(design, grid, input_basis, output_basis)
+        time = _TimeFactor(grid, output_basis, kernel, jitter, Gs)
         return OpeModel(
             input_basis=input_basis,
             output_basis=output_basis,
-            kernel=KernelSpec(
-                input_lengths=tuple(get("kernel.input_lengths", (space.k,))),
-                output_length=get("kernel.output_length"),
-                exponent=get("kernel.exponent"),
-            ),
-            prior=NigPrior(nu[0], get("prior.sigma2"), get("prior.dof"),
-                           get("prior.scale")),
-            jitter=get("jitter"),
+            kernel=kernel,
+            prior=prior,
+            jitter=jitter,
             design=design,
             time_grid=grid,
             coeff_mean=get("posterior.coeff_mean", nu),
@@ -586,6 +566,7 @@ def load_model(path: str) -> OpeModel:
             scale=get("posterior.scale"),
             residual_weights=get("residual_weights", (points.shape[0], grid.size)),
             training_fingerprint=doc.get("training_fingerprint", ""),
+            core=_KronEigen(design, Gr, kernel, jitter, time, prior.sigma2),
         )
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc

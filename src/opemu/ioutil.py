@@ -30,6 +30,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def interval_columns(level: float) -> tuple:
+    """Column names of a credible interval at ``level``: ("lo95", "hi95") at 0.95."""
+    percent = f"{100 * level:g}"
+    return f"lo{percent}", f"hi{percent}"
+
+
 def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
     """Write a CSV table atomically: ``meta`` comment lines, header, rows.
 

@@ -33,7 +33,9 @@ class KernelSpec:
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in np.atleast_1d(self.input_lengths))
-        if any(v <= 0 for v in lengths) or self.output_length <= 0:
+        # `not v > 0` also rejects NaN; an infinite length is the limit of no
+        # decay along that axis
+        if not all(v > 0 for v in lengths + (float(self.output_length),)):
             raise ValueError("correlation lengths must be strictly positive")
         if not 0.0 < self.exponent <= 2.0:
             raise ValueError(f"exponent must lie in (0, 2], got {self.exponent}")

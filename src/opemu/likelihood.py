@@ -38,7 +38,7 @@ from .basis import InputBasis, OutputBasis, regressor_matrices
 from .design import DesignSpace, lhd
 from .emulator import NigPrior, TrainingSet, _KronEigen, _TimeFactor
 from .errors import DataError, NumericalDegeneracyError, OptimizationFailure
-from .kernels import DEFAULT_JITTER, KernelSpec, kernel_matrices
+from .kernels import DEFAULT_JITTER, KernelSpec
 
 _BARRIER = 1e25
 
@@ -114,10 +114,9 @@ class _Workspace:
         n, q, nu = self.n, self.q, self.nu
 
         spec = KernelSpec(tuple(lengths[:-1]), lengths[-1], p)
-        km = kernel_matrices(self.design, self.grid, spec, self.jitter)
-        time = _TimeFactor(self.grid, self.output_basis, spec, self.Gs, km.output_matrix,
-                           km.output_chol)
-        core = _KronEigen(km, self.Gr, time, self.sigma2)
+        time = _TimeFactor(self.grid, self.output_basis, spec, self.jitter, self.Gs)
+        core = _KronEigen(self.design, self.Gr, spec, self.jitter, time, self.sigma2)
+        km = core.km
 
         W0 = core.whiten(self.F)
         b = self.Gr.T @ W0 @ self.Gs
@@ -139,14 +138,14 @@ class _Workspace:
             return value, None, tau
 
         # beta = M^-1 y reshaped to n x q
-        B = W0 - core.KrGr @ Z @ core.KsGs.T
+        B = W0 - core.KrGr @ Z @ time.KsGs.T
         Kr, Ks = km.input_matrix, km.output_matrix
         Kr_inv = cho_solve(km.input_chol, np.eye(n), check_finite=False)
         Ks_inv = cho_solve(km.output_chol, np.eye(q), check_finite=False)
         # tr(S^-1 (X (x) Y)) = diag(Ur' X Ur) D diag(Us' Y Us). dK is taken
         # from the jittered factors: the gaps, and so dK, vanish on the diagonal
-        KrGrU, KsGsU = core.KrGr @ core.Ur, core.KsGs @ core.Us
-        regr_s, regr_r = core.D @ core.ls, core.lr @ core.D
+        KrGrU, KsGsU = core.KrGr @ core.Ur, time.KsGs @ time.Us
+        regr_s, regr_r = core.D @ time.ls, core.lr @ core.D
 
         gaps_p = self.gaps_p
         grad = np.empty(self.k + 2)

@@ -7,9 +7,10 @@ available but 40x slower and not required for the diagnostic's purpose).
 
 Dropping a design point leaves the time side of the model unchanged: Gs,
 Ks and its Cholesky factor, Ks^-1 Gs, the eigenbasis of Gs' Ks^-1 Gs and
-the training-grid predict factors. :func:`loo` builds them once and every
-fold shares them; a fold rebuilds them only when its kernel has another
-output length or exponent, which only a per-fold re-optimization gives.
+the training-grid predict factors. With frozen lengths :func:`loo` builds
+them once, before the first fold, and every fold shares them. A per-fold
+re-optimization gives each fold its own kernel, so each such fold builds
+its own time side, exactly as a standalone fit does.
 
 Summary metrics per fold: RMSE against the held-out series, mean 95%
 credible-interval length (MCIL), and empirical CI coverage. The report
@@ -27,7 +28,7 @@ import numpy as np
 from .design import Design, pairwise_distances
 from .emulator import NigPrior, Predictive, TrainingSet, _TimeFactor, credible_interval, fit
 from .errors import NumericalDegeneracyError, OptimizationFailure
-from .ioutil import atomic_write_text, write_csv
+from .ioutil import atomic_write_text, interval_columns, write_csv
 from .kernels import DEFAULT_JITTER, KernelSpec
 
 
@@ -111,21 +112,21 @@ def loo(
     given kernel is used unchanged for every fold. A fold that fails
     numerically is recorded and skipped.
 
-    The folds share one time side (see the module docstring), built by the
-    first fold and kept while each fold's kernel has its output length and
-    exponent. A fold whose ``refit_lengths`` kernel differs there builds a
-    new one, which the folds after it share in turn.
+    Without ``refit_lengths`` the folds share one time side (see the module
+    docstring), factored from ``kernel`` before the first fold; if that
+    factorization fails, :class:`NumericalDegeneracyError` is raised, since
+    every fold would fail the same way. With it, each fold's fit factors
+    its own.
     """
     if train.n < 3:
         raise ValueError(f"leave-one-out needs at least 3 points, got {train.n}")
-    time = None
+    time = None if refit_lengths is not None else _TimeFactor(
+        train.time_grid, output_basis, kernel, jitter,
+        output_basis.evaluate_many(train.time_grid))
 
     def run_fold(i: int):
-        nonlocal time
         subset = _drop_point(train, i)
         spec = refit_lengths(subset) if refit_lengths is not None else kernel
-        if time is None or not time.serves(spec):
-            time = _TimeFactor.build(train.time_grid, output_basis, spec, jitter)
         model = fit(prior, input_basis, output_basis, spec, subset, jitter, time)
         series = model.predict(train.design.points[i])
         observed = train.outputs[i]
@@ -170,9 +171,13 @@ def loo(
 # -- exports -------------------------------------------------------------
 
 
-def save_fold_csv(diag: LooDiagnostic, path: str, meta=None):
-    """Per-fold series for external plotting: observed vs predictive band."""
-    write_csv(path, ("time", "observed", "location", "lo95", "hi95"),
+def save_fold_csv(diag: LooDiagnostic, path: str, meta=None, level: float = 0.95):
+    """Per-fold series for external plotting: observed vs predictive band.
+
+    ``level`` is the band's credible level, which names its columns
+    (``lo95,hi95`` at 0.95).
+    """
+    write_csv(path, ("time", "observed", "location", *interval_columns(level)),
               zip(diag.series.times, diag.observed, diag.series.location,
                   diag.lower, diag.upper), meta)
 

@@ -298,6 +298,7 @@ class TestExitCodes:
         ({"kernel": {"exponent": 3.0}}, ["kernel.exponent"]),
         ({"kernel": {"lengths": [-1.0, 1.0, 0.6, 3.0]}}, ["kernel.lengths"]),
         ({"kernel": {"lengths": [1.0, 1.0, "x", 3.0]}}, ["kernel.lengths"]),
+        ({"kernel": {"lengths": [float("nan"), 1.0, 0.6, 3.0]}}, ["kernel.lengths"]),
         ({"analysis": {"beta": [[-5.0, 2.0, -2.0, 0.0], [2.0, 5.0, 1.0, 2.0],
                                 [2.0, 5.0, 0.5, 2.5]]}}, ["analysis.beta"]),
         ({"analysis": {"sweeps": [{"dim": "x0", "lower": -2.0, "upper": 0.0,
@@ -321,7 +322,8 @@ class TestExitCodes:
         ({"prior": {"sigma2": "x", "scale": 1.0}}, ["prior.sigma2"]),
         ({"prior": {"sigma2": 1.0, "scale": 0}}, ["prior.scale"]),
         ({"kernel": {"jitter": -1}}, ["kernel.jitter"]),
-    ], ids=["exponent", "negative-length", "string-length", "beta-shape", "sweep-resolution",
+    ], ids=["exponent", "negative-length", "string-length", "nan-length", "beta-shape",
+            "sweep-resolution",
             "damping", "frequency", "string-n", "fractional-n", "string-candidates",
             "string-dt", "negative-seed", "string-restarts", "negative-analysis-seed",
             "string-dof", "string-level", "level-range", "split-range", "estimated-dof",
@@ -390,6 +392,32 @@ class TestExitCodes:
         assert main(["predict", "--config", str(broken_cfg), "--point=-1.0,1.5,1.5",
                      "--out", out]) == 3
         assert "posterior.scale" in capsys.readouterr().err
+
+    def test_non_finite_model_value_exit_3(self, pipeline_dir, tmp_path, capsys):
+        # a NaN residual weight would otherwise give a NaN prediction CSV and exit 0
+        workdir, cfg_path = pipeline_dir
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["residual_weights"][0][0] = float("nan")
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        cfg = self._config_with(cfg_path, tmp_path, model=tmp_path / "model.json")
+        out = tmp_path / "prediction.csv"
+        assert main(["predict", "--config", str(cfg), "--point=-1.0,1.5,1.5",
+                     "--out", str(out)]) == 3
+        assert "residual_weights" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_columns_name_the_level(self, pipeline_dir, tmp_path):
+        workdir, cfg_path = pipeline_dir
+        config = json.loads(cfg_path.read_text())
+        config["validate"] = {"level": 0.9}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "prediction.csv"
+        assert main(["predict", "--config", str(cfg), "--point=-1.0,1.5,1.5",
+                     "--out", str(out)]) == 0
+        header = [line for line in out.read_text().splitlines()
+                  if not line.startswith("#")][0]
+        assert header == "time,location,scale,lo90,hi90"
 
 
     @staticmethod

@@ -325,11 +325,17 @@ class TestSerialization:
         save_model(model, str(path), meta={"seed": 11})
         loaded = load_model(str(path))
         assert loaded.training_fingerprint == model.training_fingerprint
+        # load_model builds the same factors as fit, so predictions agree bit for bit
         r = [-0.5, 1.2, 2.7]
         a, b = model.predict(r), loaded.predict(r)
-        assert np.abs(a.location - b.location).max() < 1e-12
-        assert np.abs(a.scale - b.scale).max() < 1e-12
+        assert np.array_equal(a.location, b.location)
+        assert np.array_equal(a.scale, b.scale)
         assert a.dof == b.dof
+        R = np.array([r, [0.5, 1.8, 0.9], [-2.9, 1.1, 2.9]])
+        for times in (None, [0.3, 1.7, 3.0]):
+            a, b = model.predict_many(R, times), loaded.predict_many(R, times)
+            assert np.array_equal(a.location, b.location)
+            assert np.array_equal(a.scale, b.scale)
 
     def _saved_doc(self, wave_space, tmp_path):
         design = lhd(5, wave_space, 12)
@@ -362,6 +368,38 @@ class TestSerialization:
         del doc["posterior"]["scale"]
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="posterior.scale"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("residual_weights", float("nan")),
+        ("posterior.scale", float("inf")),
+        ("posterior.dof", float("nan")),
+        ("posterior.coeff_mean", float("-inf")),
+        ("kernel.output_length", float("nan")),
+        ("kernel.input_lengths", float("inf")),
+        ("jitter", float("nan")),
+        ("time_grid", float("nan")),
+        ("space.bounds", float("inf")),
+        ("output_basis.frequencies", float("nan")),
+        ("prior.sigma2", float("inf")),
+    ])
+    def test_non_finite_value_names_key(self, wave_space, tmp_path, key, value):
+        from opemu.errors import DataError
+
+        _, path, doc = self._saved_doc(wave_space, tmp_path)
+        *parents, last = key.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        if isinstance(node[last], list):  # replace the first number of the array
+            inner = node[last]
+            while isinstance(inner[0], list):
+                inner = inner[0]
+            inner[0] = value
+        else:
+            node[last] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=key.replace(".", r"\.") + ".*non-finite"):
             load_model(str(path))
 
     def test_wrong_shape_names_key(self, wave_space, tmp_path):

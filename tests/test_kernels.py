@@ -50,6 +50,10 @@ class TestPointwise:
             KernelSpec((1.0, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             KernelSpec((1.0, 1.0, 1.0), 1.0, exponent=2.5)
+        with pytest.raises(ValueError, match="strictly positive"):
+            KernelSpec((np.nan, 1.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            KernelSpec((1.0, 1.0, 1.0), np.nan)
 
     @given(
         d1=st.floats(0.01, 5.0),

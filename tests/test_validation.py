@@ -201,6 +201,13 @@ class TestLoo:
         assert np.all(np.abs(fold.series.location - loc) <= 1e-10 * np.abs(loc))
         assert np.all(np.abs(fold.series.scale - scale) <= 1e-10 * np.abs(scale))
 
+    def test_unfactorable_time_kernel_raises(self, wave_space):
+        # the folds share one time side, so its failure is the call's, not n folds'
+        train, ib, ob, _, prior = _fit_inputs(wave_space)
+        flat = KernelSpec((1.0, 0.5, 0.8), 1e4, 2.0)
+        with pytest.raises(NumericalDegeneracyError, match="output correlation"):
+            loo(train, ib, ob, flat, prior, jitter=0.0)
+
     def test_rejects_tiny_design(self, wave_space):
         train, ib, ob, kern, prior = _fit_inputs(wave_space, n=3)
         two = TrainingSet(
@@ -222,6 +229,10 @@ class TestExports:
         assert lines[0] == "# seed=1"
         assert lines[1] == "time,observed,location,lo95,hi95"
         assert len(lines) == 2 + train.q
+        # the columns name the level the band was computed at
+        report = loo(train, ib, ob, kern, prior, level=0.9)
+        save_fold_csv(report.diagnostics[0], str(path), level=report.level)
+        assert path.read_text().splitlines()[0] == "time,observed,location,lo90,hi90"
 
     def test_report_json(self, wave_space, tmp_path):
         import json
