@@ -53,13 +53,11 @@ class InputBasis:
                 f"points have {pts.shape[1]} coordinates, space has {self.space.k}"
             )
         u = self.space.to_unit(pts)
-        n = pts.shape[0]
-        out = np.empty((n, self.size))
+        out = np.empty((pts.shape[0], self.size))
         out[:, 0] = 1.0
-        for j in range(self.space.k):
-            uj = u[:, j]
-            out[:, 1 + 2 * j] = SQRT3 * uj
-            out[:, 2 + 2 * j] = SQRT5 * (4.0 * uj * uj - 3.0 * uj)
+        # columns 1, 3, ... are the linear terms and 2, 4, ... the quadratics
+        out[:, 1::2] = SQRT3 * u
+        out[:, 2::2] = SQRT5 * (4.0 * u * u - 3.0 * u)
         return out
 
 
@@ -71,7 +69,8 @@ class OutputBasis:
 
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.frequencies)
-        if any(f <= 0 for f in freqs):
+        # `not f > 0` also rejects NaN
+        if not all(f > 0 for f in freqs):
             raise ValueError("frequencies must be strictly positive")
         if len(set(freqs)) != len(freqs):
             raise ValueError("frequencies must be distinct")

@@ -157,7 +157,12 @@ class RunConfig:
         names = d["names"]
         if len(names) != len(d["bounds"]):
             raise ConfigError("design.names and design.bounds lengths differ")
-        for name, (lo, hi) in zip(names, d["bounds"]):
+        for name, pair in zip(names, d["bounds"]):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(_is_number(v) for v in pair)):
+                raise ConfigError(f"design.bounds for dimension {name}: need a "
+                                  f"[lower, upper] pair of numbers, got {pair!r}")
+            lo, hi = pair
             if not lo < hi:
                 raise ConfigError(
                     f"design bounds for dimension {name}: lower {lo} must be "
@@ -217,7 +222,8 @@ class RunConfig:
         # the domain objects check their own values; build each once so a
         # bad value fails at load, named by its key, not in a later command
         exponent = self.raw["kernel"]["exponent"]
-        for key, build in (("kernel.exponent", lambda: KernelSpec((1.0,), 1.0, exponent)),
+        for key, build in (("design.bounds", self.space),
+                           ("kernel.exponent", lambda: KernelSpec((1.0,), 1.0, exponent)),
                            ("kernel.lengths", self.kernel_spec),
                            ("basis.frequencies", self.output_basis),
                            ("simulator", self.toy_params),

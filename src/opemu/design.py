@@ -9,12 +9,19 @@ All randomness comes from NumPy's PCG64 generator
 across platforms for a given seed.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .ioutil import parse_rows, read_table, write_csv
 from .errors import DataError
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -23,8 +30,11 @@ class DesignSpace:
 
     Parameters
     ----------
-    bounds : sequence of (lower, upper) pairs, one per dimension.
+    bounds : sequence of finite (lower, upper) pairs, one per dimension.
     names : axis identifiers; defaults to x1..xk.
+
+    :attr:`lower`, :attr:`upper` and :attr:`widths` are read-only arrays
+    built on first use.
     """
 
     bounds: tuple
@@ -35,6 +45,11 @@ class DesignSpace:
         if len(bounds) < 1:
             raise ValueError("a design space needs at least one dimension")
         for i, (lo, hi) in enumerate(bounds):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(
+                    f"dimension {self._name(i, len(bounds))}: bounds must be finite, "
+                    f"got ({lo}, {hi})"
+                )
             if not lo < hi:
                 raise ValueError(
                     f"dimension {self._name(i, len(bounds))}: lower bound {lo} "
@@ -55,17 +70,17 @@ class DesignSpace:
     def k(self) -> int:
         return len(self.bounds)
 
-    @property
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.bounds])
+        return _read_only(np.array([lo for lo, _ in self.bounds]))
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.bounds])
+        return _read_only(np.array([hi for _, hi in self.bounds]))
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
-        return self.upper - self.lower
+        return _read_only(self.upper - self.lower)
 
     def to_unit(self, points: np.ndarray) -> np.ndarray:
         """Affine map from physical coordinates onto [0, 1]^k."""

@@ -46,6 +46,7 @@ from .ioutil import atomic_write_text
 from .kernels import (
     DEFAULT_JITTER,
     KernelSpec,
+    chol_solve,
     input_correlation_matrix,
     kernel_matrices,
     output_correlation_matrix,
@@ -90,15 +91,14 @@ class _TimeFactor:
     As = Gs' Ks^-1 Gs = Us diag(ls) Us'. None of it depends on the design,
     so fits on one grid with one output basis, jitter and time kernel can
     share one. The training-grid predict factors (:meth:`side` of the
-    grid) are built on first use and kept in ``grid_cache``.
+    grid, the three variance products included) are built on first use
+    and kept in ``grid_cache``.
     """
 
     def __init__(self, grid, output_basis, kernel, jitter, Gs):
-        from scipy.linalg import cho_solve
-
         self.grid, self.output_basis, self.kernel, self.Gs = grid, output_basis, kernel, Gs
         self.Ks, self.chol = output_factor(grid, kernel, jitter)
-        self.KsGs = cho_solve(self.chol, Gs, check_finite=False)
+        self.KsGs = chol_solve(self.chol, Gs)
         try:
             self.ls, self.Us = np.linalg.eigh(Gs.T @ self.KsGs)
         except np.linalg.LinAlgError as exc:
@@ -108,19 +108,21 @@ class _TimeFactor:
     def side(self, times):
         """Precompute everything of a prediction that depends only on its times.
 
-        Returns (Gs_new, Ks_cross, explained_out, A, B) where A = Gs_new Us
-        and B = Ks_cross K_output^-1 G_output Us are the time halves of the
-        regression-uncertainty term.
+        Returns (Gs_new, Ks_cross, explained_out, products). With A =
+        Gs_new Us and B = Ks_cross K_output^-1 G_output Us, the time halves
+        of the regression-uncertainty term, and dA = A - B, ``products``
+        holds the three transposed products (dA*dA)', (dA*B)' and (B*B)'
+        that :meth:`_KronEigen.regression_variance` takes. They do not
+        depend on the inputs, so the grid cache keeps them ready.
         """
-        from scipy.linalg import cho_solve
-
         t = np.asarray(times, dtype=float).ravel()
         Gs_new = self.output_basis.evaluate_many(t)
         Ks_cross = output_correlation_matrix(t, self.grid, self.kernel)
-        Ks_solve = cho_solve(self.chol, Ks_cross.T, check_finite=False)
+        Ks_solve = chol_solve(self.chol, Ks_cross.T)
         explained_out = np.einsum("ji,ij->j", Ks_cross, Ks_solve)
         A, B = Gs_new @ self.Us, Ks_solve.T @ (self.Gs @ self.Us)
-        return Gs_new, Ks_cross, explained_out, A, B
+        dA = A - B
+        return Gs_new, Ks_cross, explained_out, ((dA * dA).T, (dA * B).T, (B * B).T)
 
     def grid_side(self):
         """:meth:`side` of the training grid, built once."""
@@ -143,11 +145,9 @@ class _KronEigen:
 
     def __init__(self, design: Design, Gr: np.ndarray, kernel: KernelSpec, jitter: float,
                  time: _TimeFactor, sigma2: float):
-        from scipy.linalg import cho_solve
-
         self.km = kernel_matrices(design, time.grid, kernel, jitter, (time.Ks, time.chol))
         self.Gr, self.time = Gr, time
-        self.KrGr = cho_solve(self.km.input_chol, Gr, check_finite=False)
+        self.KrGr = chol_solve(self.km.input_chol, Gr)
         try:
             self.lr, self.Ur = np.linalg.eigh(Gr.T @ self.KrGr)
         except np.linalg.LinAlgError as exc:
@@ -160,10 +160,8 @@ class _KronEigen:
 
     def whiten(self, F: np.ndarray) -> np.ndarray:
         """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
-        from scipy.linalg import cho_solve
-
-        W = cho_solve(self.km.input_chol, F, check_finite=False)
-        return cho_solve(self.km.output_chol, W.T, check_finite=False).T
+        W = chol_solve(self.km.input_chol, F)
+        return chol_solve(self.km.output_chol, W.T).T
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """S^-1 vec(B) as a nu_r x nu_s matrix."""
@@ -174,15 +172,16 @@ class _KronEigen:
         E = np.einsum("ai,bj->abij", self.Ur, self.time.Us).reshape(self.D.size, self.D.size)
         return (E * self.D.ravel()) @ E.T
 
-    def regression_variance(self, Gr_new, U, A, B) -> np.ndarray:
+    def regression_variance(self, Gr_new, U, products) -> np.ndarray:
         """rho_ij' S^-1 rho_ij for rho_ij = gr_i (x) gs_j - u_i (x) w_j: m x q.
 
-        Gr_new holds the rows gr_i' and U the rows u_i' (m x nu_r); A holds
-        the rows gs_j' Us and B the rows w_j' Us (q x nu_s). In the
-        eigenbasis rho = a (x) A - b (x) B with a = gr' Ur and b = u' Ur,
-        which is rewritten as a (x) dA + da (x) B with da = a - b and
-        dA = A - B. Its square weighted by D then takes three matrix
-        products:
+        Gr_new holds the rows gr_i' and U the rows u_i' (m x nu_r). A holds
+        the rows gs_j' Us and B the rows w_j' Us (q x nu_s); ``products``
+        is the time side's ((dA*dA)', (dA*B)', (B*B)') with dA = A - B
+        (:meth:`_TimeFactor.side`). In the eigenbasis rho = a (x) A - b (x) B
+        with a = gr' Ur and b = u' Ur, which is rewritten as
+        a (x) dA + da (x) B with da = a - b. Its square weighted by D then
+        takes three matrix products:
 
             ((a*a) D) (dA*dA)' + 2 ((a*da) D) (dA*B)' + ((da*da) D) (B*B)'
 
@@ -192,12 +191,12 @@ class _KronEigen:
         both O(jitter) there, so every term is already small and nothing
         of size O(1) cancels.
         """
+        dA2, dAB, B2 = products
         a = Gr_new @ self.Ur
         da = a - U @ self.Ur
-        dA = A - B
-        return (((a * a) @ self.D) @ (dA * dA).T
-                + 2.0 * (((a * da) @ self.D) @ (dA * B).T)
-                + ((da * da) @ self.D) @ (B * B).T)
+        return (((a * a) @ self.D) @ dA2
+                + 2.0 * (((a * da) @ self.D) @ dAB)
+                + ((da * da) @ self.D) @ B2)
 
 
 class TrainingSet:
@@ -279,8 +278,11 @@ class OpeModel:
     rebuilds it from the factors on first access. :meth:`predict` and
     :meth:`predict_many` are pure apart from caching the time-side factors
     of the training grid (``_grid_cache``, ``None`` until the first
-    training-grid prediction). Models fitted with one shared time side
-    share that cache too.
+    training-grid prediction): Gs and the grid's cross-correlations, the
+    explained time variance and the three variance products of
+    :meth:`_TimeFactor.side`, so a training-grid predict computes only its
+    input side. Models fitted with one shared time side share that cache
+    too.
     """
 
     def __init__(
@@ -356,20 +358,18 @@ class OpeModel:
         cached. Rows outside the design box, or every row when ``times``
         reach beyond the training grid, are flagged as extrapolation.
         """
-        from scipy.linalg import cho_solve
-
         R = np.atleast_2d(np.asarray(R, dtype=float))
         core = self._core
         if times is None:
             t = self.time_grid
-            Gs_new, Ks_cross, explained_out, A, B = core.time.grid_side()
+            Gs_new, Ks_cross, explained_out, products = core.time.grid_side()
         else:
             t = np.asarray(times, dtype=float).ravel()
-            Gs_new, Ks_cross, explained_out, A, B = core.time.side(t)
+            Gs_new, Ks_cross, explained_out, products = core.time.side(t)
 
         Gr_new = self.input_basis.evaluate_many(R)
         Kr_cross = input_correlation_matrix(R, self.design.points, self.kernel)
-        kr_solve = cho_solve(core.km.input_chol, Kr_cross.T, check_finite=False)
+        kr_solve = chol_solve(core.km.input_chol, Kr_cross.T)
         explained_in = np.einsum("in,ni->i", Kr_cross, kr_solve)
 
         # location: regression surface + kernel-weighted residual correction
@@ -378,7 +378,7 @@ class OpeModel:
 
         # regression-uncertainty term rho' Vn rho with
         # rho_ij = gr_i (x) gs_j - u_i (x) w_j
-        var_reg = core.regression_variance(Gr_new, kr_solve.T @ core.Gr, A, B)
+        var_reg = core.regression_variance(Gr_new, kr_solve.T @ core.Gr, products)
 
         unit_var = core.km.diag_at_zero - np.outer(explained_in, explained_out) + var_reg
         clamped = np.sum(unit_var < 0.0, axis=1)
@@ -386,7 +386,9 @@ class OpeModel:
         scale = np.sqrt(self.tau_estimate * np.maximum(unit_var, 0.0))
 
         extrapolation = ~self.design.space.contains_rows(R)
-        if t.size and (t.min() < self.time_grid[0] or t.max() > self.time_grid[-1]):
+        # the training grid cannot reach beyond itself
+        if times is not None and t.size and (
+                t.min() < self.time_grid[0] or t.max() > self.time_grid[-1]):
             extrapolation[:] = True
         return Predictive(t, location, scale, self.dof, extrapolation, clamped,
                           min_unit_var)

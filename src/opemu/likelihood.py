@@ -38,7 +38,7 @@ from .basis import InputBasis, OutputBasis, regressor_matrices
 from .design import DesignSpace, lhd
 from .emulator import NigPrior, TrainingSet, _KronEigen, _TimeFactor
 from .errors import DataError, NumericalDegeneracyError, OptimizationFailure
-from .kernels import DEFAULT_JITTER, KernelSpec
+from .kernels import DEFAULT_JITTER, KernelSpec, chol_solve
 
 _BARRIER = 1e25
 
@@ -107,8 +107,6 @@ class _Workspace:
 
         With ``tau`` None it is profiled out: tau_hat = quad_M / (nq).
         """
-        from scipy.linalg import cho_solve
-
         lengths = np.asarray(lengths, dtype=float)
         p = self.exponent
         n, q, nu = self.n, self.q, self.nu
@@ -140,8 +138,8 @@ class _Workspace:
         # beta = M^-1 y reshaped to n x q
         B = W0 - core.KrGr @ Z @ time.KsGs.T
         Kr, Ks = km.input_matrix, km.output_matrix
-        Kr_inv = cho_solve(km.input_chol, np.eye(n), check_finite=False)
-        Ks_inv = cho_solve(km.output_chol, np.eye(q), check_finite=False)
+        Kr_inv = chol_solve(km.input_chol, np.eye(n))
+        Ks_inv = chol_solve(km.output_chol, np.eye(q))
         # tr(S^-1 (X (x) Y)) = diag(Ur' X Ur) D diag(Us' Y Us). dK is taken
         # from the jittered factors: the gaps, and so dK, vanish on the diagonal
         KrGrU, KsGsU = core.KrGr @ core.Ur, time.KsGs @ time.Us
@@ -274,7 +272,9 @@ def optimize_correlation_lengths(
 
     # package rule: scipy is imported in the functions that call it, never
     # at module level, so `import opemu.cli` loads no scipy and `opemu
-    # design` and `opemu simulate` never do. scipy.optimize alone adds
+    # design` and `opemu simulate` never do. Cholesky factors and solves
+    # call LAPACK through `kernels._factor` and `kernels.chol_solve`, which
+    # import scipy.linalg.lapack when called. scipy.optimize alone adds
     # ~0.1 s on top of scipy.linalg, and only the length search needs it
     from scipy.optimize import minimize
 

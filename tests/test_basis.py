@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from opemu import InputBasis, OutputBasis, lhd, regressor_matrices
+from opemu import DesignSpace, InputBasis, OutputBasis, lhd, regressor_matrices
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -44,6 +44,21 @@ class TestInputBasis:
         val = quad(lambda u: SQRT3 * u, 0, 1)[0]
         assert abs(val - SQRT3 / 2) < 1e-12
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_evaluate_many_matches_per_column_form(self, k):
+        space = DesignSpace(bounds=[(-1.0 - j, 0.5 * j + 1.0) for j in range(k)])
+        rng = np.random.default_rng(k)
+        # in-box and out-of-box rows
+        points = space.from_unit(rng.uniform(-0.5, 1.5, (25, k)))
+        u = space.to_unit(points)
+        expected = np.empty((25, 1 + 2 * k))
+        expected[:, 0] = 1.0
+        for j in range(k):
+            uj = u[:, j]
+            expected[:, 1 + 2 * j] = SQRT3 * uj
+            expected[:, 2 + 2 * j] = SQRT5 * (4.0 * uj * uj - 3.0 * uj)
+        assert np.array_equal(InputBasis(space).evaluate_many(points), expected)
+
     def test_matches_quadrature_on_mapped_domain(self, wave_space):
         # <p, p> under the uniform weight on the physical interval
         ib = InputBasis(wave_space)
@@ -75,6 +90,8 @@ class TestOutputBasis:
             OutputBasis((0.25, -0.5))
         with pytest.raises(ValueError):
             OutputBasis((0.25, 0.25))
+        with pytest.raises(ValueError, match="strictly positive"):
+            OutputBasis((0.25, float("nan")))
 
     @given(t=st.floats(0.0, 1000.0))
     @settings(max_examples=100, deadline=None)

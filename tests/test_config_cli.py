@@ -306,6 +306,15 @@ class TestExitCodes:
          ["analysis.sweeps", "resolution"]),
         ({"simulator": {"damping": -1.0}}, ["simulator", "damping"]),
         ({"basis": {"frequencies": [0]}}, ["basis.frequencies"]),
+        ({"basis": {"frequencies": [float("nan")]}}, ["basis.frequencies"]),
+        ({"design": {"bounds": [[-float("inf"), 1.0], [1.0, 2.0], [0.5, 3.0]]}},
+         ["design.bounds", "x0"]),
+        ({"design": {"bounds": [[-3.0, 1.0], [1.0, float("inf")], [0.5, 3.0]]}},
+         ["design.bounds", "u0"]),
+        ({"design": {"bounds": [["x", 1.0], [1.0, 2.0], [0.5, 3.0]]}},
+         ["design.bounds", "x0"]),
+        ({"design": {"bounds": [[-3.0, 1.0], [1.0], [0.5, 3.0]]}},
+         ["design.bounds", "u0"]),
         ({"design": {"n": "40"}}, ["design.n"]),
         ({"design": {"n": 2.5}}, ["design.n"]),
         ({"design": {"candidates": "x"}}, ["design.candidates"]),
@@ -324,7 +333,9 @@ class TestExitCodes:
         ({"kernel": {"jitter": -1}}, ["kernel.jitter"]),
     ], ids=["exponent", "negative-length", "string-length", "nan-length", "beta-shape",
             "sweep-resolution",
-            "damping", "frequency", "string-n", "fractional-n", "string-candidates",
+            "damping", "frequency", "nan-frequency", "infinite-lower-bound",
+            "infinite-upper-bound", "string-bound", "short-bound-pair", "string-n",
+            "fractional-n", "string-candidates",
             "string-dt", "negative-seed", "string-restarts", "negative-analysis-seed",
             "string-dof", "string-level", "level-range", "split-range", "estimated-dof",
             "negative-sigma2", "string-sigma2", "zero-scale", "negative-jitter"])

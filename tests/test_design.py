@@ -29,6 +29,20 @@ class TestDesignSpace:
         with pytest.raises(ValueError):
             DesignSpace(bounds=[])
 
+    @pytest.mark.parametrize("bad", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_rejects_non_finite_bounds(self, bad):
+        with pytest.raises(ValueError, match="u0"):
+            DesignSpace(bounds=[(-3, 1), bad, (0.5, 3)], names=("x0", "u0", "c"))
+
+    def test_cached_arrays_are_read_only(self, wave_space):
+        assert wave_space.lower is wave_space.lower
+        assert np.array_equal(wave_space.widths, [4.0, 1.0, 2.5])
+        for arr in (wave_space.lower, wave_space.upper, wave_space.widths):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # the cache does not enter equality
+        assert wave_space == DesignSpace(bounds=wave_space.bounds, names=wave_space.names)
+
     def test_unit_round_trip(self, wave_space):
         rng = np.random.default_rng(0)
         unit = rng.random((50, 3))

@@ -254,6 +254,33 @@ class TestPredictMany:
             past_grid = times is not None and times.max() > grid[-1]
             assert batch.extrapolation.tolist() == [past_grid or not ok for ok in inside]
 
+    def test_cached_grid_side_matches_explicit_grid_times(self, wave_space):
+        # times=None reads the cached training-grid factors and skips the
+        # time-range test; naming the grid's times builds them afresh
+        design = lhd(10, wave_space, 4)
+        grid = np.round(0.2 * np.arange(30), 12)
+        model = fit(
+            NigPrior(77, 0.05, 3.0, 0.1),
+            InputBasis(wave_space), OutputBasis(),
+            KernelSpec((1.5, 0.8, 1.2), 1.5), toy_training_set(design, grid),
+        )
+        rng = np.random.default_rng(8)
+        R = np.vstack([design.points[:3],
+                       wave_space.from_unit(rng.random((4, 3))),
+                       wave_space.from_unit(rng.uniform(1.1, 1.5, (3, 3)))])
+        assert model._grid_cache is None
+        cached = model.predict_many(R)
+        assert model._grid_cache is not None
+        pairs = [(cached, model.predict_many(R, times=model.time_grid))]
+        pairs += [(model.predict(r), model.predict(r, times=model.time_grid)) for r in R]
+        for got, fresh in pairs:
+            assert np.array_equal(got.times, fresh.times)
+            assert np.array_equal(got.location, fresh.location)
+            assert np.array_equal(got.scale, fresh.scale)
+            assert np.array_equal(got.extrapolation, fresh.extrapolation)
+            assert np.array_equal(got.clamped, fresh.clamped)
+        assert cached.extrapolation.tolist() == [False] * 7 + [True] * 3
+
     def test_clamp_counts_per_row(self, wave_space):
         # without jitter the unit variance at a design point on the grid is
         # zero up to rounding, so some of its entries clip to zero

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from opemu import KernelSpec, kernel_matrices, lhd
 from opemu.design import Design, DesignSpace
 from opemu.errors import NumericalDegeneracyError
-from opemu.kernels import input_correlation_matrix, output_correlation_matrix
+from opemu.kernels import (
+    _factor,
+    chol_solve,
+    input_correlation_matrix,
+    output_correlation_matrix,
+)
 from reference import correlation as reference_correlation
 
 
@@ -121,3 +126,46 @@ class TestMatrices:
         design = lhd(3, wave_space, 1)
         with pytest.raises(ValueError):
             kernel_matrices(design, [0.0], spec3(), jitter=-1e-9)
+
+
+class TestCholSolve:
+    """The direct LAPACK calls against scipy's wrappers, bit for bit."""
+
+    @pytest.fixture
+    def factored(self):
+        # the reference time grid: q=176, where Ks is near-singular
+        grid = np.round(0.2 * np.arange(176), 12)
+        Ks = output_correlation_matrix(grid, grid, spec3(lt=1.582))
+        chol = _factor(Ks.copy(), 1e-8, "Ks")
+        Ks[np.diag_indices_from(Ks)] += 1e-8
+        return Ks, chol
+
+    def test_factor_matches_cho_factor(self, factored):
+        from scipy.linalg import cho_factor
+
+        Ks, (c, lower) = factored
+        ref, ref_lower = cho_factor(Ks, lower=True, check_finite=False)
+        assert lower is ref_lower is True
+        assert np.array_equal(c, ref)
+
+    @pytest.mark.parametrize("shape", ["1d", "2d", "empty", "transposed"])
+    def test_solve_matches_cho_solve(self, factored, shape):
+        from scipy.linalg import cho_solve
+
+        Ks, chol = factored
+        rng = np.random.default_rng(3)
+        B = {"1d": rng.standard_normal(176),
+             "2d": rng.standard_normal((176, 11)),
+             "empty": np.empty((176, 0)),
+             "transposed": rng.standard_normal((40, 176)).T}[shape]
+        before = B.copy()
+        x = chol_solve(chol, B)
+        assert x.shape == B.shape
+        assert np.array_equal(x, cho_solve(chol, B, check_finite=False))
+        assert np.array_equal(B, before)
+
+    def test_degenerate_matrix_names_factor_and_minor(self):
+        m = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericalDegeneracyError, match="the test matrix") as info:
+            _factor(m, 0.0, "the test matrix")
+        assert "2-th leading minor of the array is not positive definite" in str(info.value)
