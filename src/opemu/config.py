@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 
@@ -73,6 +74,49 @@ DEFAULTS = {
 }
 
 
+# the keys of one analysis.sweeps object, each with a value of its kind;
+# all but resolution are required
+_SWEEP = {"dim": "x0", "lower": 0.0, "upper": 1.0, "resolution": 21, "fixed": []}
+
+# the smallest value of each integer key, and the kind of each number whose
+# default is null; kernel.lengths and kernel.length_bounds, lists with one
+# entry per dimension, take their kind check with their count in _validate
+_KINDS = {"design.n": 2, "design.candidates": 1, "design.seed": 0, "kernel.restarts": 1,
+          "kernel.opt_seed": 0, "analysis.mc_samples": 1, "analysis.seed": 0,
+          "analysis.bins": 1, "analysis.sweeps.resolution": 2,
+          "prior.sigma2": float, "prior.scale": float}
+_KIND_NAMES = {bool: "true or false", str: "a string", list: "a list"}
+
+# value ranges of the scalars that no domain object checks, given whether the
+# prior is moment-matched (no prior.sigma2: fit matches it to the training data)
+_RANGES = (
+    ("kernel.jitter", ">= 0", lambda v, matched: v >= 0),
+    ("validate.level", "strictly between 0 and 1", lambda v, matched: 0 < v < 1),
+    ("prior.sigma2", "> 0", lambda v, matched: v is None or v > 0),
+    ("prior.scale", "> 0", lambda v, matched: v is None or v > 0),
+    ("prior.dof", "> 2 for moment matching, and > 0 with prior.sigma2 set",
+     lambda v, matched: v > (2 if matched else 0)),
+    ("prior.split", "strictly between 0 and 1 for moment matching",
+     lambda v, matched: not matched or 0 < v < 1),
+)
+
+
+def _check_kind(where: str, value, default):
+    """A set key must have the JSON kind of its default (see _KINDS)."""
+    rule = _KINDS.get(re.sub(r"\[\d+\]", "", where))
+    if default is None and (value is None or rule is None):
+        return
+    kind = rule if isinstance(rule, type) else type(default)
+    if kind is int:
+        ok, want = type(value) is int and value >= rule, f"an integer >= {rule}"
+    elif kind is float:
+        ok, want = type(value) in (int, float) and math.isfinite(value), "a finite number"
+    else:
+        ok, want = isinstance(value, kind), _KIND_NAMES[kind]
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -84,42 +128,17 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
                 raise ConfigError(f"{where} must be an object")
             out[key] = _merge(base[key], value, where)
         else:
+            _check_kind(where, value, base[key])
             out[key] = copy.deepcopy(value)
     return out
 
 
-# integer keys with their smallest allowed value, and keys that take any
-# finite number; checked before anything compares or computes with them
-_INT_KEYS = (("design.n", 2), ("design.candidates", 1), ("design.seed", 0),
-             ("kernel.restarts", 1), ("kernel.opt_seed", 0), ("analysis.seed", 0),
-             ("analysis.mc_samples", 1), ("analysis.bins", 1))
-_NUMBER_KEYS = ("time.t_min", "time.t_max", "time.dt", "kernel.jitter", "prior.dof",
-                "prior.split", "validate.level")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_length_bounds(bounds, dims):
-    """One [lower, upper] pair per dimension, finite, with 0 < lower < upper."""
-    if not isinstance(bounds, (list, tuple)) or len(bounds) != len(dims):
-        raise ConfigError(
-            f"kernel.length_bounds needs {len(dims)} [lower, upper] pairs, one per "
-            f"dimension ({', '.join(dims)}), got {bounds!r}"
-        )
-    for dim, pair in zip(dims, bounds):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(_is_number(v) and math.isfinite(v) for v in pair)):
-            raise ConfigError(
-                f"kernel.length_bounds for dimension {dim}: need two finite "
-                f"numbers, got {pair!r}"
-            )
-        if not 0 < pair[0] < pair[1]:
-            raise ConfigError(
-                f"kernel.length_bounds for dimension {dim}: need 0 < lower < upper, "
-                f"got {list(pair)}"
-            )
+def _build(key: str, build):
+    """build(), with a domain object's complaint turned into a ConfigError naming key."""
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 class RunConfig:
@@ -143,85 +162,57 @@ class RunConfig:
         return cls(raw)
 
     def _validate(self):
-        for key, minimum in _INT_KEYS:
-            section, name = key.split(".")
-            value = self.raw[section][name]
-            if not (_is_number(value) and isinstance(value, int) and value >= minimum):
-                raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-        for key in _NUMBER_KEYS:
-            section, name = key.split(".")
-            value = self.raw[section][name]
-            if not (_is_number(value) and math.isfinite(value)):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-        d = self.raw["design"]
-        names = d["names"]
-        if len(names) != len(d["bounds"]):
-            raise ConfigError("design.names and design.bounds lengths differ")
-        for name, pair in zip(names, d["bounds"]):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(_is_number(v) for v in pair)):
-                raise ConfigError(f"design.bounds for dimension {name}: need a "
-                                  f"[lower, upper] pair of numbers, got {pair!r}")
-            lo, hi = pair
-            if not lo < hi:
-                raise ConfigError(
-                    f"design bounds for dimension {name}: lower {lo} must be "
-                    f"strictly below upper {hi}"
-                )
+        # the names first, so that every later message can name a dimension
+        names = self.raw["design"]["names"]
+        _build("design.names", lambda: DesignSpace([(0.0, 1.0)] * len(names), names))
+        k, dims = len(names), [*names, "time"]
         t = self.raw["time"]
         if not t["t_min"] < t["t_max"] or t["dt"] <= 0:
             raise ConfigError("time section needs t_min < t_max and dt > 0")
-        k = len(names)
-        lengths = self.raw["kernel"]["lengths"]
-        if lengths is not None:
-            if len(lengths) != k + 1:
-                raise ConfigError(
-                    f"kernel.lengths needs {k + 1} entries (inputs then time)"
-                )
-            if not all(_is_number(v) and math.isfinite(v) for v in lengths):
-                raise ConfigError(f"kernel.lengths must be finite numbers, got {lengths!r}")
-        if self.raw["kernel"]["length_bounds"] is not None:
-            _check_length_bounds(self.raw["kernel"]["length_bounds"], [*names, "time"])
+        kernel = self.raw["kernel"]
+        for key in ("lengths", "length_bounds"):
+            value = kernel[key]
+            if value is not None and not (isinstance(value, list) and len(value) == k + 1):
+                raise ConfigError(f"kernel.{key} needs a list of {k + 1} entries, one per "
+                                  f"dimension ({', '.join(dims)}), got {value!r}")
+        for j, length in enumerate(kernel["lengths"] or ()):
+            _check_kind(f"kernel.lengths[{j}]", length, 1.0)
+        # one pair at a time, so a design dimension named "time" clashes with nothing
+        for dim, pair in zip(dims, kernel["length_bounds"] or ()):
+            (lower, _), = _build("kernel.length_bounds",
+                                 lambda: DesignSpace([pair], [dim])).bounds
+            if not lower > 0:
+                raise ConfigError(f"kernel.length_bounds for dimension {dim}: "
+                                  f"need 0 < lower, got {lower}")
         beta = self.raw["analysis"]["beta"]
         if len(beta) != k:
             raise ConfigError(
                 f"analysis.beta needs one [alpha, beta, lower, upper] row per "
                 f"input dimension ({k}), got {len(beta)}"
             )
-        jitter = self.raw["kernel"]["jitter"]
-        if jitter < 0:
-            raise ConfigError(f"kernel.jitter must be >= 0, got {jitter!r}")
-        level = self.raw["validate"]["level"]
-        if not 0 < level < 1:
-            raise ConfigError(f"validate.level must lie strictly between 0 and 1, "
-                              f"got {level!r}")
         prior = self.raw["prior"]
         if (prior["sigma2"] is None) != (prior["scale"] is None):
             raise ConfigError("prior.sigma2 and prior.scale must be set together")
-        for name in ("sigma2", "scale", "dof"):
-            value = prior[name]
-            if value is not None and not (_is_number(value) and 0 < value < math.inf):
-                raise ConfigError(f"prior.{name} must be a finite number > 0, got {value!r}")
-        # without prior.sigma2, fit matches the prior's moments to the training data
-        if prior["sigma2"] is None and not prior["dof"] > 2:
-            raise ConfigError(f"prior.dof must exceed 2 for moment matching, "
-                              f"got {prior['dof']!r}")
-        if prior["sigma2"] is None and not 0 < prior["split"] < 1:
-            raise ConfigError(f"prior.split must lie strictly between 0 and 1, "
-                              f"got {prior['split']!r}")
+        for key, want, ok in _RANGES:
+            section, name = key.split(".")
+            value = self.raw[section][name]
+            if not ok(value, prior["sigma2"] is None):
+                raise ConfigError(f"{key} must be {want}, got {value!r}")
         for i, sweep in enumerate(self.raw["analysis"]["sweeps"]):
+            where = f"analysis.sweeps[{i}]"
+            if not isinstance(sweep, dict):
+                raise ConfigError(f"{where} must be an object, got {sweep!r}")
+            _merge(_SWEEP, sweep, where)
             for required in ("dim", "lower", "upper", "fixed"):
                 if required not in sweep:
-                    raise ConfigError(f"analysis.sweeps[{i}] is missing {required!r}")
-            self._sweep_dim(sweep)
+                    raise ConfigError(f"{where} is missing {required!r}")
+            if sweep["dim"] not in names:
+                raise ConfigError(f"{where}.dim {sweep['dim']!r} is not a design dimension")
             if len(sweep["fixed"]) != k:
-                raise ConfigError(
-                    f"analysis.sweeps[{i}].fixed needs {k} values, got "
-                    f"{len(sweep['fixed'])}"
-                )
+                raise ConfigError(f"{where}.fixed needs {k} values, got {len(sweep['fixed'])}")
         # the domain objects check their own values; build each once so a
         # bad value fails at load, named by its key, not in a later command
-        exponent = self.raw["kernel"]["exponent"]
+        exponent = kernel["exponent"]
         for key, build in (("design.bounds", self.space),
                            ("kernel.exponent", lambda: KernelSpec((1.0,), 1.0, exponent)),
                            ("kernel.lengths", self.kernel_spec),
@@ -229,27 +220,13 @@ class RunConfig:
                            ("simulator", self.toy_params),
                            ("analysis.beta", self.beta_spec),
                            ("analysis.sweeps", self.sweep_specs)):
-            try:
-                build()
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-
-    def _sweep_dim(self, sweep: dict) -> int:
-        dim = sweep.get("dim")
-        names = self.raw["design"]["names"]
-        if isinstance(dim, str):
-            if dim not in names:
-                raise ConfigError(f"sweep dimension {dim!r} is not a design dimension")
-            return names.index(dim)
-        if isinstance(dim, int) and 0 <= dim < len(names):
-            return dim
-        raise ConfigError(f"sweep dim must be a dimension name or index, got {dim!r}")
+            _build(key, build)
 
     # -- typed accessors -------------------------------------------------
 
     def space(self) -> DesignSpace:
         d = self.raw["design"]
-        return DesignSpace(bounds=[tuple(b) for b in d["bounds"]], names=tuple(d["names"]))
+        return DesignSpace(bounds=d["bounds"], names=d["names"])
 
     def time_grid(self) -> np.ndarray:
         t = self.raw["time"]
@@ -279,18 +256,17 @@ class RunConfig:
         return BetaInputSpec(tuple(tuple(row) for row in self.raw["analysis"]["beta"]))
 
     def sweep_specs(self) -> list:
-        specs = []
-        for sweep in self.raw["analysis"]["sweeps"]:
-            specs.append(
-                SweepSpec(
-                    dim=self._sweep_dim(sweep),
-                    lower=float(sweep["lower"]),
-                    upper=float(sweep["upper"]),
-                    fixed=tuple(float(v) for v in sweep["fixed"]),
-                    resolution=int(sweep.get("resolution", 21)),
-                )
+        names = self.raw["design"]["names"]
+        return [
+            SweepSpec(
+                dim=names.index(sweep["dim"]),
+                lower=float(sweep["lower"]),
+                upper=float(sweep["upper"]),
+                fixed=tuple(float(v) for v in sweep["fixed"]),
+                resolution=sweep.get("resolution", _SWEEP["resolution"]),
             )
-        return specs
+            for sweep in self.raw["analysis"]["sweeps"]
+        ]
 
     def hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

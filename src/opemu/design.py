@@ -31,7 +31,8 @@ class DesignSpace:
     Parameters
     ----------
     bounds : sequence of finite (lower, upper) pairs, one per dimension.
-    names : axis identifiers; defaults to x1..xk.
+    names : axis identifiers, distinct non-empty strings without commas or
+        leading or trailing spaces (they head CSV columns); defaults to x1..xk.
 
     :attr:`lower`, :attr:`upper` and :attr:`widths` are read-only arrays
     built on first use.
@@ -41,30 +42,34 @@ class DesignSpace:
     names: tuple = ()
 
     def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        if len(bounds) < 1:
+        k = len(self.bounds)
+        if k < 1:
             raise ValueError("a design space needs at least one dimension")
-        for i, (lo, hi) in enumerate(bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(
-                    f"dimension {self._name(i, len(bounds))}: bounds must be finite, "
-                    f"got ({lo}, {hi})"
-                )
-            if not lo < hi:
-                raise ValueError(
-                    f"dimension {self._name(i, len(bounds))}: lower bound {lo} "
-                    f"must be strictly below upper bound {hi}"
-                )
-        names = tuple(self.names) if self.names else tuple(
-            f"x{i + 1}" for i in range(len(bounds))
-        )
-        if len(names) != len(bounds):
+        names = tuple(self.names) if self.names else tuple(f"x{i + 1}" for i in range(k))
+        if len(names) != k:
             raise ValueError("number of names must match number of dimensions")
-        object.__setattr__(self, "bounds", bounds)
+        if not all(isinstance(n, str) and n and n == n.strip() and "," not in n
+                   for n in names) or len(set(names)) != k:
+            raise ValueError(f"names must be distinct, non-empty strings without commas or "
+                             f"leading or trailing spaces, got {list(names)!r}")
+        bounds = []
+        for name, pair in zip(names, self.bounds):
+            try:
+                lo, hi = pair
+                if any(isinstance(v, (str, bool)) for v in pair):
+                    raise TypeError
+                lo, hi = float(lo), float(hi)
+            except (TypeError, ValueError):
+                raise ValueError(f"dimension {name}: bounds must be a (lower, upper) pair "
+                                 f"of numbers, got {pair!r}") from None
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"dimension {name}: bounds must be finite, got ({lo}, {hi})")
+            if not lo < hi:
+                raise ValueError(f"dimension {name}: lower bound {lo} "
+                                 f"must be strictly below upper bound {hi}")
+            bounds.append((lo, hi))
+        object.__setattr__(self, "bounds", tuple(bounds))
         object.__setattr__(self, "names", names)
-
-    def _name(self, i, k):
-        return self.names[i] if self.names and len(self.names) == k else f"x{i + 1}"
 
     @property
     def k(self) -> int:

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opemu
 from opemu.cli import main
-from opemu.config import RunConfig
+from opemu.config import DEFAULTS, RunConfig
 from opemu.errors import ConfigError
 
 
@@ -274,6 +275,38 @@ def test_validate_reoptimize_uses_configured_bounds(tmp_path, monkeypatch, capsy
     assert all(b == bounds for b in seen)
 
 
+SWEEP = {"dim": "x0", "lower": -2.0, "upper": 0.0, "resolution": 21, "fixed": [-1.0, 1.5, 1.5]}
+
+
+def _wrong_kind(default):
+    return 5 if isinstance(default, str) else "x"
+
+
+# every leaf key of DEFAULTS and every key of a sweep object, with a value of the wrong kind
+WRONG_KINDS = [(f"{section}.{key}", {section: {key: _wrong_kind(default)}})
+               for section, keys in DEFAULTS.items() for key, default in keys.items()] + [
+    (f"analysis.sweeps[0].{key}",
+     {"analysis": {"sweeps": [{**SWEEP, key: _wrong_kind(default)}]}})
+    for key, default in SWEEP.items()]
+
+
+@pytest.mark.parametrize("key, override", WRONG_KINDS, ids=[key for key, _ in WRONG_KINDS])
+def test_wrong_kind_exit_2_naming_the_key(tmp_path, capsys, key, override):
+    design = str(tmp_path / "d.csv")
+    paths = {"design": design, **override.get("paths", {})}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**override, "paths": paths}))
+    assert main(["design", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_readme_config_sketch_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("### Config sketch", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    RunConfig(json.loads(sketch))
+
+
 class TestExitCodes:
     def test_invalid_bounds_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -331,6 +364,25 @@ class TestExitCodes:
         ({"prior": {"sigma2": "x", "scale": 1.0}}, ["prior.sigma2"]),
         ({"prior": {"sigma2": 1.0, "scale": 0}}, ["prior.scale"]),
         ({"kernel": {"jitter": -1}}, ["kernel.jitter"]),
+        ({"design": {"bounds": 5}}, ["design.bounds"]),
+        ({"design": {"names": 5}}, ["design.names"]),
+        ({"design": {"names": [1, 2, 3]}}, ["design.names"]),
+        ({"design": {"names": ["a,b", "c", "d"]}}, ["design.names"]),
+        ({"design": {"names": ["a", "a", "b"]}}, ["design.names"]),
+        ({"kernel": {"lengths": 5}}, ["kernel.lengths"]),
+        ({"analysis": {"beta": 5}}, ["analysis.beta"]),
+        ({"analysis": {"sweeps": 5}}, ["analysis.sweeps"]),
+        ({"analysis": {"sweeps": [5]}}, ["analysis.sweeps[0]"]),
+        ({"analysis": {"sweeps": [{**SWEEP, "fixed": 5}]}}, ["analysis.sweeps[0].fixed"]),
+        ({"analysis": {"sweeps": [{**SWEEP, "dim": True}]}}, ["analysis.sweeps[0].dim"]),
+        ({"analysis": {"sweeps": [{**SWEEP, "resolution": 2.7}]}},
+         ["analysis.sweeps[0].resolution"]),
+        ({"analysis": {"sweeps": [{**SWEEP, "resolutoin": 21}]}},
+         ["analysis.sweeps[0].resolutoin"]),
+        ({"validate": {"reoptimize": "no"}}, ["validate.reoptimize"]),
+        ({"kernel": {"lengths": [1.0, 1.0, "0.6", 3.0]}}, ["kernel.lengths"]),
+        ({"design": {"bounds": [["-3", 1.0], [1.0, 2.0], [0.5, 3.0]]}},
+         ["design.bounds", "x0"]),
     ], ids=["exponent", "negative-length", "string-length", "nan-length", "beta-shape",
             "sweep-resolution",
             "damping", "frequency", "nan-frequency", "infinite-lower-bound",
@@ -338,7 +390,12 @@ class TestExitCodes:
             "fractional-n", "string-candidates",
             "string-dt", "negative-seed", "string-restarts", "negative-analysis-seed",
             "string-dof", "string-level", "level-range", "split-range", "estimated-dof",
-            "negative-sigma2", "string-sigma2", "zero-scale", "negative-jitter"])
+            "negative-sigma2", "string-sigma2", "zero-scale", "negative-jitter",
+            "number-bounds", "number-names", "integer-names", "comma-name", "repeated-name",
+            "number-lengths", "number-beta", "number-sweeps", "number-sweep",
+            "number-sweep-fixed", "boolean-sweep-dim", "fractional-sweep-resolution",
+            "misspelt-sweep-key", "string-reoptimize", "numeric-string-length",
+            "numeric-string-bound"])
     def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
         # rejected with the config, so `design` fails, not a later command
         cfg = tmp_path / "bad.json"
