@@ -26,8 +26,7 @@ _EXPORTS = {
     "validation": ("DiagnosticsReport", "LooDiagnostic", "loo", "med", "rmse"),
     "analysis": ("BetaInputSpec", "SweepSpec", "max_elevation", "mcil", "sample_beta",
                  "sensitivity_sweep", "uq_monte_carlo"),
-    "simulator": ("DimensionalScaling", "ToyWaveParams", "dimensionalize", "ingest_runs",
-                  "nondimensionalize", "toy_simulate", "toy_training_set",
+    "simulator": ("ToyWaveParams", "ingest_runs", "toy_simulate", "toy_training_set",
                   "write_training_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -115,21 +115,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _optimize_lengths(cfg, train, ib, ob, sigma2, jitter, collect_trace=False):
-    """Length search as configured; `fit` and per-fold `validate` share it."""
-    k = cfg.raw["kernel"]
-    return optimize_correlation_lengths(
-        train, ib, ob, sigma2, bounds=k["length_bounds"], restarts=k["restarts"],
-        seed=k["opt_seed"], exponent=k["exponent"], jitter=jitter,
-        collect_trace=collect_trace,
-    )
-
-
 def cmd_fit(cfg: RunConfig, args) -> int:
     train = ingest_runs(cfg.raw["paths"]["training"], cfg.space())
     ib, ob = cfg.input_basis(), cfg.output_basis()
-    prior_cfg = cfg.raw["prior"]
-    jitter = cfg.raw["kernel"]["jitter"]
+    prior_cfg, kernel_cfg = cfg.raw["prior"], cfg.raw["kernel"]
 
     if prior_cfg["sigma2"] is not None:
         size = ib.size * ob.size
@@ -147,8 +136,13 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 
     kernel = cfg.kernel_spec()
     if kernel is None:
-        state = _optimize_lengths(cfg, train, ib, ob, est.sigma2, jitter, args.trace)
-        kernel = state.kernel_spec(cfg.raw["kernel"]["exponent"])
+        state = optimize_correlation_lengths(
+            train, ib, ob, est.sigma2, bounds=kernel_cfg["length_bounds"],
+            restarts=kernel_cfg["restarts"], seed=kernel_cfg["opt_seed"],
+            exponent=kernel_cfg["exponent"], jitter=kernel_cfg["jitter"],
+            collect_trace=args.trace,
+        )
+        kernel = state.kernel_spec(kernel_cfg["exponent"])
         lengths = ", ".join(f"{v:.4g}" for v in kernel.lengths)
         print(f"optimized lengths: [{lengths}] log-likelihood={state.value:.4f}")
         if args.trace:
@@ -159,7 +153,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     else:
         print(f"using configured lengths: {[float(v) for v in kernel.lengths]}")
 
-    model = fit(est.to_prior(), ib, ob, kernel, train, jitter)
+    model = fit(est.to_prior(), ib, ob, kernel, train, kernel_cfg["jitter"])
     path = cfg.raw["paths"]["model"]
     save_model(model, path, cfg.meta(_design_seed(cfg, args)))
     print(f"wrote {path}: posterior dof={model.dof:g} scale={model.scale:.6g}")
@@ -183,16 +177,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
             f"(training fingerprints differ); rerun fit"
         )
     level = cfg.raw["validate"]["level"]
-
-    refit = None
-    if cfg.raw["validate"]["reoptimize"]:
-        ib, ob = cfg.input_basis(), cfg.output_basis()
-        sigma2 = model.prior.sigma2
-
-        def refit(subset):
-            state = _optimize_lengths(cfg, subset, ib, ob, sigma2, model.jitter)
-            return state.kernel_spec(cfg.raw["kernel"]["exponent"])
-
     report = loo(
         train,
         model.input_basis,
@@ -201,7 +185,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         model.prior,
         jitter=model.jitter,
         level=level,
-        refit_lengths=refit,
     )
     reports_dir = cfg.raw["paths"]["reports"]
     meta = cfg.meta(_design_seed(cfg, args))

@@ -50,7 +50,7 @@ DEFAULTS = {
         "position_gain": 0.3,
         "speed_gain": 1.0,
     },
-    "validate": {"level": 0.95, "reoptimize": False},
+    "validate": {"level": 0.95},
     "analysis": {
         "mc_samples": 1000,
         "seed": 7,
@@ -85,7 +85,7 @@ _KINDS = {"design.n": 2, "design.candidates": 1, "design.seed": 0, "kernel.resta
           "kernel.opt_seed": 0, "analysis.mc_samples": 1, "analysis.seed": 0,
           "analysis.bins": 1, "analysis.sweeps.resolution": 2,
           "prior.sigma2": float, "prior.scale": float}
-_KIND_NAMES = {bool: "true or false", str: "a string", list: "a list"}
+_KIND_NAMES = {str: "a string", list: "a list"}
 
 # value ranges of the scalars that no domain object checks, given whether the
 # prior is moment-matched (no prior.sigma2: fit matches it to the training data)
@@ -115,6 +115,12 @@ def _check_kind(where: str, value, default):
         ok, want = isinstance(value, kind), _KIND_NAMES[kind]
     if not ok:
         raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
+def _check_numbers(where: str, values):
+    """Each entry of a number list must be a finite number (see _check_kind)."""
+    for j, value in enumerate(values):
+        _check_kind(f"{where}[{j}]", value, 1.0)
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -175,8 +181,7 @@ class RunConfig:
             if value is not None and not (isinstance(value, list) and len(value) == k + 1):
                 raise ConfigError(f"kernel.{key} needs a list of {k + 1} entries, one per "
                                   f"dimension ({', '.join(dims)}), got {value!r}")
-        for j, length in enumerate(kernel["lengths"] or ()):
-            _check_kind(f"kernel.lengths[{j}]", length, 1.0)
+        _check_numbers("kernel.lengths", kernel["lengths"] or ())
         # one pair at a time, so a design dimension named "time" clashes with nothing
         for dim, pair in zip(dims, kernel["length_bounds"] or ()):
             (lower, _), = _build("kernel.length_bounds",
@@ -184,12 +189,16 @@ class RunConfig:
             if not lower > 0:
                 raise ConfigError(f"kernel.length_bounds for dimension {dim}: "
                                   f"need 0 < lower, got {lower}")
+        _check_numbers("basis.frequencies", self.raw["basis"]["frequencies"])
         beta = self.raw["analysis"]["beta"]
         if len(beta) != k:
             raise ConfigError(
                 f"analysis.beta needs one [alpha, beta, lower, upper] row per "
                 f"input dimension ({k}), got {len(beta)}"
             )
+        for i, row in enumerate(beta):
+            _check_kind(f"analysis.beta[{i}]", row, [])
+            _check_numbers(f"analysis.beta[{i}]", row)
         prior = self.raw["prior"]
         if (prior["sigma2"] is None) != (prior["scale"] is None):
             raise ConfigError("prior.sigma2 and prior.scale must be set together")
@@ -206,6 +215,7 @@ class RunConfig:
             for required in ("dim", "lower", "upper", "fixed"):
                 if required not in sweep:
                     raise ConfigError(f"{where} is missing {required!r}")
+            _check_numbers(f"{where}.fixed", sweep["fixed"])
             if sweep["dim"] not in names:
                 raise ConfigError(f"{where}.dim {sweep['dim']!r} is not a design dimension")
             if len(sweep["fixed"]) != k:

@@ -77,11 +77,6 @@ class NigPrior:
         self.dof = float(dof)
         self.scale = float(scale)
 
-    @property
-    def cov(self) -> np.ndarray:
-        """Dense prior coefficient scale matrix V = sigma2 * I."""
-        return self.sigma2 * np.eye(self.size)
-
 
 class _TimeFactor:
     """The time side of the factorization for one grid and time kernel.

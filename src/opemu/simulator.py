@@ -1,4 +1,4 @@
-"""Training-data sources: a toy wave simulator, file ingestion, unit scaling.
+"""Training-data sources: a toy wave simulator and file ingestion.
 
 The toy simulator is a closed-form damped oscillation standing in for an
 expensive wave-elevation code. It is built so that every downstream check
@@ -121,58 +121,3 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
     )
     return TrainingSet(design=design, time_grid=grid, outputs=outputs)
 
-
-# -- dimensional scaling -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DimensionalScaling:
-    """Physical scales that map dimensional quantities to model units.
-
-    length: characteristic horizontal slide length (m); slope: beach slope;
-    thickness: maximum vertical slide thickness (m); width: characteristic
-    slide width (m); gravity: m/s^2.
-    """
-
-    length: float
-    slope: float
-    thickness: float
-    width: float
-    gravity: float = 9.81
-
-    def __post_init__(self):
-        for name in ("length", "slope", "thickness", "width", "gravity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-def nondimensionalize(x, y, t, u0, zeta, scaling: DimensionalScaling):
-    """Map dimensional (x', y', t', u0', zeta') to model units.
-
-    Returns (x, y, t, u0, zeta, c) with positions scaled by the slide
-    length, time by sqrt(g*slope/length), speed by sqrt(length*g*slope),
-    elevation by the slide thickness, and c the length-to-width ratio.
-    """
-    s = scaling
-    time_rate = np.sqrt(s.gravity * s.slope / s.length)
-    return (
-        np.asarray(x, dtype=float) / s.length,
-        np.asarray(y, dtype=float) / s.length,
-        np.asarray(t, dtype=float) * time_rate,
-        np.asarray(u0, dtype=float) / np.sqrt(s.length * s.gravity * s.slope),
-        np.asarray(zeta, dtype=float) / s.thickness,
-        s.length / s.width,
-    )
-
-
-def dimensionalize(x, y, t, u0, zeta, scaling: DimensionalScaling):
-    """Inverse of :func:`nondimensionalize` (c is fixed by the scaling)."""
-    s = scaling
-    time_rate = np.sqrt(s.gravity * s.slope / s.length)
-    return (
-        np.asarray(x, dtype=float) * s.length,
-        np.asarray(y, dtype=float) * s.length,
-        np.asarray(t, dtype=float) / time_rate,
-        np.asarray(u0, dtype=float) * np.sqrt(s.length * s.gravity * s.slope),
-        np.asarray(zeta, dtype=float) * s.thickness,
-    )

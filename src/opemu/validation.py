@@ -1,23 +1,21 @@
 """Leave-one-out diagnostics and accuracy metrics.
 
 Each design point is held out in turn and predicted, over the full time
-grid, by an emulator refitted to the remaining points. Correlation lengths
-stay frozen at the full-data values by default (re-optimizing per fold is
-available but 40x slower and not required for the diagnostic's purpose).
+grid, by an emulator refitted to the remaining points. The correlation
+lengths stay at the full-data values, as they do in the closed-form
+leave-one-out of Dubrule (1983) and Rasmussen & Williams (2006, sec. 5.4.2).
 
 Dropping a design point leaves the time side of the model unchanged: Gs,
 Ks and its Cholesky factor, Ks^-1 Gs, the eigenbasis of Gs' Ks^-1 Gs and
-the training-grid predict factors. With frozen lengths :func:`loo` builds
-them once, before the first fold, and every fold shares them. A per-fold
-re-optimization gives each fold its own kernel, so each such fold builds
-its own time side, exactly as a standalone fit does.
+the training-grid predict factors. :func:`loo` builds them once, before
+the first fold, and every fold shares them.
 
-Summary metrics per fold: RMSE against the held-out series, mean 95%
-credible-interval length (MCIL), and empirical CI coverage. The report
-also carries each point's mean Euclidean distance to the rest of the
-design (MED, physical units) and the Pearson correlations of MED with
-RMSE and MCIL, which quantify how isolation in the design degrades
-predictions.
+Summary metrics per fold: RMSE against the held-out series, mean
+credible-interval length (MCIL) at the report's level, and empirical CI
+coverage. The report also carries each point's mean Euclidean distance to
+the rest of the design (MED, physical units) and the Pearson correlations
+of MED with RMSE and MCIL, which quantify how isolation in the design
+degrades predictions.
 """
 
 import json
@@ -27,7 +25,7 @@ import numpy as np
 
 from .design import Design, pairwise_distances
 from .emulator import NigPrior, Predictive, TrainingSet, _TimeFactor, credible_interval, fit
-from .errors import NumericalDegeneracyError, OptimizationFailure
+from .errors import NumericalDegeneracyError
 from .ioutil import atomic_write_text, interval_columns, write_csv
 from .kernels import DEFAULT_JITTER, KernelSpec
 
@@ -62,7 +60,7 @@ class LooDiagnostic:
     upper: np.ndarray
     rmse: float
     mcil: float
-    coverage_95: float
+    coverage: float
 
 
 @dataclass
@@ -79,7 +77,7 @@ class DiagnosticsReport:
     @property
     def pooled_coverage(self) -> float:
         """Fraction of all held-out values inside their credible interval."""
-        inside = sum(d.coverage_95 * d.observed.size for d in self.diagnostics)
+        inside = sum(d.coverage * d.observed.size for d in self.diagnostics)
         total = sum(d.observed.size for d in self.diagnostics)
         return inside / total if total else float("nan")
 
@@ -103,31 +101,23 @@ def loo(
     prior: NigPrior,
     jitter: float = DEFAULT_JITTER,
     level: float = 0.95,
-    refit_lengths=None,
 ) -> DiagnosticsReport:
-    """Leave-one-out validation over all n design points.
+    """Leave-one-out validation over all n design points at ``kernel``.
 
-    ``refit_lengths`` is an optional callable mapping a fold's TrainingSet
-    to a KernelSpec, enabling per-fold re-optimization; by default the
-    given kernel is used unchanged for every fold. A fold that fails
-    numerically is recorded and skipped.
-
-    Without ``refit_lengths`` the folds share one time side (see the module
-    docstring), factored from ``kernel`` before the first fold; if that
-    factorization fails, :class:`NumericalDegeneracyError` is raised, since
-    every fold would fail the same way. With it, each fold's fit factors
-    its own.
+    The folds share one time side (see the module docstring), factored
+    from ``kernel`` before the first fold; if that factorization fails,
+    :class:`NumericalDegeneracyError` is raised, since every fold would
+    fail the same way. A fold whose own fit fails numerically is recorded
+    and skipped.
     """
     if train.n < 3:
         raise ValueError(f"leave-one-out needs at least 3 points, got {train.n}")
-    time = None if refit_lengths is not None else _TimeFactor(
-        train.time_grid, output_basis, kernel, jitter,
-        output_basis.evaluate_many(train.time_grid))
+    time = _TimeFactor(train.time_grid, output_basis, kernel, jitter,
+                       output_basis.evaluate_many(train.time_grid))
 
     def run_fold(i: int):
-        subset = _drop_point(train, i)
-        spec = refit_lengths(subset) if refit_lengths is not None else kernel
-        model = fit(prior, input_basis, output_basis, spec, subset, jitter, time)
+        model = fit(prior, input_basis, output_basis, kernel, _drop_point(train, i),
+                    jitter, time)
         series = model.predict(train.design.points[i])
         observed = train.outputs[i]
         lo, hi = credible_interval(series, level)
@@ -140,7 +130,7 @@ def loo(
             upper=hi,
             rmse=rmse(observed, series.location),
             mcil=float(np.mean(hi - lo)),
-            coverage_95=float(inside),
+            coverage=float(inside),
         )
 
     diagnostics = []
@@ -148,7 +138,7 @@ def loo(
     for i in range(train.n):
         try:
             diagnostics.append(run_fold(i))
-        except (NumericalDegeneracyError, OptimizationFailure) as exc:
+        except NumericalDegeneracyError as exc:
             failures.append({"index": i, "error": str(exc)})
 
     distances = med(train.design)
@@ -194,7 +184,7 @@ def save_report_json(report: DiagnosticsReport, path: str, meta=None):
                 "index": d.index,
                 "rmse": d.rmse,
                 "mcil": d.mcil,
-                "coverage": d.coverage_95,
+                "coverage": d.coverage,
                 "med": report.med[d.index],
             }
             for d in report.diagnostics

@@ -200,7 +200,8 @@ def test_criterion_03_structured_vs_dense():
                         / np.abs(dense_grad).max())
 
             # fit + predict
-            mn, Vn, an, dn = reference.dense_fit(F, K, Q, np.zeros(nu), prior.cov, a, d)
+            mn, Vn, an, dn = reference.dense_fit(F, K, Q, np.zeros(nu),
+                                                 prior.sigma2 * np.eye(prior.size), a, d)
             model = fit(prior, ib, ob, kern, train, JITTER)
             worst = max(worst, np.abs(model.coeff_mean - mn).max() / (1 + np.abs(mn).max()))
             worst = max(worst, np.abs(model.coeff_cov - Vn).max())

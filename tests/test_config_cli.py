@@ -246,35 +246,6 @@ class TestDefaultConfig:
         assert model.prior.sigma2 == 0.257
 
 
-def test_validate_reoptimize_uses_configured_bounds(tmp_path, monkeypatch, capsys):
-    # every per-fold length search must search the box the full fit used
-    bounds = [[0.5, 8.0], [0.2, 4.0], [0.3, 6.0], [1.0, 40.0]]
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
-        "design": {"n": 6, "seed": 2, "candidates": 5},
-        "time": {"t_min": 0.0, "t_max": 20.0, "dt": 1.0},
-        "kernel": {"restarts": 1, "length_bounds": bounds},
-        "validate": {"reoptimize": True},
-        "paths": {"design": str(tmp_path / "d.csv"),
-                  "training": str(tmp_path / "t.csv"),
-                  "model": str(tmp_path / "m.json"),
-                  "reports": str(tmp_path / "reports")},
-    }))
-    seen = []
-    real = opemu.cli.optimize_correlation_lengths
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("bounds"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(opemu.cli, "optimize_correlation_lengths", spy)
-    for command in ("design", "simulate", "fit", "validate"):
-        assert main([command, "--config", str(cfg)]) == 0, command
-    assert "6/6 folds completed" in capsys.readouterr().out
-    assert len(seen) == 1 + 6
-    assert all(b == bounds for b in seen)
-
-
 SWEEP = {"dim": "x0", "lower": -2.0, "upper": 0.0, "resolution": 21, "fixed": [-1.0, 1.5, 1.5]}
 
 
@@ -379,10 +350,15 @@ class TestExitCodes:
          ["analysis.sweeps[0].resolution"]),
         ({"analysis": {"sweeps": [{**SWEEP, "resolutoin": 21}]}},
          ["analysis.sweeps[0].resolutoin"]),
-        ({"validate": {"reoptimize": "no"}}, ["validate.reoptimize"]),
+        ({"validate": {"reoptimize": False}}, ["validate.reoptimize"]),
         ({"kernel": {"lengths": [1.0, 1.0, "0.6", 3.0]}}, ["kernel.lengths"]),
         ({"design": {"bounds": [["-3", 1.0], [1.0, 2.0], [0.5, 3.0]]}},
          ["design.bounds", "x0"]),
+        ({"basis": {"frequencies": [True, 0.5]}}, ["basis.frequencies[0]"]),
+        ({"analysis": {"beta": [[5.0, "2", -2.0, 0.0], [2.0, 5.0, 1.0, 2.0],
+                                [2.0, 5.0, 0.5, 2.5]]}}, ["analysis.beta[0][1]"]),
+        ({"analysis": {"sweeps": [{**SWEEP, "fixed": [-1.0, "1.5", 1.5]}]}},
+         ["analysis.sweeps[0].fixed[1]"]),
     ], ids=["exponent", "negative-length", "string-length", "nan-length", "beta-shape",
             "sweep-resolution",
             "damping", "frequency", "nan-frequency", "infinite-lower-bound",
@@ -394,8 +370,9 @@ class TestExitCodes:
             "number-bounds", "number-names", "integer-names", "comma-name", "repeated-name",
             "number-lengths", "number-beta", "number-sweeps", "number-sweep",
             "number-sweep-fixed", "boolean-sweep-dim", "fractional-sweep-resolution",
-            "misspelt-sweep-key", "string-reoptimize", "numeric-string-length",
-            "numeric-string-bound"])
+            "misspelt-sweep-key", "removed-reoptimize", "numeric-string-length",
+            "numeric-string-bound", "boolean-frequency", "string-beta-entry",
+            "numeric-string-sweep-fixed"])
     def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
         # rejected with the config, so `design` fails, not a later command
         cfg = tmp_path / "bad.json"

@@ -63,7 +63,8 @@ class TestFitAgainstDenseOracle:
 
         K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
-            train.outputs, K, Q, np.zeros(nu), prior.cov, prior.dof, prior.scale
+            train.outputs, K, Q, np.zeros(nu), prior.sigma2 * np.eye(prior.size), prior.dof,
+            prior.scale
         )
         assert np.abs(model.coeff_mean - mn).max() < 1e-8 * (1 + np.abs(mn).max())
         assert np.abs(model.coeff_cov - Vn).max() < 1e-8
@@ -204,7 +205,8 @@ class TestPredictMany:
         model = fit(prior, ib, ob, kern, train, jitter)
         K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
-            train.outputs, K, Q, np.zeros(nu), prior.cov, prior.dof, prior.scale
+            train.outputs, K, Q, np.zeros(nu), prior.sigma2 * np.eye(prior.size), prior.dof,
+            prior.scale
         )
         space = train.design.space
         rng = np.random.default_rng(seed + 11)

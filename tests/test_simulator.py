@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opemu import (
-    DimensionalScaling,
     ToyWaveParams,
-    dimensionalize,
     ingest_runs,
     lhd,
-    nondimensionalize,
     toy_simulate,
     toy_training_set,
     write_training_csv,
@@ -141,35 +138,3 @@ class TestTrainingCsv:
         path.write_text("x0,u0,c,zeta\n-1,1.5,2,0.1\n")
         with pytest.raises(DataError, match="not a time"):
             ingest_runs(str(path), wave_space)
-
-
-class TestDimensionalScaling:
-    def test_position_scaling(self):
-        s = DimensionalScaling(length=100.0, slope=0.1, thickness=5.0, width=50.0)
-        x, y, t, u0, zeta, c = nondimensionalize(100.0, 0.0, 0.0, 1.0, 0.0, s)
-        assert x == 1.0
-
-    def test_spread_ratio(self):
-        s = DimensionalScaling(length=80.0, slope=0.1, thickness=5.0, width=80.0)
-        *_, c = nondimensionalize(0.0, 0.0, 0.0, 1.0, 0.0, s)
-        assert c == 1.0
-
-    def test_speed_scaling(self):
-        # sqrt(100 * 9.81 * 0.1) = sqrt(98.1); 9.9045 m/s maps to ~1
-        s = DimensionalScaling(length=100.0, slope=0.1, thickness=5.0, width=50.0,
-                               gravity=9.81)
-        *_, u0, zeta, c = nondimensionalize(0.0, 0.0, 0.0, 9.9045, 0.0, s)
-        assert abs(u0 - 9.9045 / math.sqrt(98.1)) < 1e-15
-        assert abs(u0 - 1.0) < 1e-4
-
-    def test_round_trip(self):
-        s = DimensionalScaling(length=73.0, slope=0.08, thickness=4.2, width=31.0)
-        raw = (123.4, -56.7, 89.1, 7.6, 2.34)
-        nd = nondimensionalize(*raw, s)
-        back = dimensionalize(*nd[:5], s)
-        for a, b in zip(raw, back):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            DimensionalScaling(length=0.0, slope=0.1, thickness=5.0, width=50.0)
