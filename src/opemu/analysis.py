@@ -77,7 +77,6 @@ class SweepCurve:
     values: np.ndarray
     max_elev: np.ndarray
     mean_ci_length: np.ndarray
-    mean_scale: float
     n_evaluations: int
 
 
@@ -100,20 +99,17 @@ def sensitivity_sweep(
     values = np.linspace(spec.lower, spec.upper, spec.resolution)
     maxima = np.empty(spec.resolution)
     widths = np.empty(spec.resolution)
-    scales = np.empty(spec.resolution)
     for i, v in enumerate(values):
         point = fixed.copy()
         point[spec.dim] = v
         series = model.predict(point)
         maxima[i] = max_elevation(series)
         widths[i] = mcil(series, level)
-        scales[i] = float(np.mean(series.scale))
     return SweepCurve(
         dim=spec.dim,
         values=values,
         max_elev=maxima,
         mean_ci_length=widths,
-        mean_scale=float(np.mean(scales)),
         n_evaluations=int(spec.resolution),
     )
 
@@ -176,8 +172,6 @@ class UqResult:
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
     samples: np.ndarray
-    max_values: np.ndarray
-    mcil_values: np.ndarray
     extrapolated: int
     clamped: int
 
@@ -238,8 +232,6 @@ def uq_monte_carlo(
         histogram_edges=edges,
         histogram_counts=counts,
         samples=inputs,
-        max_values=max_vals,
-        mcil_values=mcil_vals,
         extrapolated=extrapolated,
         clamped=clamped,
     )

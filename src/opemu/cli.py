@@ -142,7 +142,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
             exponent=kernel_cfg["exponent"], jitter=kernel_cfg["jitter"],
             collect_trace=args.trace,
         )
-        kernel = state.kernel_spec(kernel_cfg["exponent"])
+        kernel = state.kernel_spec()
         lengths = ", ".join(f"{v:.4g}" for v in kernel.lengths)
         print(f"optimized lengths: [{lengths}] log-likelihood={state.value:.4f}")
         if args.trace:

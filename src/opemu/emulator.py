@@ -83,15 +83,18 @@ class _TimeFactor:
 
     Factors the jittered Ks and holds it with its Cholesky factor, Gs (the
     output regressors on the grid), Ks^-1 Gs and the eigenpairs of
-    As = Gs' Ks^-1 Gs = Us diag(ls) Us'. None of it depends on the design,
-    so fits on one grid with one output basis, jitter and time kernel can
-    share one. The training-grid predict factors (:meth:`side` of the
-    grid, the three variance products included) are built on first use
-    and kept in ``grid_cache``.
+    As = Gs' Ks^-1 Gs = Us diag(ls) Us'. It is the one holder of the grid,
+    the output basis, the kernel and the jitter (the nugget of both
+    factors) of every core and model built on it. None of it depends on
+    the design, so fits on one grid with one output basis, jitter and time
+    kernel can share one. The training-grid predict factors (:meth:`side`
+    of the grid, the three variance products included) are built on first
+    use and kept in ``grid_cache``.
     """
 
     def __init__(self, grid, output_basis, kernel, jitter, Gs):
         self.grid, self.output_basis, self.kernel, self.Gs = grid, output_basis, kernel, Gs
+        self.jitter = float(jitter)
         self.Ks, self.chol = output_factor(grid, kernel, jitter)
         self.KsGs = chol_solve(self.chol, Gs)
         try:
@@ -134,15 +137,16 @@ class _KronEigen:
     diagonal in Ur (x) Us with eigenvalues P = 1/sigma2 + lr ls' on the
     nu_r x nu_s grid. Solves, log|S|, trace terms and predictive variances
     are then elementwise work on that grid; S itself is never formed. The
-    time half is ``time``, a :class:`_TimeFactor` for the same kernel and
-    jitter; only the input half (Kr from the design, and Gr) is built here.
+    time half is ``time``, a :class:`_TimeFactor`, which also holds the
+    kernel and jitter; only the input half (the jittered Kr of ``design``,
+    its Cholesky factor ``chol``, and Gr) is built here.
     """
 
-    def __init__(self, design: Design, Gr: np.ndarray, kernel: KernelSpec, jitter: float,
-                 time: _TimeFactor, sigma2: float):
-        self.km = kernel_matrices(design, time.grid, kernel, jitter, (time.Ks, time.chol))
-        self.Gr, self.time = Gr, time
-        self.KrGr = chol_solve(self.km.input_chol, Gr)
+    def __init__(self, design: Design, Gr: np.ndarray, time: _TimeFactor, sigma2: float):
+        km = kernel_matrices(design, time.grid, time.kernel, time.jitter, (time.Ks, time.chol))
+        self.Kr, self.chol = km.input_matrix, km.input_chol
+        self.design, self.Gr, self.time = design, Gr, time
+        self.KrGr = chol_solve(self.chol, Gr)
         try:
             self.lr, self.Ur = np.linalg.eigh(Gr.T @ self.KrGr)
         except np.linalg.LinAlgError as exc:
@@ -155,8 +159,8 @@ class _KronEigen:
 
     def whiten(self, F: np.ndarray) -> np.ndarray:
         """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
-        W = chol_solve(self.km.input_chol, F)
-        return chol_solve(self.km.output_chol, W.T).T
+        W = chol_solve(self.chol, F)
+        return chol_solve(self.time.chol, W.T).T
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """S^-1 vec(B) as a nu_r x nu_s matrix."""
@@ -269,6 +273,12 @@ def credible_interval(series, level: float = 0.95):
 class OpeModel:
     """A fitted emulator: posterior state plus the shared solver factors.
 
+    The model owns the input basis, the prior and the posterior (coefficient
+    mean, dof, scale, residual weights) with the training fingerprint. The
+    rest it reads from its core: ``design`` from the :class:`_KronEigen`,
+    and ``output_basis``, ``kernel``, ``jitter`` and ``time_grid`` from
+    the core's :class:`_TimeFactor`. They are read-only, so the model
+    cannot hold a kernel or grid that its core did not compute with.
     The posterior coefficient scale matrix is not stored: :attr:`coeff_cov`
     rebuilds it from the factors on first access. :meth:`predict` and
     :meth:`predict_many` are pure apart from caching the time-side factors
@@ -280,35 +290,39 @@ class OpeModel:
     too.
     """
 
-    def __init__(
-        self,
-        input_basis: InputBasis,
-        output_basis: OutputBasis,
-        kernel: KernelSpec,
-        prior: NigPrior,
-        jitter: float,
-        design: Design,
-        time_grid: np.ndarray,
-        coeff_mean: np.ndarray,
-        dof: float,
-        scale: float,
-        residual_weights: np.ndarray,
-        training_fingerprint: str,
-        core: _KronEigen,
-    ):
+    def __init__(self, input_basis: InputBasis, prior: NigPrior, core: _KronEigen,
+                 coeff_mean: np.ndarray, dof: float, scale: float,
+                 residual_weights: np.ndarray, training_fingerprint: str):
         self.input_basis = input_basis
-        self.output_basis = output_basis
-        self.kernel = kernel
         self.prior = prior
-        self.jitter = float(jitter)
-        self.design = design
-        self.time_grid = np.asarray(time_grid, dtype=float).ravel()
+        self._core = core
         self.coeff_mean = np.asarray(coeff_mean, dtype=float).ravel()
         self.dof = float(dof)
         self.scale = float(scale)
         self.residual_weights = np.asarray(residual_weights, dtype=float)
         self.training_fingerprint = training_fingerprint
-        self._core = core
+
+    # -- views of the core ---------------------------------------------
+
+    @property
+    def design(self) -> Design:
+        return self._core.design
+
+    @property
+    def output_basis(self) -> OutputBasis:
+        return self._core.time.output_basis
+
+    @property
+    def kernel(self) -> KernelSpec:
+        return self._core.time.kernel
+
+    @property
+    def jitter(self) -> float:
+        return self._core.time.jitter
+
+    @property
+    def time_grid(self) -> np.ndarray:
+        return self._core.time.grid
 
     # -- derived shapes ------------------------------------------------
 
@@ -354,17 +368,17 @@ class OpeModel:
         reach beyond the training grid, are flagged as extrapolation.
         """
         R = np.atleast_2d(np.asarray(R, dtype=float))
-        core = self._core
+        core, time = self._core, self._core.time
         if times is None:
-            t = self.time_grid
-            Gs_new, Ks_cross, explained_out, products = core.time.grid_side()
+            t = time.grid
+            Gs_new, Ks_cross, explained_out, products = time.grid_side()
         else:
             t = np.asarray(times, dtype=float).ravel()
-            Gs_new, Ks_cross, explained_out, products = core.time.side(t)
+            Gs_new, Ks_cross, explained_out, products = time.side(t)
 
         Gr_new = self.input_basis.evaluate_many(R)
-        Kr_cross = input_correlation_matrix(R, self.design.points, self.kernel)
-        kr_solve = chol_solve(core.km.input_chol, Kr_cross.T)
+        Kr_cross = input_correlation_matrix(R, core.design.points, time.kernel)
+        kr_solve = chol_solve(core.chol, Kr_cross.T)
         explained_in = np.einsum("in,ni->i", Kr_cross, kr_solve)
 
         # location: regression surface + kernel-weighted residual correction
@@ -375,15 +389,16 @@ class OpeModel:
         # rho_ij = gr_i (x) gs_j - u_i (x) w_j
         var_reg = core.regression_variance(Gr_new, kr_solve.T @ core.Gr, products)
 
-        unit_var = core.km.diag_at_zero - np.outer(explained_in, explained_out) + var_reg
+        # prior correlation of a point with itself, nugget included
+        unit_var = (1.0 + time.jitter) ** 2 - np.outer(explained_in, explained_out) + var_reg
         clamped = np.sum(unit_var < 0.0, axis=1)
         min_unit_var = unit_var.min(axis=1) if t.size else np.zeros(R.shape[0])
         scale = np.sqrt(self.tau_estimate * np.maximum(unit_var, 0.0))
 
-        extrapolation = ~self.design.space.contains_rows(R)
+        extrapolation = ~core.design.space.contains_rows(R)
         # the training grid cannot reach beyond itself
         if times is not None and t.size and (
-                t.min() < self.time_grid[0] or t.max() > self.time_grid[-1]):
+                t.min() < time.grid[0] or t.max() > time.grid[-1]):
             extrapolation[:] = True
         return Predictive(t, location, scale, self.dof, extrapolation, clamped,
                           min_unit_var)
@@ -403,8 +418,10 @@ def fit(
     All solves go through the per-factor Cholesky decompositions and the
     eigenbasis of the regression term; cost is O(n^3 + q^3) rather than
     O((nq)^3). ``_time`` is internal: a :class:`_TimeFactor` already built
-    for this training grid, output basis, jitter and kernel, which the fit
-    then shares instead of building its own.
+    for this training grid, which the fit then shares instead of building
+    its own. The model reads its kernel, jitter and output basis from it,
+    so it must match the ``kernel``, ``jitter`` and ``output_basis``
+    arguments; :func:`~opemu.validation.loo` is its one caller.
     """
     nu = input_basis.size * output_basis.size
     if prior.size != nu:
@@ -414,7 +431,7 @@ def fit(
 
     Gr, Gs = regressor_matrices(train.design, train.time_grid, input_basis, output_basis)
     time = _time or _TimeFactor(train.time_grid, output_basis, kernel, jitter, Gs)
-    core = _KronEigen(train.design, Gr, kernel, jitter, time, prior.sigma2)
+    core = _KronEigen(train.design, Gr, time, prior.sigma2)
     F = train.outputs
 
     # mn = Vn Q' K^-1 y, with Q' K^-1 y = vec(Gr' K^-1 F Gs)
@@ -426,21 +443,8 @@ def fit(
     post_scale = float(prior.scale + np.sum(R * W) + np.sum(coeff * coeff) / prior.sigma2)
     post_dof = prior.dof + train.n * train.q
 
-    return OpeModel(
-        input_basis=input_basis,
-        output_basis=output_basis,
-        kernel=kernel,
-        prior=prior,
-        jitter=jitter,
-        design=train.design,
-        time_grid=train.time_grid,
-        coeff_mean=coeff.ravel(),
-        dof=post_dof,
-        scale=post_scale,
-        residual_weights=W,
-        training_fingerprint=train.fingerprint(),
-        core=core,
-    )
+    return OpeModel(input_basis, prior, core, coeff.ravel(), post_dof, post_scale, W,
+                    train.fingerprint())
 
 
 # -- serialization -----------------------------------------------------
@@ -547,23 +551,12 @@ def load_model(path: str) -> OpeModel:
                             output_length=get("kernel.output_length"),
                             exponent=get("kernel.exponent"))
         prior = NigPrior(nu[0], get("prior.sigma2"), get("prior.dof"), get("prior.scale"))
-        jitter = get("jitter")
         Gr, Gs = regressor_matrices(design, grid, input_basis, output_basis)
-        time = _TimeFactor(grid, output_basis, kernel, jitter, Gs)
-        return OpeModel(
-            input_basis=input_basis,
-            output_basis=output_basis,
-            kernel=kernel,
-            prior=prior,
-            jitter=jitter,
-            design=design,
-            time_grid=grid,
-            coeff_mean=get("posterior.coeff_mean", nu),
-            dof=get("posterior.dof"),
-            scale=get("posterior.scale"),
-            residual_weights=get("residual_weights", (points.shape[0], grid.size)),
-            training_fingerprint=doc.get("training_fingerprint", ""),
-            core=_KronEigen(design, Gr, kernel, jitter, time, prior.sigma2),
-        )
+        time = _TimeFactor(grid, output_basis, kernel, get("jitter"), Gs)
+        return OpeModel(input_basis, prior, _KronEigen(design, Gr, time, prior.sigma2),
+                        get("posterior.coeff_mean", nu), get("posterior.dof"),
+                        get("posterior.scale"),
+                        get("residual_weights", (points.shape[0], grid.size)),
+                        doc.get("training_fingerprint", ""))
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc

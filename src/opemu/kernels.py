@@ -73,14 +73,8 @@ class KernelMatrices:
 
     input_matrix: np.ndarray
     output_matrix: np.ndarray
-    jitter: float
     input_chol: tuple
     output_chol: tuple
-
-    @property
-    def diag_at_zero(self) -> float:
-        """Prior correlation of a point with itself, nugget included."""
-        return (1.0 + self.jitter) ** 2
 
 
 def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:
@@ -153,7 +147,6 @@ def kernel_matrices(
     return KernelMatrices(
         input_matrix=Kr,
         output_matrix=Ks,
-        jitter=float(jitter),
         input_chol=input_chol,
         output_chol=output_chol,
     )

@@ -45,18 +45,27 @@ _BARRIER = 1e25
 
 @dataclass
 class MarginalLikelihoodState:
-    """Result of a likelihood evaluation or maximization."""
+    """Result of a likelihood maximization at one kernel exponent."""
 
     input_lengths: tuple
     output_length: float
+    exponent: float
     tau: float
     value: float
     gradient: np.ndarray
     trace: list = field(default_factory=list)
     starts: list = field(default_factory=list)
 
-    def kernel_spec(self, exponent: float = 1.5) -> KernelSpec:
-        return KernelSpec(self.input_lengths, self.output_length, exponent)
+    def kernel_spec(self, exponent: float | None = None) -> KernelSpec:
+        """The kernel at these lengths and the exponent they were searched with.
+
+        An ``exponent`` other than that one raises ``ValueError``: the
+        lengths are optimal for their own exponent only.
+        """
+        if exponent is not None and exponent != self.exponent:
+            raise ValueError(f"the lengths were searched with exponent {self.exponent}, "
+                             f"not {exponent}")
+        return KernelSpec(self.input_lengths, self.output_length, self.exponent)
 
 
 @dataclass
@@ -113,8 +122,7 @@ class _Workspace:
 
         spec = KernelSpec(tuple(lengths[:-1]), lengths[-1], p)
         time = _TimeFactor(self.grid, self.output_basis, spec, self.jitter, self.Gs)
-        core = _KronEigen(self.design, self.Gr, spec, self.jitter, time, self.sigma2)
-        km = core.km
+        core = _KronEigen(self.design, self.Gr, time, self.sigma2)
 
         W0 = core.whiten(self.F)
         b = self.Gr.T @ W0 @ self.Gs
@@ -123,8 +131,8 @@ class _Workspace:
         quad_M = quad_K - float(np.sum(b * Z))
         tau = quad_M / (n * q) if tau is None else float(tau)
 
-        ld_r = 2.0 * np.sum(np.log(np.diag(km.input_chol[0])))
-        ld_s = 2.0 * np.sum(np.log(np.diag(km.output_chol[0])))
+        ld_r = 2.0 * np.sum(np.log(np.diag(core.chol[0])))
+        ld_s = 2.0 * np.sum(np.log(np.diag(time.chol[0])))
         ld_M = q * ld_r + n * ld_s + nu * math.log(self.sigma2) + core.logdet
 
         value = (
@@ -137,9 +145,9 @@ class _Workspace:
 
         # beta = M^-1 y reshaped to n x q
         B = W0 - core.KrGr @ Z @ time.KsGs.T
-        Kr, Ks = km.input_matrix, km.output_matrix
-        Kr_inv = chol_solve(km.input_chol, np.eye(n))
-        Ks_inv = chol_solve(km.output_chol, np.eye(q))
+        Kr, Ks = core.Kr, time.Ks
+        Kr_inv = chol_solve(core.chol, np.eye(n))
+        Ks_inv = chol_solve(time.chol, np.eye(q))
         # tr(S^-1 (X (x) Y)) = diag(Ur' X Ur) D diag(Us' Y Us). dK is taken
         # from the jittered factors: the gaps, and so dK, vanish on the diagonal
         KrGrU, KsGsU = core.KrGr @ core.Ur, time.KsGs @ time.Us
@@ -315,6 +323,7 @@ def optimize_correlation_lengths(
     return MarginalLikelihoodState(
         input_lengths=tuple(lengths[: space.k]),
         output_length=float(lengths[space.k]),
+        exponent=exponent,
         tau=float(tau),
         value=float(value),
         gradient=grad,

@@ -202,13 +202,25 @@ class TestUqMonteCarlo:
 
     @pytest.mark.filterwarnings("ignore:n=")
     @pytest.mark.parametrize("n", [1, UQ_BLOCK - 1, UQ_BLOCK, UQ_BLOCK + 1, 1000])
-    def test_blocks_match_per_point_loop(self, toy_model, n):
+    def test_blocks_match_per_point_loop(self, toy_model, n, monkeypatch):
+        # record each block's per-draw values as uq_monte_carlo reduces them
+        blocks = {"max_elevation": [], "mcil": []}
+
+        def recording(name, func):
+            def wrapped(*args):
+                blocks[name].append(func(*args))
+                return blocks[name][-1]
+            return wrapped
+
+        for name, func in (("max_elevation", max_elevation), ("mcil", mcil)):
+            monkeypatch.setattr(f"opemu.analysis.{name}", recording(name, func))
         result = uq_monte_carlo(toy_model, default_beta(), n=n, seed=6, level=0.9)
         series = [toy_model.predict(row) for row in sample_beta(default_beta(), n, 6)]
         max_vals = np.array([max_elevation(s) for s in series])
         mcil_vals = np.array([mcil(s, 0.9) for s in series])
-        assert np.allclose(result.max_values, max_vals, rtol=1e-12, atol=0.0)
-        assert np.allclose(result.mcil_values, mcil_vals, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.concatenate(blocks["max_elevation"]), max_vals,
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(np.concatenate(blocks["mcil"]), mcil_vals, rtol=1e-12, atol=0.0)
         for summary, values in ((result.max_elevation, max_vals),
                                 (result.mean_ci_length, mcil_vals)):
             expected = np.quantile(values, np.array(summary.levels) / 100.0)

@@ -20,6 +20,7 @@ from opemu import (
     toy_training_set,
 )
 from opemu.design import DesignSpace
+from opemu.kernels import input_correlation_matrix, output_correlation_matrix
 
 
 def small_problem(n=2, q=3, seed=0, k=3, freqs=(0.25, 0.5)):
@@ -341,19 +342,22 @@ class TestCredibleInterval:
 
 
 class TestSerialization:
-    def test_round_trip_preserves_predictions(self, wave_space, tmp_path):
+    @pytest.mark.parametrize("exponent, jitter", [(1.5, 1e-8), (2.0, 1e-6)])
+    def test_round_trip_preserves_predictions(self, wave_space, tmp_path, exponent, jitter):
         design = lhd(6, wave_space, 11)
         grid = np.round(0.5 * np.arange(8), 12)
         train = toy_training_set(design, grid)
         model = fit(
             NigPrior(77, 0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
-            KernelSpec((1.0, 0.5, 0.8), 1.0), train,
+            KernelSpec((1.0, 0.5, 0.8), 1.0, exponent), train, jitter,
         )
         path = tmp_path / "model.json"
         save_model(model, str(path), meta={"seed": 11})
         loaded = load_model(str(path))
         assert loaded.training_fingerprint == model.training_fingerprint
+        assert loaded.kernel == model.kernel
+        assert loaded.jitter == model.jitter
         # load_model builds the same factors as fit, so predictions agree bit for bit
         r = [-0.5, 1.2, 2.7]
         a, b = model.predict(r), loaded.predict(r)
@@ -365,6 +369,30 @@ class TestSerialization:
             a, b = model.predict_many(R, times), loaded.predict_many(R, times)
             assert np.array_equal(a.location, b.location)
             assert np.array_equal(a.scale, b.scale)
+
+    @pytest.mark.parametrize("source", ["fit", "load_model"])
+    def test_core_is_the_one_holder(self, wave_space, tmp_path, source):
+        design = lhd(5, wave_space, 3)
+        train = toy_training_set(design, np.round(0.5 * np.arange(6), 12))
+        model = fit(NigPrior(77, 0.05, 3.0, 0.1), InputBasis(wave_space), OutputBasis(),
+                    KernelSpec((1.0, 0.5, 0.8), 1.0, 2.0), train, 1e-6)
+        if source == "load_model":
+            save_model(model, str(tmp_path / "model.json"))
+            model = load_model(str(tmp_path / "model.json"))
+        for name in ("kernel", "jitter", "time_grid", "output_basis", "design"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, getattr(model, name))
+        core, time = model._core, model._core.time
+        assert core.design is model.design
+        assert time.kernel is model.kernel and time.jitter == model.jitter
+        assert time.grid is model.time_grid and time.output_basis is model.output_basis
+        # the factors were computed from exactly these facts
+        pts, grid = model.design.points, model.time_grid
+        assert np.array_equal(core.Kr, input_correlation_matrix(pts, pts, model.kernel)
+                              + model.jitter * np.eye(len(pts)))
+        assert np.array_equal(time.Ks, output_correlation_matrix(grid, grid, model.kernel)
+                              + model.jitter * np.eye(grid.size))
+        assert np.array_equal(time.Gs, model.output_basis.evaluate_many(grid))
 
     def _saved_doc(self, wave_space, tmp_path):
         design = lhd(5, wave_space, 12)

@@ -255,6 +255,17 @@ class TestOptimizer:
         scale = train.n * train.q / (2.0 * state.tau)
         assert abs(state.gradient[-1]) <= 1e-12 * scale
 
+    def test_kernel_spec_keeps_the_searched_exponent(self):
+        train, ib, ob = synthetic_from_kernel(
+            6, 8, (0.4, 0.4, 0.4, 1.0), tau=1.0, sigma2=0.1, seed=9
+        )
+        state = optimize_correlation_lengths(train, ib, ob, 0.1, restarts=1, seed=0,
+                                             exponent=2.0)
+        assert state.kernel_spec().exponent == 2.0
+        assert state.kernel_spec(2.0) == state.kernel_spec()
+        with pytest.raises(ValueError, match="exponent 2.0, not 1.5"):
+            state.kernel_spec(1.5)
+
     def test_zero_outputs_rejected(self):
         # tau_hat would be 0: the profiled likelihood has no maximum
         train, ib, ob = random_instance(n=4, q=5, seed=3)
