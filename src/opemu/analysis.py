@@ -71,13 +71,19 @@ class SweepSpec:
 
 @dataclass
 class SweepCurve:
-    """Sweep result: the varied values and per-point summary statistics."""
+    """Sweep result: the varied values and per-point summary statistics.
 
-    dim: int
+    One emulator evaluation per value, so :attr:`n_evaluations` is
+    ``values.size``.
+    """
+
     values: np.ndarray
     max_elev: np.ndarray
     mean_ci_length: np.ndarray
-    n_evaluations: int
+
+    @property
+    def n_evaluations(self) -> int:
+        return self.values.size
 
 
 def sensitivity_sweep(
@@ -105,13 +111,7 @@ def sensitivity_sweep(
         series = model.predict(point)
         maxima[i] = max_elevation(series)
         widths[i] = mcil(series, level)
-    return SweepCurve(
-        dim=spec.dim,
-        values=values,
-        max_elev=maxima,
-        mean_ci_length=widths,
-        n_evaluations=int(spec.resolution),
-    )
+    return SweepCurve(values, maxima, widths)
 
 
 @dataclass(frozen=True)
@@ -150,21 +150,23 @@ def sample_beta(spec: BetaInputSpec, n: int, seed: int) -> np.ndarray:
 
 @dataclass
 class QuantileSummary:
-    """Empirical percentiles of one scalar statistic over the MC samples."""
+    """Empirical percentiles of one scalar statistic over the MC samples.
+
+    ``values`` holds one entry per level of ``QUANTILE_LEVELS``.
+    """
 
     statistic: str
-    levels: tuple
     values: np.ndarray
-    n_samples: int
-    seed: int
 
 
 @dataclass
 class UqResult:
     """Monte-Carlo summaries plus two health counts.
 
-    ``extrapolated`` counts the draws outside the design box; ``clamped``
-    counts the predictive variance entries clipped up to zero.
+    The summaries are at ``QUANTILE_LEVELS``, over the ``len(samples)``
+    input draws made from ``seed``. ``extrapolated`` counts the draws
+    outside the design box; ``clamped`` counts the predictive variance
+    entries clipped up to zero.
     """
 
     max_elevation: QuantileSummary
@@ -172,6 +174,7 @@ class UqResult:
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
     samples: np.ndarray
+    seed: int
     extrapolated: int
     clamped: int
 
@@ -211,27 +214,14 @@ def uq_monte_carlo(
         clamped += int(np.sum(batch.clamped))
 
     probs = np.array(QUANTILE_LEVELS) / 100.0
-    max_summary = QuantileSummary(
-        statistic="max-elevation",
-        levels=QUANTILE_LEVELS,
-        values=np.quantile(max_vals, probs),
-        n_samples=n,
-        seed=seed,
-    )
-    mcil_summary = QuantileSummary(
-        statistic="mean-CI-length",
-        levels=QUANTILE_LEVELS,
-        values=np.quantile(mcil_vals, probs),
-        n_samples=n,
-        seed=seed,
-    )
     counts, edges = np.histogram(max_vals, bins=bins)
     return UqResult(
-        max_elevation=max_summary,
-        mean_ci_length=mcil_summary,
+        max_elevation=QuantileSummary("max-elevation", np.quantile(max_vals, probs)),
+        mean_ci_length=QuantileSummary("mean-CI-length", np.quantile(mcil_vals, probs)),
         histogram_edges=edges,
         histogram_counts=counts,
         samples=inputs,
+        seed=seed,
         extrapolated=extrapolated,
         clamped=clamped,
     )
@@ -246,7 +236,7 @@ def save_sweep_csv(curve: SweepCurve, name: str, path: str, meta=None):
 
 
 def save_quantiles_csv(result: UqResult, path: str, meta=None):
-    header = ["statistic"] + [f"p{v:g}" for v in result.max_elevation.levels]
+    header = ["statistic"] + [f"p{v:g}" for v in QUANTILE_LEVELS]
     rows = [[summary.statistic, *summary.values]
             for summary in (result.max_elevation, result.mean_ci_length)]
     write_csv(path, header, rows, meta)
@@ -255,11 +245,11 @@ def save_quantiles_csv(result: UqResult, path: str, meta=None):
 def save_quantiles_json(result: UqResult, path: str, meta=None):
     doc = {
         "meta": meta or {},
-        "levels_percent": list(result.max_elevation.levels),
+        "levels_percent": list(QUANTILE_LEVELS),
         "max_elevation": result.max_elevation.values.tolist(),
         "mean_ci_length": result.mean_ci_length.values.tolist(),
-        "n_samples": result.max_elevation.n_samples,
-        "seed": result.max_elevation.seed,
+        "n_samples": len(result.samples),
+        "seed": result.seed,
         "extrapolated": result.extrapolated,
         "clamped": result.clamped,
     }

@@ -20,6 +20,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import __version__
 from .analysis import (
+    QUANTILE_LEVELS,
     save_histogram_csv,
     save_quantiles_csv,
     save_quantiles_json,
@@ -121,9 +122,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     prior_cfg, kernel_cfg = cfg.raw["prior"], cfg.raw["kernel"]
 
     if prior_cfg["sigma2"] is not None:
-        size = ib.size * ob.size
         est = HyperparamEstimate(
-            size=size,
             sigma2=prior_cfg["sigma2"],
             dof=prior_cfg["dof"],
             scale=prior_cfg["scale"],
@@ -190,8 +189,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     meta = cfg.meta(_design_seed(cfg, args))
     save_report_json(report, os.path.join(reports_dir, "loo_report.json"), meta)
     for diag in report.diagnostics:
-        save_fold_csv(diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"),
-                      meta, level)
+        save_fold_csv(diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"), meta)
     print(f"leave-one-out: {len(report.diagnostics)}/{train.n} folds completed")
     print(f"pooled {level:.0%} coverage: {report.pooled_coverage:.4f}")
     print(f"corr(MED, RMSE)={report.corr_med_rmse:.4f} "
@@ -265,8 +263,8 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     save_quantiles_csv(result, os.path.join(reports_dir, "uq_quantiles.csv"), meta)
     save_quantiles_json(result, os.path.join(reports_dir, "uq_quantiles.json"), meta)
     save_histogram_csv(result, os.path.join(reports_dir, "uq_histogram.csv"), meta)
-    header = " ".join(f"p{v:g}" for v in result.max_elevation.levels)
-    print(f"{result.max_elevation.n_samples} samples, percentiles: {header}")
+    header = " ".join(f"p{v:g}" for v in QUANTILE_LEVELS)
+    print(f"{len(result.samples)} samples, percentiles: {header}")
     for summary in (result.max_elevation, result.mean_ci_length):
         values = " ".join(f"{v:.4g}" for v in summary.values)
         print(f"{summary.statistic}: {values}")

@@ -59,16 +59,17 @@ _PRECISION = "the posterior precision matrix"
 class NigPrior:
     """Zero-mean Normal--Inverse-Gamma prior with coefficient scale V = sigma2 * I.
 
+    The prior has no size of its own: V takes its dimension nu = nu_r * nu_s
+    from the bases it is fitted with.
+
     Parameters
     ----------
-    size : number of coefficients nu.
     sigma2 : prior coefficient variance multiplier, V = sigma2 * I.
     dof : degrees of freedom a > 0.
     scale : tau scale d > 0.
     """
 
-    def __init__(self, size: int, sigma2: float, dof: float, scale: float):
-        self.size = int(size)
+    def __init__(self, sigma2: float, dof: float, scale: float):
         self.sigma2 = float(sigma2)
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be strictly positive")
@@ -274,11 +275,13 @@ class OpeModel:
     """A fitted emulator: posterior state plus the shared solver factors.
 
     The model owns the input basis, the prior and the posterior (coefficient
-    mean, dof, scale, residual weights) with the training fingerprint. The
+    mean, scale, residual weights) with the training fingerprint. The
     rest it reads from its core: ``design`` from the :class:`_KronEigen`,
     and ``output_basis``, ``kernel``, ``jitter`` and ``time_grid`` from
     the core's :class:`_TimeFactor`. They are read-only, so the model
-    cannot hold a kernel or grid that its core did not compute with.
+    cannot hold a kernel or grid that its core did not compute with. The
+    posterior ``dof`` a + n*q is derived from the prior and the core, once;
+    :func:`load_model` rejects a file whose stored dof differs from it.
     The posterior coefficient scale matrix is not stored: :attr:`coeff_cov`
     rebuilds it from the factors on first access. :meth:`predict` and
     :meth:`predict_many` are pure apart from caching the time-side factors
@@ -291,13 +294,14 @@ class OpeModel:
     """
 
     def __init__(self, input_basis: InputBasis, prior: NigPrior, core: _KronEigen,
-                 coeff_mean: np.ndarray, dof: float, scale: float,
+                 coeff_mean: np.ndarray, scale: float,
                  residual_weights: np.ndarray, training_fingerprint: str):
         self.input_basis = input_basis
         self.prior = prior
         self._core = core
         self.coeff_mean = np.asarray(coeff_mean, dtype=float).ravel()
-        self.dof = float(dof)
+        # an attribute, not a property: every predict reads it
+        self.dof = prior.dof + core.design.n * core.time.grid.size
         self.scale = float(scale)
         self.residual_weights = np.asarray(residual_weights, dtype=float)
         self.training_fingerprint = training_fingerprint
@@ -423,9 +427,6 @@ def fit(
     so it must match the ``kernel``, ``jitter`` and ``output_basis``
     arguments; :func:`~opemu.validation.loo` is its one caller.
     """
-    nu = input_basis.size * output_basis.size
-    if prior.size != nu:
-        raise ValueError(f"prior has {prior.size} coefficients, bases imply {nu}")
     if train.design.space.k != input_basis.space.k:
         raise ValueError("training design dimension does not match the input basis")
 
@@ -441,10 +442,7 @@ def fit(
     R = F - Gr @ coeff @ Gs.T
     W = core.whiten(R)
     post_scale = float(prior.scale + np.sum(R * W) + np.sum(coeff * coeff) / prior.sigma2)
-    post_dof = prior.dof + train.n * train.q
-
-    return OpeModel(input_basis, prior, core, coeff.ravel(), post_dof, post_scale, W,
-                    train.fingerprint())
+    return OpeModel(input_basis, prior, core, coeff.ravel(), post_scale, W, train.fingerprint())
 
 
 # -- serialization -----------------------------------------------------
@@ -493,8 +491,10 @@ def load_model(path: str) -> OpeModel:
     """Read a model written by :func:`save_model`; rebuilds solver factors.
 
     Raises :class:`DataError` naming the key when a required key is missing,
-    a number is not finite (JSON's ``NaN`` and ``Infinity``) or an array's
-    shape does not match the design, the time grid and the bases. A
+    a number is not finite (JSON's ``NaN`` and ``Infinity``), an array's
+    shape does not match the design, the time grid and the bases, the time
+    grid is not strictly increasing, or ``posterior.dof`` is not the
+    a + n*q that the prior, design and grid imply. A
     ``posterior.coeff_cov`` stored by older versions is ignored, and so is
     their ``prior.mean`` when it is all zero; a non-zero one is rejected,
     since the prior is zero-mean.
@@ -539,6 +539,8 @@ def load_model(path: str) -> OpeModel:
                             names=tuple(get("space.names", None)))
         points = get("design.points", (None, space.k))
         grid = get("time_grid", (None,))
+        if not np.all(np.diff(grid) > 0):
+            raise DataError("'time_grid' is not strictly increasing")
         design = Design(points=points, unit_points=space.to_unit(points), space=space,
                         seed=int(doc["design"].get("seed", 0)))
         input_basis = InputBasis(space)
@@ -550,13 +552,15 @@ def load_model(path: str) -> OpeModel:
         kernel = KernelSpec(input_lengths=tuple(get("kernel.input_lengths", (space.k,))),
                             output_length=get("kernel.output_length"),
                             exponent=get("kernel.exponent"))
-        prior = NigPrior(nu[0], get("prior.sigma2"), get("prior.dof"), get("prior.scale"))
+        prior = NigPrior(get("prior.sigma2"), get("prior.dof"), get("prior.scale"))
         Gr, Gs = regressor_matrices(design, grid, input_basis, output_basis)
         time = _TimeFactor(grid, output_basis, kernel, get("jitter"), Gs)
-        return OpeModel(input_basis, prior, _KronEigen(design, Gr, time, prior.sigma2),
-                        get("posterior.coeff_mean", nu), get("posterior.dof"),
-                        get("posterior.scale"),
-                        get("residual_weights", (points.shape[0], grid.size)),
-                        doc.get("training_fingerprint", ""))
+        model = OpeModel(input_basis, prior, _KronEigen(design, Gr, time, prior.sigma2),
+                         get("posterior.coeff_mean", nu), get("posterior.scale"),
+                         get("residual_weights", (points.shape[0], grid.size)),
+                         doc.get("training_fingerprint", ""))
+        if get("posterior.dof") != model.dof:
+            raise DataError(f"'posterior.dof' is not {model.dof!r}, the prior dof + n*q")
+        return model
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -72,14 +72,13 @@ class MarginalLikelihoodState:
 class HyperparamEstimate:
     """Moment-matched NIG hyperparameters (or user-supplied overrides)."""
 
-    size: int
     sigma2: float
     dof: float
     scale: float
     provenance: str = "estimated"
 
     def to_prior(self) -> NigPrior:
-        return NigPrior(self.size, self.sigma2, self.dof, self.scale)
+        return NigPrior(self.sigma2, self.dof, self.scale)
 
 
 class _Workspace:
@@ -382,7 +381,6 @@ def estimate_hyperparams(
     sigma2 = split * pooled_var * (dof - 2.0) / (dof * g2)
     scale = (1.0 - split) * pooled_var * (dof - 2.0)
     return HyperparamEstimate(
-        size=input_basis.size * output_basis.size,
         sigma2=sigma2,
         dof=float(dof),
         scale=scale,

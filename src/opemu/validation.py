@@ -51,12 +51,14 @@ def med(design: Design) -> np.ndarray:
 
 @dataclass
 class LooDiagnostic:
-    """One fold: held-out observations vs the refitted emulator's prediction."""
+    """One fold: held-out observations vs the refitted emulator's prediction,
+    with its credible interval (``lower``, ``upper``) at ``level``, per time."""
 
     index: int
     observed: np.ndarray
     series: Predictive
-    lower: np.ndarray  # credible interval at the report's level, per time
+    level: float
+    lower: np.ndarray
     upper: np.ndarray
     rmse: float
     mcil: float
@@ -126,6 +128,7 @@ def loo(
             index=i,
             observed=observed,
             series=series,
+            level=level,
             lower=lo,
             upper=hi,
             rmse=rmse(observed, series.location),
@@ -161,13 +164,13 @@ def loo(
 # -- exports -------------------------------------------------------------
 
 
-def save_fold_csv(diag: LooDiagnostic, path: str, meta=None, level: float = 0.95):
+def save_fold_csv(diag: LooDiagnostic, path: str, meta=None):
     """Per-fold series for external plotting: observed vs predictive band.
 
-    ``level`` is the band's credible level, which names its columns
-    (``lo95,hi95`` at 0.95).
+    The band's own level, ``diag.level``, names its columns (``lo95,hi95``
+    at 0.95).
     """
-    write_csv(path, ("time", "observed", "location", *interval_columns(level)),
+    write_csv(path, ("time", "observed", "location", *interval_columns(diag.level)),
               zip(diag.series.times, diag.observed, diag.series.location,
                   diag.lower, diag.upper), meta)
 

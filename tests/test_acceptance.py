@@ -36,6 +36,7 @@ from opemu import (
     toy_training_set,
     uq_monte_carlo,
 )
+from opemu.analysis import QUANTILE_LEVELS
 from opemu.config import RunConfig
 from opemu.kernels import input_correlation_matrix, output_correlation_matrix
 from opemu.validation import loo
@@ -167,7 +168,7 @@ def test_criterion_03_structured_vs_dense():
             kern = KernelSpec((1.1, 0.6, 0.9), 1.0)
             sigma2, tau, a, d = 0.25, 0.15, 3.0, 0.5
             nu = ib.size * ob.size
-            prior = NigPrior(nu, sigma2, a, d)
+            prior = NigPrior(sigma2, a, d)
 
             K, Q = reference.dense_matrices(
                 design.points, grid, space.bounds, ob.frequencies,
@@ -201,7 +202,7 @@ def test_criterion_03_structured_vs_dense():
 
             # fit + predict
             mn, Vn, an, dn = reference.dense_fit(F, K, Q, np.zeros(nu),
-                                                 prior.sigma2 * np.eye(prior.size), a, d)
+                                                 prior.sigma2 * np.eye(nu), a, d)
             model = fit(prior, ib, ob, kern, train, JITTER)
             worst = max(worst, np.abs(model.coeff_mean - mn).max() / (1 + np.abs(mn).max()))
             worst = max(worst, np.abs(model.coeff_cov - Vn).max())
@@ -352,7 +353,8 @@ def test_criterion_08_uq_pipeline_shape(paper_pipeline):
     elapsed = time.perf_counter() - t0
     repeat = uq_monte_carlo(model, spec, n=1000, seed=7)
     ok = (
-        result.max_elevation.levels == (1.0, 5.0, 50.0, 95.0, 99.0)
+        QUANTILE_LEVELS == (1.0, 5.0, 50.0, 95.0, 99.0)
+        and len(result.samples) == 1000
         and result.max_elevation.values.size == 5
         and result.mean_ci_length.values.size == 5
         and np.all(np.diff(result.max_elevation.values) >= 0)

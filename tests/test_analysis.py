@@ -26,6 +26,7 @@ from opemu import (
     uq_monte_carlo,
 )
 from opemu.analysis import (
+    QUANTILE_LEVELS,
     UQ_BLOCK,
     save_histogram_csv,
     save_quantiles_csv,
@@ -77,7 +78,7 @@ def toy_model():
     grid = np.round(0.25 * np.arange(61), 12)
     train = toy_training_set(design, grid)
     ib, ob = InputBasis(space), OutputBasis()
-    prior = NigPrior(77, 0.01, 3.0, 0.1)
+    prior = NigPrior(0.01, 3.0, 0.1)
     kern = KernelSpec((2.0, 1.0, 0.6), 1.5)
     return fit(prior, ib, ob, kern, train)
 
@@ -171,8 +172,8 @@ def default_beta():
 class TestUqMonteCarlo:
     def test_table_shape_and_monotonicity(self, toy_model):
         result = uq_monte_carlo(toy_model, default_beta(), n=300, seed=9)
+        assert QUANTILE_LEVELS == (1.0, 5.0, 50.0, 95.0, 99.0)
         for summary in (result.max_elevation, result.mean_ci_length):
-            assert summary.levels == (1.0, 5.0, 50.0, 95.0, 99.0)
             assert summary.values.size == 5
             assert np.all(np.diff(summary.values) >= 0)
 
@@ -223,7 +224,7 @@ class TestUqMonteCarlo:
         assert np.allclose(np.concatenate(blocks["mcil"]), mcil_vals, rtol=1e-12, atol=0.0)
         for summary, values in ((result.max_elevation, max_vals),
                                 (result.mean_ci_length, mcil_vals)):
-            expected = np.quantile(values, np.array(summary.levels) / 100.0)
+            expected = np.quantile(values, np.array(QUANTILE_LEVELS) / 100.0)
             assert np.allclose(summary.values, expected, rtol=1e-12, atol=0.0)
         assert result.clamped == sum(s.clamped for s in series)
         assert result.extrapolated == 0
@@ -243,6 +244,8 @@ class TestUqMonteCarlo:
         doc = json.loads(path.read_text())
         assert doc["extrapolated"] == outside
         assert doc["clamped"] == result.clamped
+        assert (doc["levels_percent"], doc["n_samples"], doc["seed"]) == (
+            list(QUANTILE_LEVELS), 400, 2)
 
     def test_exports(self, toy_model, tmp_path):
         result = uq_monte_carlo(toy_model, default_beta(), n=150, seed=8)

@@ -272,10 +272,21 @@ def test_wrong_kind_exit_2_naming_the_key(tmp_path, capsys, key, override):
     assert not (tmp_path / "d.csv").exists()
 
 
-def test_readme_config_sketch_loads():
+def _readme_block(heading, lang):
+    """The first ```lang block of README.md under ``heading``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    sketch = readme.split("### Config sketch", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-    RunConfig(json.loads(sketch))
+    return readme.split(heading, 1)[1].split(f"```{lang}", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_sketch_loads():
+    RunConfig(json.loads(_readme_block("### Config sketch", "json")))
+
+
+def test_readme_library_example_runs():
+    # as written, so a changed signature cannot leave the example stale
+    namespace = {}
+    exec(compile(_readme_block("## Library example", "python"), "README.md", "exec"), namespace)
+    assert namespace["batch"].location.shape == (5, 176)
 
 
 class TestExitCodes:

@@ -41,7 +41,7 @@ class TestFitAgainstDenseOracle:
         jitter = 1e-8
         sigma2, a, d = 0.3, 3.0, 0.4
         nu = ib.size * ob.size
-        prior = NigPrior(nu, sigma2, a, d)
+        prior = NigPrior(sigma2, a, d)
         model = fit(prior, ib, ob, kern, train, jitter)
 
         K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
@@ -59,12 +59,12 @@ class TestFitAgainstDenseOracle:
         train, ib, ob, kern = small_problem(n=n, q=q, seed=seed)
         jitter = 1e-8
         nu = ib.size * ob.size
-        prior = NigPrior(nu, 0.25, 3.0, 0.5)
+        prior = NigPrior(0.25, 3.0, 0.5)
         model = fit(prior, ib, ob, kern, train, jitter)
 
         K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
-            train.outputs, K, Q, np.zeros(nu), prior.sigma2 * np.eye(prior.size), prior.dof,
+            train.outputs, K, Q, np.zeros(nu), prior.sigma2 * np.eye(nu), prior.dof,
             prior.scale
         )
         assert np.abs(model.coeff_mean - mn).max() < 1e-8 * (1 + np.abs(mn).max())
@@ -83,7 +83,7 @@ class TestFitAgainstDenseOracle:
 
     def test_positive_posterior_scalars(self):
         train, ib, ob, kern = small_problem(n=3, q=4, seed=5)
-        prior = NigPrior(ib.size * ob.size, 0.1, 3.0, 0.2)
+        prior = NigPrior(0.1, 3.0, 0.2)
         model = fit(prior, ib, ob, kern, train)
         assert model.dof > 0
         assert model.scale > 0
@@ -91,14 +91,9 @@ class TestFitAgainstDenseOracle:
     def test_zero_data_zero_posterior_mean(self):
         train, ib, ob, kern = small_problem(n=3, q=4, seed=2)
         train = TrainingSet(train.design, train.time_grid, np.zeros_like(train.outputs))
-        prior = NigPrior(ib.size * ob.size, 0.1, 3.0, 0.2)
+        prior = NigPrior(0.1, 3.0, 0.2)
         model = fit(prior, ib, ob, kern, train)
         assert np.abs(model.coeff_mean).max() == 0.0
-
-    def test_dimension_mismatch(self):
-        train, ib, ob, kern = small_problem()
-        with pytest.raises(ValueError, match="coefficients"):
-            fit(NigPrior(5, 0.1, 3.0, 0.2), ib, ob, kern, train)
 
 
 class TestPredictionBehavior:
@@ -107,7 +102,7 @@ class TestPredictionBehavior:
         grid = np.round(0.5 * np.arange(9), 12)
         train = toy_training_set(design, grid)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(0.05, 3.0, 0.1)
         jitter = 1e-8
         model = fit(prior, ib, ob, KernelSpec((1.0, 0.5, 0.8), 1.0), train, jitter)
         std = train.outputs.std()
@@ -126,7 +121,7 @@ class TestPredictionBehavior:
         grid = np.round(0.5 * np.arange(7), 12)
         train = toy_training_set(design, grid)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(0.05, 3.0, 0.1)
         kern = KernelSpec((1e-3, 1e-3, 1e-3), 1.0)
         model = fit(prior, ib, ob, kern, train)
         r = np.array([-0.987, 1.456, 2.345])  # not close to any design point
@@ -141,7 +136,7 @@ class TestPredictionBehavior:
         grid = np.round(0.5 * np.arange(5), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior(77, 0.05, 3.0, 0.1),
+            NigPrior(0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.0, 0.5, 0.8), 1.0), train,
         )
@@ -153,7 +148,7 @@ class TestPredictionBehavior:
         # adding a training run at the prediction site shrinks its scale
         grid = np.round(0.5 * np.arange(7), 12)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(0.05, 3.0, 0.1)
         kern = KernelSpec((1.0, 0.5, 0.8), 1.0)
         design = lhd(5, wave_space, 7)
         train = toy_training_set(design, grid)
@@ -173,7 +168,7 @@ class TestPredictionBehavior:
     def test_dof_grows_by_q_per_point(self, wave_space):
         grid = np.round(0.5 * np.arange(7), 12)
         ib, ob = InputBasis(wave_space), OutputBasis()
-        prior = NigPrior(77, 0.05, 3.0, 0.1)
+        prior = NigPrior(0.05, 3.0, 0.1)
         kern = KernelSpec((1.0, 0.5, 0.8), 1.0)
         m5 = fit(prior, ib, ob, kern, toy_training_set(lhd(5, wave_space, 1), grid))
         m6 = fit(prior, ib, ob, kern, toy_training_set(lhd(6, wave_space, 1), grid))
@@ -184,7 +179,7 @@ class TestPredictionBehavior:
         grid = np.round(0.2 * np.arange(30), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior(77, 0.05, 3.0, 0.1),
+            NigPrior(0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.5, 0.8, 1.2), 1.5), train,
         )
@@ -202,11 +197,11 @@ class TestPredictMany:
         train, ib, ob, kern = small_problem(n=n, q=q, seed=seed)
         jitter = 1e-8
         nu = ib.size * ob.size
-        prior = NigPrior(nu, 0.25, 3.0, 0.5)
+        prior = NigPrior(0.25, 3.0, 0.5)
         model = fit(prior, ib, ob, kern, train, jitter)
         K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
         mn, Vn, an, dn = reference.dense_fit(
-            train.outputs, K, Q, np.zeros(nu), prior.sigma2 * np.eye(prior.size), prior.dof,
+            train.outputs, K, Q, np.zeros(nu), prior.sigma2 * np.eye(nu), prior.dof,
             prior.scale
         )
         space = train.design.space
@@ -230,7 +225,7 @@ class TestPredictMany:
         grid = np.round(0.2 * np.arange(30), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior(77, 0.05, 3.0, 0.1),
+            NigPrior(0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.5, 0.8, 1.2), 1.5), train,
         )
@@ -263,7 +258,7 @@ class TestPredictMany:
         design = lhd(10, wave_space, 4)
         grid = np.round(0.2 * np.arange(30), 12)
         model = fit(
-            NigPrior(77, 0.05, 3.0, 0.1),
+            NigPrior(0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.5, 0.8, 1.2), 1.5), toy_training_set(design, grid),
         )
@@ -291,7 +286,7 @@ class TestPredictMany:
         grid = np.round(0.25 * np.arange(24), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior(77, 0.05, 3.0, 0.1),
+            NigPrior(0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.5, 0.8, 1.2), 1.5), train, jitter=0.0,
         )
@@ -348,7 +343,7 @@ class TestSerialization:
         grid = np.round(0.5 * np.arange(8), 12)
         train = toy_training_set(design, grid)
         model = fit(
-            NigPrior(77, 0.05, 3.0, 0.1),
+            NigPrior(0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.0, 0.5, 0.8), 1.0, exponent), train, jitter,
         )
@@ -374,7 +369,7 @@ class TestSerialization:
     def test_core_is_the_one_holder(self, wave_space, tmp_path, source):
         design = lhd(5, wave_space, 3)
         train = toy_training_set(design, np.round(0.5 * np.arange(6), 12))
-        model = fit(NigPrior(77, 0.05, 3.0, 0.1), InputBasis(wave_space), OutputBasis(),
+        model = fit(NigPrior(0.05, 3.0, 0.1), InputBasis(wave_space), OutputBasis(),
                     KernelSpec((1.0, 0.5, 0.8), 1.0, 2.0), train, 1e-6)
         if source == "load_model":
             save_model(model, str(tmp_path / "model.json"))
@@ -386,6 +381,7 @@ class TestSerialization:
         assert core.design is model.design
         assert time.kernel is model.kernel and time.jitter == model.jitter
         assert time.grid is model.time_grid and time.output_basis is model.output_basis
+        assert model.dof == model.prior.dof + model.design.n * model.time_grid.size
         # the factors were computed from exactly these facts
         pts, grid = model.design.points, model.time_grid
         assert np.array_equal(core.Kr, input_correlation_matrix(pts, pts, model.kernel)
@@ -398,7 +394,7 @@ class TestSerialization:
         design = lhd(5, wave_space, 12)
         train = toy_training_set(design, np.round(0.5 * np.arange(6), 12))
         model = fit(
-            NigPrior(77, 0.05, 3.0, 0.1),
+            NigPrior(0.05, 3.0, 0.1),
             InputBasis(wave_space), OutputBasis(),
             KernelSpec((1.0, 0.5, 0.8), 1.0), train,
         )
@@ -458,6 +454,25 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=key.replace(".", r"\.") + ".*non-finite"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("key, edit", [
+        ("posterior.dof", lambda doc: doc["posterior"].update(dof=3.0)),  # not a + n*q
+        ("time_grid", lambda doc: doc["time_grid"].reverse()),
+    ], ids=["posterior.dof", "time_grid"])
+    def test_inconsistent_value_names_key(self, wave_space, tmp_path, key, edit):
+        from opemu.cli import main
+        from opemu.errors import DataError
+
+        _, path, doc = self._saved_doc(wave_space, tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"'{key}'"):
+            load_model(str(path))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"paths": {"model": str(path)}}))
+        assert main(["predict", "--config", str(cfg), "--point=-0.5,1.2,2.7",
+                     "--out", str(tmp_path / "p.csv")]) == 3
+        assert not (tmp_path / "p.csv").exists()
 
     def test_wrong_shape_names_key(self, wave_space, tmp_path):
         from opemu.errors import DataError

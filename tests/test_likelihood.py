@@ -311,7 +311,7 @@ class TestFitSharesTheSearchModel:
         ib, ob = wave_bases
         train = toy_training_set(lhd(n, wave_space, 3), np.round(0.2 * np.arange(176), 12))
         sigma2, jitter = 0.05, 1e-8
-        prior = NigPrior(ib.size * ob.size, sigma2, 3.0, 0.1)
+        prior = NigPrior(sigma2, 3.0, 0.1)
         model = fit(prior, ib, ob, KernelSpec(lengths[:-1], lengths[-1]), train, jitter)
         _, _, tau_hat = _Workspace(train, ib, ob, sigma2, 1.5, jitter).evaluate(lengths)
         nq = train.n * train.q
@@ -322,8 +322,7 @@ class TestHyperparamEstimation:
     def test_override_is_echoed(self):
         from opemu.likelihood import HyperparamEstimate
 
-        est = HyperparamEstimate(size=77, sigma2=0.257, dof=3.0, scale=0.208,
-                                 provenance="user-override")
+        est = HyperparamEstimate(sigma2=0.257, dof=3.0, scale=0.208, provenance="user-override")
         prior = est.to_prior()
         assert prior.sigma2 == 0.257
         assert prior.scale == 0.208

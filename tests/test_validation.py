@@ -106,7 +106,7 @@ def _fit_inputs(space, n=8, seed=3, q=13):
     grid = np.round(0.5 * np.arange(q), 12)
     train = toy_training_set(design, grid)
     ib, ob = InputBasis(space), OutputBasis()
-    prior = NigPrior(ib.size * ob.size, 0.05, 3.0, 0.1)
+    prior = NigPrior(0.05, 3.0, 0.1)
     kern = KernelSpec((1.0, 0.5, 0.8), 1.0)
     return train, ib, ob, kern, prior
 
@@ -185,8 +185,9 @@ class TestLoo:
         subset = _without(train, i)
         jitter = 1e-8
         K, Q = reference.dense_problem(subset, ib, ob, kern, jitter)
-        posterior = reference.dense_fit(subset.outputs, K, Q, np.zeros(prior.size),
-                                        prior.sigma2 * np.eye(prior.size), prior.dof,
+        nu = ib.size * ob.size
+        posterior = reference.dense_fit(subset.outputs, K, Q, np.zeros(nu),
+                                        prior.sigma2 * np.eye(nu), prior.dof,
                                         prior.scale)
         loc, scale = reference.dense_series(subset, ob, kern, jitter, (K, Q, *posterior),
                                             train.design.points[i], None)
@@ -223,7 +224,7 @@ class TestExports:
         assert len(lines) == 2 + train.q
         # the columns name the level the band was computed at
         report = loo(train, ib, ob, kern, prior, level=0.9)
-        save_fold_csv(report.diagnostics[0], str(path), level=report.level)
+        save_fold_csv(report.diagnostics[0], str(path))
         assert path.read_text().splitlines()[0] == "time,observed,location,lo90,hi90"
 
     def test_report_json(self, wave_space, tmp_path):
