@@ -99,7 +99,13 @@ def regressor_matrices(
     design: Design, time_grid, input_basis: InputBasis, output_basis: OutputBasis
 ) -> tuple:
     """(Gr, Gs): the input basis at the n design points (n x nu_r) and the
-    output basis on the time grid (q x nu_s), the factors of the full set."""
+    output basis on the time grid (q x nu_s), the factors of the full set.
+
+    An input basis over another box than the design's raises ``ValueError``:
+    a fitted model keeps only the design's box, so it would not load back.
+    """
+    if input_basis.space != design.space:
+        raise ValueError("the input basis is over another design space than the design")
     grid = np.asarray(time_grid, dtype=float).ravel()
     if design.points.shape[0] == 0:
         raise ValueError("design has no points")

@@ -139,13 +139,13 @@ class _KronEigen:
     nu_r x nu_s grid. Solves, log|S|, trace terms and predictive variances
     are then elementwise work on that grid; S itself is never formed. The
     time half is ``time``, a :class:`_TimeFactor`, which also holds the
-    kernel and jitter; only the input half (the jittered Kr of ``design``,
-    its Cholesky factor ``chol``, and Gr) is built here.
+    kernel and jitter; only the input half is built here: the jittered Kr
+    of ``design`` and its Cholesky factor ``chol``
+    (:func:`~opemu.kernels.kernel_matrices`), and Gr.
     """
 
     def __init__(self, design: Design, Gr: np.ndarray, time: _TimeFactor, sigma2: float):
-        km = kernel_matrices(design, time.grid, time.kernel, time.jitter, (time.Ks, time.chol))
-        self.Kr, self.chol = km.input_matrix, km.input_chol
+        self.Kr, self.chol = kernel_matrices(design, time.kernel, time.jitter)
         self.design, self.Gr, self.time = design, Gr, time
         self.KrGr = chol_solve(self.chol, Gr)
         try:
@@ -425,11 +425,10 @@ def fit(
     for this training grid, which the fit then shares instead of building
     its own. The model reads its kernel, jitter and output basis from it,
     so it must match the ``kernel``, ``jitter`` and ``output_basis``
-    arguments; :func:`~opemu.validation.loo` is its one caller.
+    arguments; :func:`~opemu.validation.loo` is its one caller. An input
+    basis over another box than the design's, or a kernel with another
+    input-length count than its dimension, raises ``ValueError``.
     """
-    if train.design.space.k != input_basis.space.k:
-        raise ValueError("training design dimension does not match the input basis")
-
     Gr, Gs = regressor_matrices(train.design, train.time_grid, input_basis, output_basis)
     time = _time or _TimeFactor(train.time_grid, output_basis, kernel, jitter, Gs)
     core = _KronEigen(train.design, Gr, time, prior.sigma2)

@@ -52,10 +52,12 @@ def input_correlation_matrix(points_a, points_b, spec: KernelSpec) -> np.ndarray
     """Cross-correlation matrix between two input point sets (no jitter)."""
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
     b = np.atleast_2d(np.asarray(points_b, dtype=float))
-    lengths = np.asarray(spec.input_lengths)
+    if len(spec.input_lengths) != a.shape[1]:
+        raise ValueError(f"the kernel has {len(spec.input_lengths)} input lengths, "
+                         f"the points have {a.shape[1]} coordinates")
     out = np.zeros((a.shape[0], b.shape[0]))
-    for j in range(a.shape[1]):
-        out += (np.abs(a[:, j, None] - b[None, :, j]) / lengths[j]) ** spec.exponent
+    for j, length in enumerate(spec.input_lengths):
+        out += (np.abs(a[:, j, None] - b[None, :, j]) / length) ** spec.exponent
     return np.exp(-out)
 
 
@@ -65,16 +67,6 @@ def output_correlation_matrix(times_a, times_b, spec: KernelSpec) -> np.ndarray:
     tb = np.asarray(times_b, dtype=float).ravel()
     d = np.abs(ta[:, None] - tb[None, :]) / spec.output_length
     return np.exp(-(d ** spec.exponent))
-
-
-@dataclass(frozen=True)
-class KernelMatrices:
-    """Jittered per-factor correlation matrices with cached Cholesky factors."""
-
-    input_matrix: np.ndarray
-    output_matrix: np.ndarray
-    input_chol: tuple
-    output_chol: tuple
 
 
 def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:
@@ -116,37 +108,24 @@ def chol_solve(chol: tuple, B) -> np.ndarray:
 
 
 def output_factor(time_grid, spec: KernelSpec, jitter: float) -> tuple:
-    """The jittered time correlation matrix and its Cholesky factor.
+    """The jittered time correlation matrix Ks and its Cholesky factor.
 
-    The time half of :func:`kernel_matrices`, built alone. It does not
-    depend on the design, so fits on one grid can share it.
+    The time side of K = Kr (x) Ks; :func:`kernel_matrices` builds the input
+    side. It does not depend on the design, so fits on one grid can share
+    it.
     """
     grid = np.asarray(time_grid, dtype=float).ravel()
     Ks = output_correlation_matrix(grid, grid, spec)
     return Ks, _factor(Ks, jitter, "the output correlation matrix")
 
 
-def kernel_matrices(
-    design: Design, time_grid, spec: KernelSpec, jitter: float = DEFAULT_JITTER,
-    output: tuple | None = None,
-) -> KernelMatrices:
-    """Build and factorize both correlation matrices.
+def kernel_matrices(design: Design, spec: KernelSpec, jitter: float = DEFAULT_JITTER) -> tuple:
+    """The jittered input correlation matrix Kr and its Cholesky factor.
 
-    The input and time matrices are factored separately. ``output`` is a
-    prebuilt time factor, the (matrix, Cholesky) pair :func:`output_factor`
-    returns for the same time grid, spec and jitter; when given, only the
-    input matrix is built.
-
-    Raises :class:`NumericalDegeneracyError` naming the offending factor if
-    Cholesky fails even after jitter (e.g. duplicated design points with
-    jitter=0).
+    The input side of K = Kr (x) Ks, over the design points; the time side
+    is :func:`output_factor`. Raises :class:`NumericalDegeneracyError`
+    naming the input factor if Cholesky fails even after jitter (e.g.
+    duplicated design points with jitter=0).
     """
     Kr = input_correlation_matrix(design.points, design.points, spec)
-    input_chol = _factor(Kr, jitter, "the input correlation matrix")
-    Ks, output_chol = output_factor(time_grid, spec, jitter) if output is None else output
-    return KernelMatrices(
-        input_matrix=Kr,
-        output_matrix=Ks,
-        input_chol=input_chol,
-        output_chol=output_chol,
-    )
+    return Kr, _factor(Kr, jitter, "the input correlation matrix")

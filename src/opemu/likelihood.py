@@ -82,20 +82,20 @@ class HyperparamEstimate:
 
 
 class _Workspace:
-    """Caches everything that does not depend on the correlation lengths."""
+    """Caches everything that does not depend on the correlation lengths.
+
+    The outputs, design, grid and sizes are read from ``train`` and the
+    factors where they are used.
+    """
 
     def __init__(self, train, input_basis, output_basis, sigma2, exponent, jitter):
-        self.F = train.outputs
-        self.n, self.q = self.F.shape
-        self.design, self.grid = train.design, train.time_grid
+        self.train = train
         self.output_basis = output_basis
         self.Gr, self.Gs = regressor_matrices(train.design, train.time_grid,
                                               input_basis, output_basis)
-        self.nu = self.Gr.shape[1] * self.Gs.shape[1]
         self.sigma2 = float(sigma2)
         self.exponent = float(exponent)
         self.jitter = float(jitter)
-        self.k = train.design.points.shape[1]
 
     @cached_property
     def gaps_p(self):
@@ -104,9 +104,9 @@ class _Workspace:
         Computed on the first gradient evaluation, so value-only callers
         never pay for them.
         """
-        pts, grid = self.design.points, self.grid
+        pts, grid = self.train.design.points, self.train.time_grid
         out = [np.abs(pts[:, j, None] - pts[None, :, j]) ** self.exponent
-               for j in range(self.k)]
+               for j in range(pts.shape[1])]
         out.append(np.abs(grid[:, None] - grid[None, :]) ** self.exponent)
         return out
 
@@ -117,22 +117,23 @@ class _Workspace:
         """
         lengths = np.asarray(lengths, dtype=float)
         p = self.exponent
-        n, q, nu = self.n, self.q, self.nu
+        F = self.train.outputs
+        n, q = F.shape
 
         spec = KernelSpec(tuple(lengths[:-1]), lengths[-1], p)
-        time = _TimeFactor(self.grid, self.output_basis, spec, self.jitter, self.Gs)
-        core = _KronEigen(self.design, self.Gr, time, self.sigma2)
+        time = _TimeFactor(self.train.time_grid, self.output_basis, spec, self.jitter, self.Gs)
+        core = _KronEigen(self.train.design, self.Gr, time, self.sigma2)
 
-        W0 = core.whiten(self.F)
+        W0 = core.whiten(F)
         b = self.Gr.T @ W0 @ self.Gs
         Z = core.solve(b)
-        quad_K = float(np.sum(self.F * W0))
+        quad_K = float(np.sum(F * W0))
         quad_M = quad_K - float(np.sum(b * Z))
         tau = quad_M / (n * q) if tau is None else float(tau)
 
         ld_r = 2.0 * np.sum(np.log(np.diag(core.chol[0])))
         ld_s = 2.0 * np.sum(np.log(np.diag(time.chol[0])))
-        ld_M = q * ld_r + n * ld_s + nu * math.log(self.sigma2) + core.logdet
+        ld_M = q * ld_r + n * ld_s + core.D.size * math.log(self.sigma2) + core.logdet
 
         value = (
             -0.5 * quad_M / tau
@@ -153,8 +154,8 @@ class _Workspace:
         regr_s, regr_r = core.D @ time.ls, core.lr @ core.D
 
         gaps_p = self.gaps_p
-        grad = np.empty(self.k + 2)
-        for j in range(self.k):
+        grad = np.empty(lengths.size + 1)
+        for j in range(lengths.size - 1):
             dKr = Kr * (p * gaps_p[j] / lengths[j] ** (p + 1))
             term1 = float(np.sum(B * (dKr @ B @ Ks))) / (2.0 * tau)
             x = np.sum(KrGrU * (dKr @ KrGrU), axis=0)
@@ -164,8 +165,8 @@ class _Workspace:
         term1 = float(np.sum(B * (Kr @ B @ dKs))) / (2.0 * tau)
         y = np.sum(KsGsU * (dKs @ KsGsU), axis=0)
         trace = n * float(np.sum(Ks_inv * dKs)) - float(regr_r @ y)
-        grad[self.k] = term1 - 0.5 * trace
-        grad[self.k + 1] = 0.5 * quad_M / tau**2 - 0.5 * n * q / tau
+        grad[-2] = term1 - 0.5 * trace
+        grad[-1] = 0.5 * quad_M / tau**2 - 0.5 * n * q / tau
         return value, grad, tau
 
 
@@ -184,7 +185,7 @@ def log_marginal_likelihood(
     ``lengths`` has k+1 entries: one per input dimension plus the output
     (time) length.
     """
-    _check_positive(lengths, tau, sigma2)
+    _check_positive(tau, sigma2)
     ws = _Workspace(train, input_basis, output_basis, sigma2, exponent, jitter)
     value, _, _ = ws.evaluate(lengths, tau)
     return value
@@ -201,15 +202,14 @@ def log_marginal_likelihood_gradient(
     jitter: float = DEFAULT_JITTER,
 ) -> np.ndarray:
     """Analytic gradient over (input lengths..., output length, tau)."""
-    _check_positive(lengths, tau, sigma2)
+    _check_positive(tau, sigma2)
     ws = _Workspace(train, input_basis, output_basis, sigma2, exponent, jitter)
     _, grad, _ = ws.evaluate(lengths, tau, want_grad=True)
     return grad
 
 
-def _check_positive(lengths, tau, sigma2):
-    if np.any(np.asarray(lengths, dtype=float) <= 0):
-        raise ValueError("correlation lengths must be strictly positive")
+def _check_positive(tau, sigma2):
+    # the lengths are checked by KernelSpec, which also rejects NaN
     if tau <= 0 or sigma2 <= 0:
         raise ValueError("tau and sigma2 must be strictly positive")
 
@@ -338,6 +338,9 @@ def _starting_points(log_bounds, restarts, seed, init):
         init = np.asarray(init, dtype=float)
         if init.size != len(log_bounds):
             raise ValueError(f"init needs {len(log_bounds)} entries, got {init.size}")
+        for i, v in enumerate(init.ravel()):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"init[{i}] must be a finite length > 0, got {v}")
         starts.append(np.log(init))
     needed = restarts - len(starts)
     if needed > 0:

@@ -96,6 +96,26 @@ class TestFitAgainstDenseOracle:
         assert np.abs(model.coeff_mean).max() == 0.0
 
 
+class TestFitRejectsMismatch:
+    @pytest.mark.parametrize("bounds", [
+        [(-4, 2), (0, 3), (0, 4)],  # same k, another box
+        [(-3, 1), (1, 2)],  # another k
+    ])
+    def test_input_basis_over_another_box(self, bounds):
+        # a model keeps only the design's box, so a basis over another one
+        # would load back as a different emulator
+        train, _, ob, kern = small_problem(n=12, q=4, seed=3)
+        basis = InputBasis(DesignSpace(bounds=bounds))
+        with pytest.raises(ValueError, match="another design space"):
+            fit(NigPrior(0.1, 3.0, 0.2), basis, ob, kern, train)
+
+    @pytest.mark.parametrize("lengths", [(1.0, 0.5, 0.8, 0.7), (1.0, 0.5)])
+    def test_kernel_input_length_count(self, lengths):
+        train, ib, ob, _ = small_problem(n=3, q=4, seed=3)
+        with pytest.raises(ValueError, match=f"{len(lengths)} input lengths.*3 coordinates"):
+            fit(NigPrior(0.1, 3.0, 0.2), ib, ob, KernelSpec(lengths, 0.9), train)
+
+
 class TestPredictionBehavior:
     def test_interpolates_training_data(self, wave_space):
         design = lhd(8, wave_space, 3)

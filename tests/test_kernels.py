@@ -9,10 +9,12 @@ from opemu import KernelSpec, kernel_matrices, lhd
 from opemu.design import Design, DesignSpace
 from opemu.errors import NumericalDegeneracyError
 from opemu.kernels import (
+    DEFAULT_JITTER,
     _factor,
     chol_solve,
     input_correlation_matrix,
     output_correlation_matrix,
+    output_factor,
 )
 from reference import correlation as reference_correlation
 
@@ -60,6 +62,12 @@ class TestPointwise:
         with pytest.raises(ValueError, match="strictly positive"):
             KernelSpec((1.0, 1.0, 1.0), np.nan)
 
+    @pytest.mark.parametrize("lengths", [(1.0, 0.5, 0.8, 2.0), (1.0, 0.5)])
+    def test_rejects_input_length_count(self, lengths):
+        points = [[0.3, 1.5, 2.0], [0.1, 1.2, 1.0]]
+        with pytest.raises(ValueError, match=f"{len(lengths)} input lengths.*3 coordinates"):
+            input_correlation_matrix(points, points, KernelSpec(lengths, 1.0))
+
     @given(
         d1=st.floats(0.01, 5.0),
         d2=st.floats(0.01, 5.0),
@@ -82,27 +90,28 @@ class TestMatrices:
     def test_single_point(self):
         space = DesignSpace(bounds=[(0, 1)])
         design = Design(np.array([[0.5]]), np.array([[0.5]]), space)
-        km = kernel_matrices(design, [0.0], KernelSpec((1.0,), 1.0), jitter=1e-8)
-        assert km.input_matrix.shape == (1, 1)
-        assert abs(km.input_matrix[0, 0] - (1.0 + 1e-8)) < 1e-15
+        Kr, _ = kernel_matrices(design, KernelSpec((1.0,), 1.0), jitter=1e-8)
+        assert Kr.shape == (1, 1)
+        assert abs(Kr[0, 0] - (1.0 + 1e-8)) < 1e-15
 
     def test_duplicate_points_without_jitter(self):
         space = DesignSpace(bounds=[(0, 1)])
         pts = np.array([[0.5], [0.5], [0.2]])
         design = Design(pts, pts, space)
         with pytest.raises(NumericalDegeneracyError, match="input correlation"):
-            kernel_matrices(design, [0.0, 1.0], KernelSpec((1.0,), 1.0), jitter=0.0)
+            kernel_matrices(design, KernelSpec((1.0,), 1.0), jitter=0.0)
 
     def test_symmetry(self, wave_space):
         design = lhd(3, wave_space, 8)
-        km = kernel_matrices(design, [0.0, 0.5, 1.0], spec3())
-        assert np.abs(km.input_matrix - km.input_matrix.T).max() < 1e-15
-        assert np.abs(km.output_matrix - km.output_matrix.T).max() < 1e-15
+        Kr, _ = kernel_matrices(design, spec3())
+        Ks, _ = output_factor([0.0, 0.5, 1.0], spec3(), DEFAULT_JITTER)
+        assert np.abs(Kr - Kr.T).max() < 1e-15
+        assert np.abs(Ks - Ks.T).max() < 1e-15
 
     def test_unit_diagonal_before_jitter(self, wave_space):
         design = lhd(4, wave_space, 8)
-        km = kernel_matrices(design, [0.0, 0.5], spec3(), jitter=0.0)
-        assert np.abs(np.diag(km.input_matrix) - 1.0).max() == 0.0
+        Kr, _ = kernel_matrices(design, spec3(), jitter=0.0)
+        assert np.abs(np.diag(Kr) - 1.0).max() == 0.0
 
     def test_separability_against_direct_form(self, wave_space):
         # kron of the factors must equal the four-argument correlation,
@@ -110,8 +119,9 @@ class TestMatrices:
         design = lhd(4, wave_space, 2)
         grid = np.array([0.0, 0.4, 1.1, 2.2, 3.0])
         spec = spec3()
-        km = kernel_matrices(design, grid, spec, jitter=0.0)
-        full = np.kron(km.input_matrix, km.output_matrix)
+        Kr, _ = kernel_matrices(design, spec, jitter=0.0)
+        Ks, _ = output_factor(grid, spec, 0.0)
+        full = np.kron(Kr, Ks)
         for i in range(4):
             for j in range(5):
                 for a in range(4):
@@ -125,7 +135,7 @@ class TestMatrices:
     def test_rejects_negative_jitter(self, wave_space):
         design = lhd(3, wave_space, 1)
         with pytest.raises(ValueError):
-            kernel_matrices(design, [0.0], spec3(), jitter=-1e-9)
+            kernel_matrices(design, spec3(), jitter=-1e-9)
 
 
 class TestCholSolve:

@@ -124,6 +124,23 @@ class TestAgainstDenseOracle:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+    @pytest.mark.parametrize("lengths,tau,sigma2,message", [
+        ((0.0, 0.5, 0.8, 1.0), 0.1, 0.3, "lengths"),
+        ((1.0, -0.5, 0.8, 1.0), 0.1, 0.3, "lengths"),
+        ((1.0, 0.5, 0.8, math.nan), 0.1, 0.3, "lengths"),
+        ((1.0, 0.5, 0.8, 1.0), 0.0, 0.3, "tau and sigma2"),
+        ((1.0, 0.5, 0.8, 1.0), -0.1, 0.3, "tau and sigma2"),
+        ((1.0, 0.5, 0.8, 1.0), 0.1, 0.0, "tau and sigma2"),
+        ((1.0, 0.5, 0.8, 1.0), 0.1, -0.3, "tau and sigma2"),
+    ])
+    @pytest.mark.parametrize("func", [log_marginal_likelihood,
+                                      log_marginal_likelihood_gradient])
+    def test_rejects_non_positive_parameters(self, func, lengths, tau, sigma2, message):
+        train, ib, ob = random_instance(seed=0)
+        with pytest.raises(ValueError, match=f"{message} must be strictly positive"):
+            func(train, ib, ob, lengths, tau, sigma2)
+
+
 class TestGradientFiniteDifferences:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_central_differences(self, seed):
@@ -265,6 +282,14 @@ class TestOptimizer:
         assert state.kernel_spec(2.0) == state.kernel_spec()
         with pytest.raises(ValueError, match="exponent 2.0, not 1.5"):
             state.kernel_spec(1.5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_init(self, bad):
+        # the start is the log of ``init``, so an entry must be finite and > 0
+        train, ib, ob = random_instance(n=4, q=5, seed=3)
+        with pytest.raises(ValueError, match=r"init\[0\] must be a finite length > 0"):
+            optimize_correlation_lengths(train, ib, ob, 0.1, init=[bad, 1.0, 1.0, 1.0],
+                                         restarts=1)
 
     def test_zero_outputs_rejected(self):
         # tau_hat would be 0: the profiled likelihood has no maximum
