@@ -80,9 +80,6 @@ class OutputBasis:
     def size(self) -> int:
         return 1 + 2 * len(self.frequencies)
 
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.evaluate_many([t])[0]
-
     def evaluate_many(self, times) -> np.ndarray:
         """Regressor matrix, one row per time point: shape (q, size)."""
         t = np.asarray(times, dtype=float).ravel()

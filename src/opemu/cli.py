@@ -30,14 +30,10 @@ from .analysis import (
 )
 from .config import RunConfig
 from .design import load_design_csv, maximin_lhd, save_design_csv
-from .emulator import credible_interval, fit, load_model, save_model
+from .emulator import NigPrior, credible_interval, fit, load_model, save_model
 from .errors import ConfigError, DataError, NumericalDegeneracyError, OptimizationFailure
 from .ioutil import fmt, interval_columns, write_csv
-from .likelihood import (
-    HyperparamEstimate,
-    estimate_hyperparams,
-    optimize_correlation_lengths,
-)
+from .likelihood import estimate_hyperparams, optimize_correlation_lengths
 from .simulator import ingest_runs, toy_training_set, write_training_csv
 from .validation import loo, save_fold_csv, save_report_json
 
@@ -94,6 +90,18 @@ def _analysis_seed(cfg, args) -> int:
     return args.seed if args.seed is not None else cfg.raw["analysis"]["seed"]
 
 
+def _load_model(cfg: RunConfig):
+    """The config's model; one fitted over other ``design.names``, or in another
+    order, is a data error, since the config's per-dimension lists follow them."""
+    path = cfg.raw["paths"]["model"]
+    model = load_model(path)
+    names, fitted = list(cfg.space().names), list(model.design.space.names)
+    if fitted != names:
+        raise DataError(f"{path} was fitted over dimensions {fitted}, but the config "
+                        f"lists {names}; rerun fit")
+    return model
+
+
 def cmd_design(cfg: RunConfig, args) -> int:
     seed = _design_seed(cfg, args)
     design = maximin_lhd(
@@ -122,21 +130,18 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     prior_cfg, kernel_cfg = cfg.raw["prior"], cfg.raw["kernel"]
 
     if prior_cfg["sigma2"] is not None:
-        est = HyperparamEstimate(
-            sigma2=prior_cfg["sigma2"],
-            dof=prior_cfg["dof"],
-            scale=prior_cfg["scale"],
-            provenance="user-override",
-        )
+        prior = NigPrior(prior_cfg["sigma2"], prior_cfg["dof"], prior_cfg["scale"])
+        source = "user-override"
     else:
         est = estimate_hyperparams(train, ib, ob, prior_cfg["dof"], prior_cfg["split"])
-    print(f"prior ({est.provenance}): sigma2={est.sigma2:.6g} dof={est.dof:g} "
-          f"scale={est.scale:.6g}")
+        prior, source = est.to_prior(), "estimated"
+    print(f"prior ({source}): sigma2={prior.sigma2:.6g} dof={prior.dof:g} "
+          f"scale={prior.scale:.6g}")
 
     kernel = cfg.kernel_spec()
     if kernel is None:
         state = optimize_correlation_lengths(
-            train, ib, ob, est.sigma2, bounds=kernel_cfg["length_bounds"],
+            train, ib, ob, prior.sigma2, bounds=kernel_cfg["length_bounds"],
             restarts=kernel_cfg["restarts"], seed=kernel_cfg["opt_seed"],
             exponent=kernel_cfg["exponent"], jitter=kernel_cfg["jitter"],
             collect_trace=args.trace,
@@ -152,7 +157,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     else:
         print(f"using configured lengths: {[float(v) for v in kernel.lengths]}")
 
-    model = fit(est.to_prior(), ib, ob, kernel, train, kernel_cfg["jitter"])
+    model = fit(prior, ib, ob, kernel, train, kernel_cfg["jitter"])
     path = cfg.raw["paths"]["model"]
     save_model(model, path, cfg.meta(_design_seed(cfg, args)))
     print(f"wrote {path}: posterior dof={model.dof:g} scale={model.scale:.6g}")
@@ -168,7 +173,7 @@ def _write_trace(trace, space, path, meta):
 def cmd_validate(cfg: RunConfig, args) -> int:
     training_path, model_path = cfg.raw["paths"]["training"], cfg.raw["paths"]["model"]
     train = ingest_runs(training_path, cfg.space())
-    model = load_model(model_path)
+    model = _load_model(cfg)
     # an empty fingerprint comes from a model file that predates it
     if model.training_fingerprint and model.training_fingerprint != train.fingerprint():
         raise DataError(
@@ -200,7 +205,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
-    model = load_model(cfg.raw["paths"]["model"])
+    model = _load_model(cfg)
     try:
         point = [float(v) for v in args.point.split(",")]
     except ValueError:
@@ -231,7 +236,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    model = load_model(cfg.raw["paths"]["model"])
+    model = _load_model(cfg)
     reports_dir = cfg.raw["paths"]["reports"]
     total = 0
     for spec in cfg.sweep_specs():
@@ -248,7 +253,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_uq(cfg: RunConfig, args) -> int:
-    model = load_model(cfg.raw["paths"]["model"])
+    model = _load_model(cfg)
     seed = _analysis_seed(cfg, args)
     result = uq_monte_carlo(
         model,

@@ -239,8 +239,10 @@ class RunConfig:
         return DesignSpace(bounds=d["bounds"], names=d["names"])
 
     def time_grid(self) -> np.ndarray:
+        """t_min + i*dt up to t_max, never past it; the 1e-9 slack on the step
+        count absorbs float noise (35 / 0.2 = 174.99999999999997)."""
         t = self.raw["time"]
-        q = int(round((t["t_max"] - t["t_min"]) / t["dt"])) + 1
+        q = math.floor((t["t_max"] - t["t_min"]) / t["dt"] + 1e-9) + 1
         return np.round(t["t_min"] + t["dt"] * np.arange(q), 12)
 
     def input_basis(self) -> InputBasis:

@@ -107,12 +107,11 @@ class DesignSpace:
 
 @dataclass(frozen=True)
 class Design:
-    """A set of input points, stored in physical and unit coordinates."""
+    """Input points in physical and unit coordinates; the seed is in artifacts' meta."""
 
     points: np.ndarray
     unit_points: np.ndarray
     space: DesignSpace
-    seed: int = 0
 
     @property
     def n(self) -> int:
@@ -134,9 +133,9 @@ def pairwise_distances(points) -> np.ndarray:
     return np.linalg.norm(p[:, None] - p[None], axis=-1)
 
 
-def _from_unit(unit: np.ndarray, space: DesignSpace, seed: int) -> Design:
+def _from_unit(unit: np.ndarray, space: DesignSpace) -> Design:
     unit = np.asarray(unit, dtype=float)
-    return Design(points=space.from_unit(unit), unit_points=unit, space=space, seed=seed)
+    return Design(points=space.from_unit(unit), unit_points=unit, space=space)
 
 
 def lhd(n: int, space: DesignSpace, seed: int) -> Design:
@@ -153,7 +152,7 @@ def lhd(n: int, space: DesignSpace, seed: int) -> Design:
     for j in range(space.k):
         perm = rng.permutation(n)
         unit[:, j] = (perm + rng.random(n)) / n
-    return _from_unit(unit, space, seed)
+    return _from_unit(unit, space)
 
 
 def _refresh_row(unit: np.ndarray, dist2: np.ndarray, idx: int) -> None:
@@ -271,7 +270,7 @@ def maximin_lhd(n: int, space: DesignSpace, seed: int, candidates: int = 100) ->
             best_unit = cand.unit_points
     if candidates > 1:
         best_unit = _swap_refine(best_unit)
-    return _from_unit(best_unit, space, seed)
+    return _from_unit(best_unit, space)
 
 
 def save_design_csv(design: Design, path: str, meta: dict | None = None) -> None:
@@ -285,7 +284,7 @@ def load_design_csv(path: str, space: DesignSpace) -> Design:
     The header must name exactly the space's dimensions, in order; every
     point must lie inside the box.
     """
-    header, rows, meta = read_table(path)
+    header, rows, _ = read_table(path)
     if tuple(header) != space.names:
         raise DataError(
             f"{path}: header {header!r} does not match design space "
@@ -297,5 +296,4 @@ def load_design_csv(path: str, space: DesignSpace) -> Design:
     outside = np.flatnonzero(~space.contains_rows(points))
     if outside.size:
         raise DataError(f"{path}: design point at row {outside[0]} lies outside the bounds")
-    seed = int(meta.get("seed", 0)) if str(meta.get("seed", "0")).isdigit() else 0
-    return Design(points=points, unit_points=space.to_unit(points), space=space, seed=seed)
+    return Design(points=points, unit_points=space.to_unit(points), space=space)

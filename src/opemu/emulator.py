@@ -274,13 +274,13 @@ def credible_interval(series, level: float = 0.95):
 class OpeModel:
     """A fitted emulator: posterior state plus the shared solver factors.
 
-    The model owns the input basis, the prior and the posterior (coefficient
-    mean, scale, residual weights) with the training fingerprint. The
-    rest it reads from its core: ``design`` from the :class:`_KronEigen`,
-    and ``output_basis``, ``kernel``, ``jitter`` and ``time_grid`` from
-    the core's :class:`_TimeFactor`. They are read-only, so the model
-    cannot hold a kernel or grid that its core did not compute with. The
-    posterior ``dof`` a + n*q is derived from the prior and the core, once;
+    The model owns the prior and the posterior (coefficient mean, scale,
+    residual weights) with the training fingerprint. The rest it reads
+    from its core: ``design`` from the :class:`_KronEigen`, and
+    ``output_basis``, ``kernel``, ``jitter`` and ``time_grid`` from the
+    core's :class:`_TimeFactor`, all read-only, so the model cannot hold a
+    kernel or grid its core did not compute with. ``input_basis`` (over the
+    design's box) and the posterior ``dof`` a + n*q are derived, once;
     :func:`load_model` rejects a file whose stored dof differs from it.
     The posterior coefficient scale matrix is not stored: :attr:`coeff_cov`
     rebuilds it from the factors on first access. :meth:`predict` and
@@ -293,10 +293,8 @@ class OpeModel:
     too.
     """
 
-    def __init__(self, input_basis: InputBasis, prior: NigPrior, core: _KronEigen,
-                 coeff_mean: np.ndarray, scale: float,
-                 residual_weights: np.ndarray, training_fingerprint: str):
-        self.input_basis = input_basis
+    def __init__(self, prior: NigPrior, core: _KronEigen, coeff_mean: np.ndarray,
+                 scale: float, residual_weights: np.ndarray, training_fingerprint: str):
         self.prior = prior
         self._core = core
         self.coeff_mean = np.asarray(coeff_mean, dtype=float).ravel()
@@ -307,6 +305,10 @@ class OpeModel:
         self.training_fingerprint = training_fingerprint
 
     # -- views of the core ---------------------------------------------
+
+    @cached_property
+    def input_basis(self) -> InputBasis:
+        return InputBasis(self.design.space)
 
     @property
     def design(self) -> Design:
@@ -441,7 +443,7 @@ def fit(
     R = F - Gr @ coeff @ Gs.T
     W = core.whiten(R)
     post_scale = float(prior.scale + np.sum(R * W) + np.sum(coeff * coeff) / prior.sigma2)
-    return OpeModel(input_basis, prior, core, coeff.ravel(), post_scale, W, train.fingerprint())
+    return OpeModel(prior, core, coeff.ravel(), post_scale, W, train.fingerprint())
 
 
 # -- serialization -----------------------------------------------------
@@ -478,7 +480,7 @@ def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
             "dof": model.dof,
             "scale": model.scale,
         },
-        "design": {"points": model.design.points.tolist(), "seed": model.design.seed},
+        "design": {"points": model.design.points.tolist()},
         "time_grid": model.time_grid.tolist(),
         "residual_weights": model.residual_weights.tolist(),
         "training_fingerprint": model.training_fingerprint,
@@ -494,9 +496,9 @@ def load_model(path: str) -> OpeModel:
     shape does not match the design, the time grid and the bases, the time
     grid is not strictly increasing, or ``posterior.dof`` is not the
     a + n*q that the prior, design and grid imply. A
-    ``posterior.coeff_cov`` stored by older versions is ignored, and so is
-    their ``prior.mean`` when it is all zero; a non-zero one is rejected,
-    since the prior is zero-mean.
+    ``posterior.coeff_cov`` or ``design.seed`` stored by older versions is
+    ignored, and so is their ``prior.mean`` when it is all zero; a
+    non-zero one is rejected, since the prior is zero-mean.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -540,8 +542,7 @@ def load_model(path: str) -> OpeModel:
         grid = get("time_grid", (None,))
         if not np.all(np.diff(grid) > 0):
             raise DataError("'time_grid' is not strictly increasing")
-        design = Design(points=points, unit_points=space.to_unit(points), space=space,
-                        seed=int(doc["design"].get("seed", 0)))
+        design = Design(points=points, unit_points=space.to_unit(points), space=space)
         input_basis = InputBasis(space)
         output_basis = OutputBasis(tuple(get("output_basis.frequencies", (None,))))
         nu = (input_basis.size * output_basis.size,)
@@ -554,7 +555,7 @@ def load_model(path: str) -> OpeModel:
         prior = NigPrior(get("prior.sigma2"), get("prior.dof"), get("prior.scale"))
         Gr, Gs = regressor_matrices(design, grid, input_basis, output_basis)
         time = _TimeFactor(grid, output_basis, kernel, get("jitter"), Gs)
-        model = OpeModel(input_basis, prior, _KronEigen(design, Gr, time, prior.sigma2),
+        model = OpeModel(prior, _KronEigen(design, Gr, time, prior.sigma2),
                          get("posterior.coeff_mean", nu), get("posterior.scale"),
                          get("residual_weights", (points.shape[0], grid.size)),
                          doc.get("training_fingerprint", ""))

@@ -70,12 +70,11 @@ class MarginalLikelihoodState:
 
 @dataclass
 class HyperparamEstimate:
-    """Moment-matched NIG hyperparameters (or user-supplied overrides)."""
+    """Moment-matched NIG hyperparameters, the result of :func:`estimate_hyperparams`."""
 
     sigma2: float
     dof: float
     scale: float
-    provenance: str = "estimated"
 
     def to_prior(self) -> NigPrior:
         return NigPrior(self.sigma2, self.dof, self.scale)
@@ -387,5 +386,4 @@ def estimate_hyperparams(
         sigma2=sigma2,
         dof=float(dof),
         scale=scale,
-        provenance="estimated",
     )

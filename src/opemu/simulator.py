@@ -116,8 +116,6 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
     # contiguous copies: numpy reduces a strided view in another order
     points = np.ascontiguousarray(values[:, :k])
     outputs = np.ascontiguousarray(values[:, k:])
-    design = Design(
-        points=points, unit_points=space.to_unit(points), space=space, seed=0
-    )
+    design = Design(points=points, unit_points=space.to_unit(points), space=space)
     return TrainingSet(design=design, time_grid=grid, outputs=outputs)
 

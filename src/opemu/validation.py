@@ -90,7 +90,6 @@ def _drop_point(train: TrainingSet, i: int) -> TrainingSet:
         points=train.design.points[keep],
         unit_points=train.design.unit_points[keep],
         space=train.design.space,
-        seed=train.design.seed,
     )
     return TrainingSet(design, train.time_grid, train.outputs[keep])
 

@@ -72,18 +72,18 @@ class TestOutputBasis:
     def test_at_time_zero(self):
         ob = OutputBasis()
         expected = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
-        assert np.allclose(ob.evaluate(0.0), expected, atol=1e-15)
+        assert np.allclose(ob.evaluate_many([0.0])[0], expected, atol=1e-15)
 
     def test_full_period(self):
         # t=6 completes one period of the 1/6 frequency term
         ob = OutputBasis()
-        g = ob.evaluate(6.0)
+        g = ob.evaluate_many([6.0])[0]
         assert abs(g[1]) < 1e-12
         assert abs(g[2] - 1.0) < 1e-12
 
     def test_quarter_period(self):
         ob = OutputBasis()
-        assert abs(ob.evaluate(1.5)[1] - 1.0) < 1e-12  # sin(pi/2)
+        assert abs(ob.evaluate_many([1.5])[0][1] - 1.0) < 1e-12  # sin(pi/2)
 
     def test_rejects_bad_frequencies(self):
         with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ class TestOutputBasis:
     @given(t=st.floats(0.0, 1000.0))
     @settings(max_examples=100, deadline=None)
     def test_entries_bounded(self, t):
-        g = OutputBasis().evaluate(t)
+        g = OutputBasis().evaluate_many([t])[0]
         assert np.all(np.abs(g[1:]) <= 1.0 + 1e-15)
 
 

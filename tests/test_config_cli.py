@@ -23,6 +23,16 @@ class TestRunConfig:
         assert cfg.raw["design"]["n"] == 40
         assert cfg.raw["prior"]["dof"] == 3.0
 
+    @pytest.mark.parametrize("time, expected", [
+        ({"t_max": 1.0, "dt": 0.35}, [0.0, 0.35, 0.7]),  # a rounded step count ended at 1.05
+        ({"t_max": 1.0, "dt": 0.3}, [0.0, 0.3, 0.6, 0.9]),
+        ({"t_min": 0.1, "t_max": 0.7, "dt": 0.2}, [0.1, 0.3, 0.5, 0.7]),
+        ({"t_max": 6.0, "dt": 0.5}, [0.5 * i for i in range(13)]),
+    ])
+    def test_time_grid_stays_within_t_max(self, time, expected):
+        grid = RunConfig({"time": time}).time_grid()
+        assert grid.tolist() == expected
+
     def test_hash_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig()
         assert a.hash() == b.hash()
@@ -220,7 +230,7 @@ class TestDefaultConfig:
         assert len(rows) == 41  # header + 40 points
         assert all(len(r.split(",")) == 3 for r in rows[1:])
 
-    def test_fit_echoes_prior_override(self, tmp_path):
+    def test_fit_echoes_prior_override(self, tmp_path, capsys):
         cfg_doc = {
             "design": {"n": 8, "seed": 1, "candidates": 5},
             "time": {"t_min": 0.0, "t_max": 6.0, "dt": 0.5},
@@ -235,6 +245,7 @@ class TestDefaultConfig:
         cfg.write_text(json.dumps(cfg_doc))
         for command in ("design", "simulate", "fit"):
             assert main([command, "--config", str(cfg)]) == 0
+        assert "prior (user-override): sigma2=0.257 dof=3 scale=0.208" in capsys.readouterr().out
         doc = json.loads((tmp_path / "m.json").read_text())
         assert doc["prior"]["sigma2"] == 0.257
         assert doc["prior"]["scale"] == 0.208
@@ -497,6 +508,28 @@ class TestExitCodes:
                                 model=tmp_path / "model.json")
         assert main(["fit", "--config", cfg]) == 3
         assert "row 2, column u0" in capsys.readouterr().err
+
+    def test_model_over_other_dimension_order_exit_3(self, pipeline_dir, tmp_path, capsys):
+        # the same dimensions listed as u0, x0, c, with bounds, beta rows and
+        # the sweep reordered to match: the config's lists no longer line up
+        # with the model's columns
+        _, cfg_path = pipeline_dir
+        config = json.loads(cfg_path.read_text())
+        beta = DEFAULTS["analysis"]["beta"]
+        config["design"].update(names=["u0", "x0", "c"],
+                                bounds=[[1.0, 2.0], [-3.0, 1.0], [0.5, 3.0]])
+        config["analysis"]["beta"] = [beta[1], beta[0], beta[2]]
+        config["analysis"]["sweeps"][0]["fixed"] = [1.5, -1.0, 1.5]
+        config["paths"]["reports"] = str(tmp_path / "reports")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "prediction.csv"
+        for argv in (["uq"], ["sweep"], ["predict", "--point=1.5,-1.0,1.5", "--out", str(out)]):
+            assert main(argv + ["--config", str(cfg)]) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert "['x0', 'u0', 'c']" in err and "['u0', 'x0', 'c']" in err
+            assert "rerun fit" in err
+        assert not out.exists() and not (tmp_path / "reports").exists()
 
     def test_validate_rejects_other_training_set(self, pipeline_dir, tmp_path, capsys):
         workdir, cfg_path = pipeline_dir

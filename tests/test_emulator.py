@@ -402,6 +402,7 @@ class TestSerialization:
         assert time.kernel is model.kernel and time.jitter == model.jitter
         assert time.grid is model.time_grid and time.output_basis is model.output_basis
         assert model.dof == model.prior.dof + model.design.n * model.time_grid.size
+        assert model.input_basis == InputBasis(model.design.space)
         # the factors were computed from exactly these facts
         pts, grid = model.design.points, model.time_grid
         assert np.array_equal(core.Kr, input_correlation_matrix(pts, pts, model.kernel)
@@ -525,6 +526,20 @@ class TestSerialization:
         a, b = loaded.predict(r), older.predict(r)
         assert np.array_equal(a.location, b.location)
         assert np.array_equal(a.scale, b.scale)
+
+    def test_stored_design_seed_loads_identically(self, wave_space, tmp_path):
+        # files written before designs dropped their seed store design.seed
+        model, path, doc = self._saved_doc(wave_space, tmp_path)
+        assert set(doc["design"]) == {"points"}
+        loaded = load_model(str(path))
+        doc["design"]["seed"] = 7
+        path.write_text(json.dumps(doc))
+        older = load_model(str(path))
+        R = [[-0.5, 1.2, 2.7], [-2.0, 0.8, 1.1]]
+        for times in (None, [0.25, 1.75]):
+            a, b = loaded.predict_many(R, times), older.predict_many(R, times)
+            assert np.array_equal(a.location, b.location)
+            assert np.array_equal(a.scale, b.scale)
 
     def test_nonzero_prior_mean_rejected(self, wave_space, tmp_path):
         from opemu.cli import main

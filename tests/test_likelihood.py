@@ -347,7 +347,7 @@ class TestHyperparamEstimation:
     def test_override_is_echoed(self):
         from opemu.likelihood import HyperparamEstimate
 
-        est = HyperparamEstimate(sigma2=0.257, dof=3.0, scale=0.208, provenance="user-override")
+        est = HyperparamEstimate(sigma2=0.257, dof=3.0, scale=0.208)
         prior = est.to_prior()
         assert prior.sigma2 == 0.257
         assert prior.scale == 0.208
@@ -381,7 +381,7 @@ class TestHyperparamEstimation:
 
         r = design.points[5]
         t = grid[4]
-        g = np.kron(ib.evaluate(r), ob.evaluate(t))
+        g = np.kron(ib.evaluate(r), ob.evaluate_many([t])[0])
         tau_mean = est.scale / (est.dof - 2.0)
         analytic = tau_mean * (est.sigma2 * float(g @ g) + 1.0)
         assert 0.5 * pooled <= analytic <= 2.0 * pooled
