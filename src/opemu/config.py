@@ -175,6 +175,9 @@ class RunConfig:
         t = self.raw["time"]
         if not t["t_min"] < t["t_max"] or t["dt"] <= 0:
             raise ConfigError("time section needs t_min < t_max and dt > 0")
+        if t["t_min"] < 0:
+            raise ConfigError(f"time.t_min must be >= 0 (the toy simulator's times "
+                              f"start at 0), got {t['t_min']}")
         kernel = self.raw["kernel"]
         for key in ("lengths", "length_bounds"):
             value = kernel[key]

@@ -31,8 +31,8 @@ class DesignSpace:
     Parameters
     ----------
     bounds : sequence of finite (lower, upper) pairs, one per dimension.
-    names : axis identifiers, distinct non-empty strings without commas or
-        leading or trailing spaces (they head CSV columns); defaults to x1..xk.
+    names : distinct non-empty strings without edge spaces, commas or
+        slashes (CSV headers and file names); defaults to x1..xk.
 
     :attr:`lower`, :attr:`upper` and :attr:`widths` are read-only arrays
     built on first use.
@@ -48,10 +48,11 @@ class DesignSpace:
         names = tuple(self.names) if self.names else tuple(f"x{i + 1}" for i in range(k))
         if len(names) != k:
             raise ValueError("number of names must match number of dimensions")
-        if not all(isinstance(n, str) and n and n == n.strip() and "," not in n
-                   for n in names) or len(set(names)) != k:
-            raise ValueError(f"names must be distinct, non-empty strings without commas or "
-                             f"leading or trailing spaces, got {list(names)!r}")
+        if not all(isinstance(n, str) and n and n == n.strip()
+                   and not set(n) & {",", "/", "\\"} for n in names) or len(set(names)) != k:
+            raise ValueError(f"names must be distinct, non-empty strings without leading or "
+                             f"trailing spaces, commas (they head CSV columns) or slashes "
+                             f"(they name sweep files), got {list(names)!r}")
         bounds = []
         for name, pair in zip(names, self.bounds):
             try:
@@ -155,12 +156,12 @@ def lhd(n: int, space: DesignSpace, seed: int) -> Design:
     return _from_unit(unit, space)
 
 
-def _refresh_row(unit: np.ndarray, dist2: np.ndarray, idx: int) -> None:
+def _row(unit: np.ndarray, idx: int) -> np.ndarray:
+    """Squared distances from row ``idx`` to every row, inf at ``idx`` itself."""
     d = unit - unit[idx]
     row = np.einsum("ij,ij->i", d, d)
     row[idx] = np.inf
-    dist2[idx, :] = row
-    dist2[:, idx] = row
+    return row
 
 
 def _closest_pairs(dist2: np.ndarray, best: float) -> list:
@@ -196,15 +197,14 @@ def _swap_refine(unit: np.ndarray) -> np.ndarray:
     the swap would be rejected. Such swaps are skipped: for each (column,
     i) only the j common to every closest pair that does not contain i are
     tried, or every j > i when all closest pairs contain i. The closest
-    pairs are recomputed after each accepted swap, also within a row. A
-    rejected swap restores its two rows exactly, so the accepted swaps,
-    and the design, are those of the unpruned scan bit for bit.
+    pairs are recomputed after each accepted swap, also within a row. So
+    every pair without i or j stays strictly above the minimum, and a swap
+    raises it exactly when its two new rows do; testing only them accepts
+    the unpruned scan's swaps, and gives its design, bit for bit.
     """
     unit = unit.copy()
     n, k = unit.shape
-    diff = unit[:, None, :] - unit[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(dist2, np.inf)
+    dist2 = np.array([_row(unit, i) for i in range(n)])
     best = dist2.min()
     pairs = _closest_pairs(dist2, best)
     improved = True
@@ -215,21 +215,15 @@ def _swap_refine(unit: np.ndarray) -> np.ndarray:
                 j = _next_partner(pairs, i, i, n)
                 while j is not None:
                     unit[i, col], unit[j, col] = unit[j, col], unit[i, col]
-                    saved_i = dist2[i, :].copy()
-                    saved_j = dist2[j, :].copy()
-                    _refresh_row(unit, dist2, i)
-                    _refresh_row(unit, dist2, j)
-                    d = dist2.min()
-                    if d > best:
-                        best = d
+                    rows = np.array([_row(unit, i), _row(unit, j)])
+                    if rows.min() > best:
+                        dist2[[i, j]] = rows
+                        dist2[:, [i, j]] = rows.T
+                        best = dist2.min()
                         improved = True
                         pairs = _closest_pairs(dist2, best)
                     else:
                         unit[i, col], unit[j, col] = unit[j, col], unit[i, col]
-                        dist2[i, :] = saved_i
-                        dist2[:, i] = saved_i
-                        dist2[j, :] = saved_j
-                        dist2[:, j] = saved_j
                     j = _next_partner(pairs, i, j, n)
     return unit
 

@@ -167,11 +167,6 @@ class _KronEigen:
         """S^-1 vec(B) as a nu_r x nu_s matrix."""
         return self.Ur @ (self.D * (self.Ur.T @ B @ self.time.Us)) @ self.time.Us.T
 
-    def dense_inverse(self) -> np.ndarray:
-        """S^-1 as a dense nu x nu matrix (for inspection and dense checks)."""
-        E = np.einsum("ai,bj->abij", self.Ur, self.time.Us).reshape(self.D.size, self.D.size)
-        return (E * self.D.ravel()) @ E.T
-
     def regression_variance(self, Gr_new, U, products) -> np.ndarray:
         """rho_ij' S^-1 rho_ij for rho_ij = gr_i (x) gs_j - u_i (x) w_j: m x q.
 
@@ -282,8 +277,8 @@ class OpeModel:
     kernel or grid its core did not compute with. ``input_basis`` (over the
     design's box) and the posterior ``dof`` a + n*q are derived, once;
     :func:`load_model` rejects a file whose stored dof differs from it.
-    The posterior coefficient scale matrix is not stored: :attr:`coeff_cov`
-    rebuilds it from the factors on first access. :meth:`predict` and
+    The posterior coefficient scale matrix Vn is never formed: solves and
+    variances go through the core's eigenbasis. :meth:`predict` and
     :meth:`predict_many` are pure apart from caching the time-side factors
     of the training grid (``_grid_cache``, ``None`` until the first
     training-grid prediction): Gs and the grid's cross-correlations, the
@@ -336,11 +331,6 @@ class OpeModel:
     def coeff_matrix(self) -> np.ndarray:
         """Posterior coefficient mean as a nu_r x nu_s matrix."""
         return self.coeff_mean.reshape(self.input_basis.size, self.output_basis.size)
-
-    @cached_property
-    def coeff_cov(self) -> np.ndarray:
-        """Posterior coefficient scale matrix Vn (nu x nu), built on first use."""
-        return self._core.dense_inverse()
 
     @property
     def tau_estimate(self) -> float:
@@ -452,8 +442,8 @@ def fit(
 def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
     """Write a fitted model as JSON (full float precision, row-major arrays).
 
-    The posterior coefficient scale matrix is not written; loading rebuilds
-    it from the kernel and the bases.
+    The posterior coefficient scale matrix is not written: the model never
+    forms it, and loading rebuilds the solver factors it comes from.
     """
     doc = {
         "format": "ope-model",

@@ -155,6 +155,14 @@ def dense_series(train, ob, kern, jitter, dense, r, times):
     return np.array(out).T
 
 
+def coeff_cov(model) -> np.ndarray:
+    """The posterior coefficient scale matrix Vn = S^-1 (nu x nu), built densely
+    from a fitted model's core: E diag(D) E' with E = Ur (x) Us."""
+    core = model._core
+    E = np.kron(core.Ur, core.time.Us)
+    return (E * core.D.ravel()) @ E.T
+
+
 def _refresh_row(unit: np.ndarray, dist2: np.ndarray, idx: int) -> None:
     d = unit - unit[idx]
     row = np.einsum("ij,ij->i", d, d)

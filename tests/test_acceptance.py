@@ -205,7 +205,7 @@ def test_criterion_03_structured_vs_dense():
                                                  prior.sigma2 * np.eye(nu), a, d)
             model = fit(prior, ib, ob, kern, train, JITTER)
             worst = max(worst, np.abs(model.coeff_mean - mn).max() / (1 + np.abs(mn).max()))
-            worst = max(worst, np.abs(model.coeff_cov - Vn).max())
+            worst = max(worst, np.abs(reference.coeff_cov(model) - Vn).max())
             worst = max(worst, abs(model.scale - dn) / dn)
             rng = np.random.default_rng(seed + 60)
             r = space.from_unit(rng.random(3))[0]

@@ -405,6 +405,26 @@ class TestExitCodes:
         assert all(name in err for name in names), err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("name", ["../c", "c/../../../escaped", "a\\b"])
+    def test_slash_in_name_exit_2_at_load(self, tmp_path, capsys, name):
+        # a dimension name is also a file name: sweep writes reports/sweep_<name>.csv
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"design": {"names": ["x0", "u0", name]},
+                                   "paths": {"design": str(tmp_path / "d.csv")}}))
+        assert main(["design", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "design.names" in err and "slashes" in err, err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_negative_t_min_exit_2_at_load(self, tmp_path, capsys):
+        # the toy simulator needs t >= 0: caught at load, naming the key
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"time": {"t_min": -1.0},
+                                   "paths": {"design": str(tmp_path / "d.csv")}}))
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert "time.t_min" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("argv", [["--seed", "-1", "design"], ["--seed=-1", "design"],
                                       ["design", "--seed=-1"]])
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys, argv):
