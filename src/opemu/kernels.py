@@ -13,7 +13,12 @@ before factorization; dense time grids make the output factor nearly
 singular without it.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -69,19 +74,61 @@ def output_correlation_matrix(times_a, times_b, spec: KernelSpec) -> np.ndarray:
     return np.exp(-(d ** spec.exponent))
 
 
+def _flapack_path():
+    """File of scipy's compiled LAPACK module, or ``None`` if it is not there.
+
+    ``find_spec`` of a top-level package locates it without running its
+    ``__init__``.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None:
+        for root in spec.submodule_search_locations:
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(root, "linalg", "_flapack" + suffix)
+                if os.path.isfile(path):
+                    return path
+    return None
+
+
+@cache
+def _lapack():
+    """The module holding the compiled ``dpotrf`` and ``dpotrs``, bound once.
+
+    It is ``scipy.linalg._flapack``, loaded from its file so that a
+    serving command does not pay for the ``scipy`` and ``scipy.linalg``
+    package imports. It is the module ``scipy.linalg.lapack`` wraps, so
+    factors and solves keep their bits. A later ``import scipy.linalg``
+    reuses it from ``sys.modules``; the one trace of the direct load is
+    that the package lacks the attribute ``scipy.linalg._flapack``, which
+    scipy reads only by ``from scipy.linalg import _flapack`` (that falls
+    back to ``sys.modules``). Without the file, ``scipy.linalg.lapack``
+    serves.
+    """
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg import lapack
+        return lapack
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:
     """Add ``jitter`` to the diagonal of ``matrix`` in place, then factor it.
 
     Returns the (factor, lower) pair :func:`chol_solve` takes. ``matrix``
-    keeps its jittered values; the factor is a new array.
+    keeps its jittered values; the factor is a new array. This is LAPACK
+    ``potrf`` from :func:`_lapack`, the call ``scipy.linalg.cho_factor``
+    makes, without its wrapper or the ``scipy.linalg`` import.
     """
-    from scipy.linalg.lapack import dpotrf
-
     if jitter < 0:
         raise ValueError(f"jitter must be non-negative, got {jitter}")
     matrix[np.diag_indices_from(matrix)] += jitter
-    # the LAPACK call scipy.linalg.cho_factor makes, without its wrapper
-    c, info = dpotrf(matrix, lower=1, clean=0)
+    c, info = _lapack().dpotrf(matrix, lower=1, clean=0)
     if info > 0:
         raise NumericalDegeneracyError(
             name, f"{info}-th leading minor of the array is not positive definite")
@@ -93,15 +140,13 @@ def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:
 def chol_solve(chol: tuple, B) -> np.ndarray:
     """K^-1 B for ``chol``, the (factor, lower) pair :func:`_factor` returns.
 
-    ``B`` is 1-D or 2-D and is not modified. This is LAPACK ``potrs``, the
-    solve ``scipy.linalg.cho_solve`` makes after its per-call batch and
-    shape handling, so the result is the same bit for bit at a fraction of
-    the overhead.
+    ``B`` is 1-D or 2-D and is not modified. This is LAPACK ``potrs`` from
+    :func:`_lapack`, the solve ``scipy.linalg.cho_solve`` makes after its
+    per-call batch and shape handling, so the result is the same bit for
+    bit at a fraction of the overhead.
     """
-    from scipy.linalg.lapack import dpotrs
-
     c, lower = chol
-    x, info = dpotrs(c, B, lower=lower)
+    x, info = _lapack().dpotrs(c, B, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
     return x

@@ -280,8 +280,10 @@ def optimize_correlation_lengths(
     # at module level, so `import opemu.cli` loads no scipy and `opemu
     # design` and `opemu simulate` never do. Cholesky factors and solves
     # call LAPACK through `kernels._factor` and `kernels.chol_solve`, which
-    # import scipy.linalg.lapack when called. scipy.optimize alone adds
-    # ~0.1 s on top of scipy.linalg, and only the length search needs it
+    # load only scipy's compiled `_flapack` module, and the t quantile is
+    # opemu's own, so `fit` at fixed lengths, `validate`, `predict` and
+    # `sweep` load no scipy package. scipy.optimize brings scipy.linalg and
+    # scipy.special with it (~0.6 s), and only the length search needs it
     from scipy.optimize import minimize
 
     starts = _starting_points(log_bounds, restarts, seed, init)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -595,20 +596,62 @@ def test_cli_import_leaves_out_scipy_stats():
     assert _run_python(f"import sys, opemu.cli; print({LOADED_SCIPY})") == "[]"
 
 
-def test_design_and_simulate_load_no_scipy(tmp_path):
-    cfg = tmp_path / "run.json"
+def _small_config(path, **sections) -> str:
+    """A five-run config writing under ``path``; returns the config file name."""
+    cfg = path / "run.json"
     cfg.write_text(json.dumps({
         "design": {"n": 5, "seed": 1, "candidates": 3},
         "time": {"t_min": 0.0, "t_max": 4.0, "dt": 1.0},
-        "paths": {"design": str(tmp_path / "d.csv"), "training": str(tmp_path / "t.csv"),
-                  "model": str(tmp_path / "m.json"), "reports": str(tmp_path / "r")},
+        "paths": {"design": str(path / "d.csv"), "training": str(path / "t.csv"),
+                  "model": str(path / "m.json"), "reports": str(path / "r")},
+        **sections,
     }))
-    code = ("import sys; from opemu.cli import main\n"
-            f"assert main(['design', '--config', {str(cfg)!r}]) == 0\n"
-            f"assert main(['simulate', '--config', {str(cfg)!r}]) == 0\n"
-            f"print({LOADED_SCIPY})")
-    assert _run_python(code) == "[]"
+    return str(cfg)
+
+
+def _loaded_scipy(*commands):
+    """The scipy modules a fresh interpreter holds after running ``commands``."""
+    code = "import sys; from opemu.cli import main\n"
+    for argv in commands:
+        code += f"assert main({argv!r}) == 0\n"
+    return ast.literal_eval(_run_python(code + f"print({LOADED_SCIPY})"))
+
+
+def test_design_and_simulate_load_no_scipy(tmp_path):
+    cfg = _small_config(tmp_path)
+    assert _loaded_scipy(["design", "--config", cfg], ["simulate", "--config", cfg]) == []
     assert (tmp_path / "t.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A fitted five-run workdir at fixed lengths, and its config."""
+    path = tmp_path_factory.mktemp("served")
+    cfg = _small_config(path, kernel={"lengths": [1.0, 0.5, 0.8, 1.0]},
+                        analysis={"mc_samples": 50})
+    for command in ("design", "simulate", "fit"):
+        assert main([command, "--config", cfg]) == 0
+    return path, cfg
+
+
+@pytest.mark.parametrize("command", [["fit"], ["validate"], ["sweep"],
+                                     ["predict", "--point=-1.0,1.5,1.5"]],
+                         ids=lambda command: command[0])
+def test_serving_commands_load_only_compiled_lapack(served, command):
+    # LAPACK comes from scipy's compiled module, loaded without the scipy
+    # and scipy.linalg packages, and the t quantile from opemu itself
+    path, cfg = served
+    argv = command + ["--config", cfg]
+    if command[0] == "predict":
+        argv += ["--out", str(path / "prediction.csv")]
+    assert set(_loaded_scipy(argv)) <= {"scipy.linalg._flapack"}
+
+
+def test_uq_loads_scipy_special_only(served):
+    # the Beta draws still take betaincinv from scipy.special
+    loaded = _loaded_scipy(["uq", "--config", served[1]])
+    assert "scipy.special" in loaded
+    assert "scipy.linalg" not in loaded
 
 
 class TestThreadPin:

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -353,7 +355,57 @@ class TestCredibleInterval:
         for level in (0.5, 0.9, 0.95, 0.99):
             _, hi = credible_interval(series, level)
             half = student_t.ppf(0.5 * (1.0 + level), dof) * series.scale
-            assert np.array_equal(hi, series.location + half)
+            np.testing.assert_allclose(hi, series.location + half, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def quantile(dof, level):
+        return credible_interval(Predictive([0.0], [0.0], [1.0], dof=dof), level)[1][0]
+
+    @pytest.mark.parametrize("dof", [0.0, -2.0, float("nan")])
+    def test_rejects_nonpositive_dof(self, dof):
+        with pytest.raises(ValueError, match="dof"):
+            self.quantile(dof, 0.95)
+
+    def test_levels_at_the_ends_of_float_resolution(self):
+        # 0.5 * (1 + level) rounds to 1/2 or to 1, as in scipy.special.stdtrit
+        for dof in (5.0, 7043.0):
+            assert self.quantile(dof, 1e-17) == 0.0
+            assert self.quantile(dof, math.nextafter(1.0, 0.0)) == math.inf
+
+    def test_infinite_dof_is_normal(self):
+        from scipy.special import ndtri
+
+        for level in (0.5, 0.95, 0.999):
+            assert math.isclose(self.quantile(math.inf, level), ndtri(0.5 * (1.0 + level)),
+                                rel_tol=1e-15)
+
+    @pytest.mark.parametrize("level", [0.1, 0.5, 0.9, 0.95, 0.99, 0.999])
+    def test_closed_forms(self, level):
+        p = 0.5 * (1.0 + level)
+        assert math.isclose(self.quantile(1.0, level), math.tan(math.pi * (p - 0.5)),
+                            rel_tol=1e-12)
+        assert math.isclose(self.quantile(2.0, level),
+                            (2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel_tol=1e-12)
+
+    def test_matches_recorded_40_digit_values(self):
+        # written by tests/make_t_quantiles.py with mpmath
+        path = os.path.join(os.path.dirname(__file__), "data", "t_quantiles.json")
+        with open(path) as fh:
+            cases = json.load(fh)["cases"]
+        assert len(cases) >= 12
+        for case in cases:
+            assert math.isclose(self.quantile(case["dof"], case["level"]),
+                                float(case["quantile"]), rel_tol=1e-12), case
+
+    def test_matches_stdtrit_on_a_grid(self):
+        from scipy.special import stdtrit
+
+        # 6867 and 7043 are the reference problem's LOO and full-fit dof
+        dofs = np.concatenate([np.geomspace(1.0, 1e12, 25), [6867.0, 7043.0, np.inf]])
+        for dof in dofs:
+            for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                assert math.isclose(self.quantile(float(dof), level),
+                                    stdtrit(dof, 0.5 * (1.0 + level)), rel_tol=1e-12), (dof, level)
 
 
 class TestSerialization:

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opemu import KernelSpec, kernel_matrices, lhd
+from opemu import KernelSpec, kernel_matrices, kernels, lhd
 from opemu.design import Design, DesignSpace
 from opemu.errors import NumericalDegeneracyError
 from opemu.kernels import (
@@ -139,7 +142,8 @@ class TestMatrices:
 
 
 class TestCholSolve:
-    """The direct LAPACK calls against scipy's wrappers, bit for bit."""
+    """The direct LAPACK calls against scipy's wrappers, bit for bit, with
+    LAPACK loaded from scipy's compiled module or from scipy.linalg.lapack."""
 
     @pytest.fixture
     def factored(self):
@@ -173,6 +177,44 @@ class TestCholSolve:
         assert x.shape == B.shape
         assert np.array_equal(x, cho_solve(chol, B, check_finite=False))
         assert np.array_equal(B, before)
+
+    def test_fallback_module_gives_the_same_bits(self, factored, monkeypatch):
+        # without the compiled file, scipy.linalg.lapack serves
+        Ks, chol = factored
+        B = np.random.default_rng(5).standard_normal((176, 11))
+        x = chol_solve(chol, B)
+        monkeypatch.setattr(kernels, "_flapack_path", lambda: None)
+        kernels._lapack.cache_clear()
+        try:
+            assert kernels._lapack().__name__ == "scipy.linalg.lapack"
+            fallback = _factor(Ks.copy(), 0.0, "Ks")  # Ks already holds the jitter
+            assert np.array_equal(fallback[0], chol[0])
+            assert np.array_equal(chol_solve(fallback, B), x)
+        finally:
+            kernels._lapack.cache_clear()
+
+    def test_scipy_linalg_imports_after_a_direct_load(self):
+        code = """if True:
+            import sys
+            import numpy as np
+            from opemu.kernels import (KernelSpec, _factor, _lapack, chol_solve,
+                                       output_correlation_matrix)
+            grid = np.round(0.2 * np.arange(176), 12)
+            Ks = output_correlation_matrix(grid, grid, KernelSpec((1.0,), 1.582))
+            chol = _factor(Ks, 1e-8, "Ks")
+            B = np.random.default_rng(5).standard_normal((176, 11))
+            x = chol_solve(chol, B)
+            assert "scipy.linalg" not in sys.modules
+            import scipy.linalg
+            ref = scipy.linalg.cho_factor(Ks, lower=True, check_finite=False)
+            print(scipy.linalg.lapack.dpotrf is _lapack().dpotrf,
+                  np.array_equal(ref[0], chol[0]),
+                  np.array_equal(scipy.linalg.cho_solve(ref, B), x))
+        """
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.split() == ["True", "True", "True"]
 
     def test_degenerate_matrix_names_factor_and_minor(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
