@@ -74,20 +74,20 @@ def output_correlation_matrix(times_a, times_b, spec: KernelSpec) -> np.ndarray:
     return np.exp(-(d ** spec.exponent))
 
 
-def _flapack_path():
-    """File of scipy's compiled LAPACK module, or ``None`` if it is not there.
+_FLAPACK = "scipy.linalg._flapack"
 
-    ``find_spec`` of a top-level package locates it without running its
-    ``__init__``.
+
+def _flapack_spec():
+    """Import spec of scipy's compiled LAPACK module, or ``None`` if it is not there.
+
+    ``find_spec`` of a top-level package, and the path finder on its
+    ``linalg`` directory, locate it without running a package ``__init__``.
     """
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None:
-        for root in spec.submodule_search_locations:
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-                path = os.path.join(root, "linalg", "_flapack" + suffix)
-                if os.path.isfile(path):
-                    return path
-    return None
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    return importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(root, "linalg") for root in scipy.submodule_search_locations])
 
 
 @cache
@@ -101,20 +101,23 @@ def _lapack():
     reuses it from ``sys.modules``; the one trace of the direct load is
     that the package lacks the attribute ``scipy.linalg._flapack``, which
     scipy reads only by ``from scipy.linalg import _flapack`` (that falls
-    back to ``sys.modules``). Without the file, ``scipy.linalg.lapack``
-    serves.
+    back to ``sys.modules``). Where the file is absent or does not load on
+    its own (say, before scipy's ``__init__`` has set up its bundled
+    libraries), ``scipy.linalg.lapack`` serves.
     """
-    path = _flapack_path()
-    if path is None:
-        from scipy.linalg import lapack
-        return lapack
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name]
+    if _FLAPACK not in sys.modules:
+        spec = _flapack_spec()
+        try:
+            if spec is None:
+                raise ImportError(f"no {_FLAPACK} file")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError):
+            from scipy.linalg import lapack
+
+            return lapack
+        sys.modules[_FLAPACK] = module
+    return sys.modules[_FLAPACK]
 
 
 def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:

@@ -280,9 +280,10 @@ def optimize_correlation_lengths(
     # at module level, so `import opemu.cli` loads no scipy and `opemu
     # design` and `opemu simulate` never do. Cholesky factors and solves
     # call LAPACK through `kernels._factor` and `kernels.chol_solve`, which
-    # load only scipy's compiled `_flapack` module, and the t quantile is
-    # opemu's own, so `fit` at fixed lengths, `validate`, `predict` and
-    # `sweep` load no scipy package. scipy.optimize brings scipy.linalg and
+    # load only scipy's compiled `_flapack` module, and from dof 3000 the t
+    # quantile is opemu's own, so there `fit` at fixed lengths, `validate`,
+    # `predict` and `sweep` load no scipy package (below it they load
+    # scipy.special for stdtrit). scipy.optimize brings scipy.linalg and
     # scipy.special with it (~0.6 s), and only the length search needs it
     from scipy.optimize import minimize
 

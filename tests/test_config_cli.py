@@ -623,12 +623,18 @@ def test_design_and_simulate_load_no_scipy(tmp_path):
     assert (tmp_path / "t.csv").exists()
 
 
+FIXED_LENGTHS = {"lengths": [1.0, 0.5, 0.8, 1.0]}
+
+
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """A fitted five-run workdir at fixed lengths, and its config."""
+    """A workdir fitted at fixed lengths, and its config: 19 runs on the
+    default 176-point grid, so the fit's dof (3347) and each LOO fold's
+    (3171) are above the 3000 from which opemu computes the t quantile."""
     path = tmp_path_factory.mktemp("served")
-    cfg = _small_config(path, kernel={"lengths": [1.0, 0.5, 0.8, 1.0]},
-                        analysis={"mc_samples": 50})
+    cfg = _small_config(path, design={"n": 19, "seed": 1, "candidates": 3},
+                        time={"t_min": 0.0, "t_max": 35.0, "dt": 0.2},
+                        kernel=FIXED_LENGTHS, analysis={"mc_samples": 50})
     for command in ("design", "simulate", "fit"):
         assert main([command, "--config", cfg]) == 0
     return path, cfg
@@ -650,6 +656,17 @@ def test_serving_commands_load_only_compiled_lapack(served, command):
 def test_uq_loads_scipy_special_only(served):
     # the Beta draws still take betaincinv from scipy.special
     loaded = _loaded_scipy(["uq", "--config", served[1]])
+    assert "scipy.special" in loaded
+    assert "scipy.linalg" not in loaded
+
+
+def test_small_dof_interval_loads_scipy_special_only(tmp_path):
+    # five runs on five times give dof 28: the t quantile is scipy.special.stdtrit
+    cfg = _small_config(tmp_path, kernel=FIXED_LENGTHS)
+    loaded = _loaded_scipy(*([command, "--config", cfg] for command in
+                             ("design", "simulate", "fit")),
+                           ["predict", "--point=-1.0,1.5,1.5", "--config", cfg,
+                            "--out", str(tmp_path / "prediction.csv")])
     assert "scipy.special" in loaded
     assert "scipy.linalg" not in loaded
 

@@ -349,10 +349,13 @@ class TestCredibleInterval:
         with pytest.raises(ValueError):
             credible_interval(series, 1.5)
 
-    @pytest.mark.parametrize("dof", [1.0, 3.0, 7043.0, 1e6])
+    # 6867 and 7043 are the reference problem's LOO and full-fit dof; the
+    # quantile switches from stdtrit to Cornish-Fisher at 3000
+    @pytest.mark.parametrize("dof", [1.0, 3.0, 7043.0, 1e6, 6867.0, 2999.0, 3000.0, 1e12,
+                                     math.inf] + [10.0 ** (k + 0.5) for k in range(12)])
     def test_matches_scipy_stats_t(self, dof):
         series = Predictive([0.0, 1.0], [0.25, -1.0], [1.0, 0.3], dof=dof)
-        for level in (0.5, 0.9, 0.95, 0.99):
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
             _, hi = credible_interval(series, level)
             half = student_t.ppf(0.5 * (1.0 + level), dof) * series.scale
             np.testing.assert_allclose(hi, series.location + half, rtol=1e-12, atol=0)
@@ -379,6 +382,12 @@ class TestCredibleInterval:
             assert math.isclose(self.quantile(math.inf, level), ndtri(0.5 * (1.0 + level)),
                                 rel_tol=1e-15)
 
+    def test_below_3000_dof_is_stdtrit_bit_for_bit(self):
+        from scipy.special import stdtrit
+
+        for dof in (3.0, 28.0, 2999.0):
+            assert self.quantile(dof, 0.95) == stdtrit(dof, 0.975)
+
     @pytest.mark.parametrize("level", [0.1, 0.5, 0.9, 0.95, 0.99, 0.999])
     def test_closed_forms(self, level):
         p = 0.5 * (1.0 + level)
@@ -396,16 +405,6 @@ class TestCredibleInterval:
         for case in cases:
             assert math.isclose(self.quantile(case["dof"], case["level"]),
                                 float(case["quantile"]), rel_tol=1e-12), case
-
-    def test_matches_stdtrit_on_a_grid(self):
-        from scipy.special import stdtrit
-
-        # 6867 and 7043 are the reference problem's LOO and full-fit dof
-        dofs = np.concatenate([np.geomspace(1.0, 1e12, 25), [6867.0, 7043.0, np.inf]])
-        for dof in dofs:
-            for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
-                assert math.isclose(self.quantile(float(dof), level),
-                                    stdtrit(dof, 0.5 * (1.0 + level)), rel_tol=1e-12), (dof, level)
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import math
 import os
 import subprocess
@@ -178,12 +180,20 @@ class TestCholSolve:
         assert np.array_equal(x, cho_solve(chol, B, check_finite=False))
         assert np.array_equal(B, before)
 
-    def test_fallback_module_gives_the_same_bits(self, factored, monkeypatch):
-        # without the compiled file, scipy.linalg.lapack serves
+    @pytest.mark.parametrize("missing", [True, False], ids=["absent", "unloadable"])
+    def test_fallback_module_gives_the_same_bits(self, factored, monkeypatch, tmp_path,
+                                                 missing):
+        # without a loadable compiled file, scipy.linalg.lapack serves
         Ks, chol = factored
         B = np.random.default_rng(5).standard_normal((176, 11))
         x = chol_solve(chol, B)
-        monkeypatch.setattr(kernels, "_flapack_path", lambda: None)
+        spec = None
+        if not missing:  # a file that is there but does not load as an extension
+            path = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            path.write_bytes(b"")
+            spec = importlib.util.spec_from_file_location(kernels._FLAPACK, path)
+        monkeypatch.setattr(kernels, "_flapack_spec", lambda: spec)
+        monkeypatch.delitem(sys.modules, kernels._FLAPACK, raising=False)
         kernels._lapack.cache_clear()
         try:
             assert kernels._lapack().__name__ == "scipy.linalg.lapack"
