@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import DesignSpace
 from .emulator import OpeModel, Predictive, credible_interval
 from .ioutil import atomic_write_text, write_csv
 
@@ -86,11 +87,9 @@ class SweepCurve:
         return self.values.size
 
 
-def sensitivity_sweep(
-    model: OpeModel, spec: SweepSpec, level: float = 0.95
-) -> SweepCurve:
-    """Evaluate the emulator along the sweep grid (training time grid)."""
-    space = model.design.space
+def check_sweep(spec: SweepSpec, space: DesignSpace) -> None:
+    """Raise ValueError unless ``spec`` sweeps a dimension of ``space`` inside
+    its box; the 1e-12 slack absorbs float noise at the box's ends."""
     if not (0 <= spec.dim < space.k):
         raise ValueError(f"sweep dimension {spec.dim} out of range for k={space.k}")
     lo_b, hi_b = space.bounds[spec.dim]
@@ -99,6 +98,14 @@ def sensitivity_sweep(
             f"sweep interval [{spec.lower}, {spec.upper}] leaves the design box "
             f"[{lo_b}, {hi_b}] for {space.names[spec.dim]}"
         )
+
+
+def sensitivity_sweep(
+    model: OpeModel, spec: SweepSpec, level: float = 0.95
+) -> SweepCurve:
+    """Evaluate the emulator along the sweep grid (training time grid)."""
+    space = model.design.space
+    check_sweep(spec, space)
     fixed = np.asarray(spec.fixed, dtype=float)
     if fixed.size != space.k:
         raise ValueError(f"fixed values need {space.k} entries, got {fixed.size}")

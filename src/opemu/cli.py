@@ -141,10 +141,9 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     kernel = cfg.kernel_spec()
     if kernel is None:
         state = optimize_correlation_lengths(
-            train, ib, ob, prior.sigma2, bounds=kernel_cfg["length_bounds"],
-            restarts=kernel_cfg["restarts"], seed=kernel_cfg["opt_seed"],
-            exponent=kernel_cfg["exponent"], jitter=kernel_cfg["jitter"],
-            collect_trace=args.trace,
+            train, ib, ob, prior.sigma2, restarts=kernel_cfg["restarts"],
+            seed=kernel_cfg["opt_seed"], exponent=kernel_cfg["exponent"],
+            jitter=kernel_cfg["jitter"], collect_trace=args.trace,
         )
         kernel = state.kernel_spec()
         lengths = ", ".join(f"{v:.4g}" for v in kernel.lengths)
@@ -304,7 +303,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericalDegeneracyError, OptimizationFailure) as exc:

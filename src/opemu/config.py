@@ -17,12 +17,12 @@ import re
 import numpy as np
 
 from . import __version__
-from .analysis import BetaInputSpec, SweepSpec
+from .analysis import BetaInputSpec, SweepSpec, check_sweep
 from .basis import DEFAULT_FREQUENCIES, InputBasis, OutputBasis
 from .design import DesignSpace
 from .errors import ConfigError
 from .kernels import KernelSpec
-from .simulator import ToyWaveParams
+from .simulator import DEFAULT_TOY, ToyWaveParams
 
 DEFAULTS = {
     "design": {
@@ -37,19 +37,11 @@ DEFAULTS = {
         "exponent": 1.5,
         "jitter": 1e-8,
         "lengths": None,
-        "length_bounds": None,
         "restarts": 5,
         "opt_seed": 0,
     },
     "prior": {"dof": 3.0, "sigma2": None, "scale": None, "split": 0.5},
     "time": {"t_min": 0.0, "t_max": 35.0, "dt": 0.2},
-    "simulator": {
-        "damping": 0.05,
-        "base_period": 3.0,
-        "period_per_spread": 0.8,
-        "position_gain": 0.3,
-        "speed_gain": 1.0,
-    },
     "validate": {"level": 0.95},
     "analysis": {
         "mc_samples": 1000,
@@ -79,8 +71,8 @@ DEFAULTS = {
 _SWEEP = {"dim": "x0", "lower": 0.0, "upper": 1.0, "resolution": 21, "fixed": []}
 
 # the smallest value of each integer key, and the kind of each number whose
-# default is null; kernel.lengths and kernel.length_bounds, lists with one
-# entry per dimension, take their kind check with their count in _validate
+# default is null; kernel.lengths, a list with one entry per dimension,
+# takes its kind check with its count in _validate
 _KINDS = {"design.n": 2, "design.candidates": 1, "design.seed": 0, "kernel.restarts": 1,
           "kernel.opt_seed": 0, "analysis.mc_samples": 1, "analysis.seed": 0,
           "analysis.bins": 1, "analysis.sweeps.resolution": 2,
@@ -161,7 +153,9 @@ class RunConfig:
                 raw = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read the config file ({exc.strerror})")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})")
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
@@ -171,7 +165,7 @@ class RunConfig:
         # the names first, so that every later message can name a dimension
         names = self.raw["design"]["names"]
         _build("design.names", lambda: DesignSpace([(0.0, 1.0)] * len(names), names))
-        k, dims = len(names), [*names, "time"]
+        k = len(names)
         t = self.raw["time"]
         if not t["t_min"] < t["t_max"] or t["dt"] <= 0:
             raise ConfigError("time section needs t_min < t_max and dt > 0")
@@ -179,19 +173,11 @@ class RunConfig:
             raise ConfigError(f"time.t_min must be >= 0 (the toy simulator's times "
                               f"start at 0), got {t['t_min']}")
         kernel = self.raw["kernel"]
-        for key in ("lengths", "length_bounds"):
-            value = kernel[key]
-            if value is not None and not (isinstance(value, list) and len(value) == k + 1):
-                raise ConfigError(f"kernel.{key} needs a list of {k + 1} entries, one per "
-                                  f"dimension ({', '.join(dims)}), got {value!r}")
-        _check_numbers("kernel.lengths", kernel["lengths"] or ())
-        # one pair at a time, so a design dimension named "time" clashes with nothing
-        for dim, pair in zip(dims, kernel["length_bounds"] or ()):
-            (lower, _), = _build("kernel.length_bounds",
-                                 lambda: DesignSpace([pair], [dim])).bounds
-            if not lower > 0:
-                raise ConfigError(f"kernel.length_bounds for dimension {dim}: "
-                                  f"need 0 < lower, got {lower}")
+        lengths = kernel["lengths"]
+        if lengths is not None and not (isinstance(lengths, list) and len(lengths) == k + 1):
+            raise ConfigError(f"kernel.lengths needs a list of {k + 1} entries, one per "
+                              f"dimension ({', '.join(names)}, time), got {lengths!r}")
+        _check_numbers("kernel.lengths", lengths or ())
         _check_numbers("basis.frequencies", self.raw["basis"]["frequencies"])
         beta = self.raw["analysis"]["beta"]
         if len(beta) != k:
@@ -230,10 +216,12 @@ class RunConfig:
                            ("kernel.exponent", lambda: KernelSpec((1.0,), 1.0, exponent)),
                            ("kernel.lengths", self.kernel_spec),
                            ("basis.frequencies", self.output_basis),
-                           ("simulator", self.toy_params),
                            ("analysis.beta", self.beta_spec),
                            ("analysis.sweeps", self.sweep_specs)):
             _build(key, build)
+        space = self.space()
+        for i, spec in enumerate(self.sweep_specs()):
+            _build(f"analysis.sweeps[{i}]", lambda: check_sweep(spec, space))
 
     # -- typed accessors -------------------------------------------------
 
@@ -265,7 +253,8 @@ class RunConfig:
         )
 
     def toy_params(self) -> ToyWaveParams:
-        return ToyWaveParams(**self.raw["simulator"])
+        """The toy wave's constants, which no config key sets."""
+        return DEFAULT_TOY
 
     def beta_spec(self) -> BetaInputSpec:
         return BetaInputSpec(tuple(tuple(row) for row in self.raw["analysis"]["beta"]))

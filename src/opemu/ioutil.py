@@ -53,26 +53,30 @@ def read_table(path: str) -> tuple[list[str], list[list[str]], dict]:
     """Read a comma-separated file, skipping blank and ``#`` comment lines.
 
     Returns (header fields, data rows as string fields, parsed meta dict).
+    A file that is not UTF-8 text raises :class:`DataError` naming it.
     """
     header: list[str] | None = None
     rows: list[list[str]] = []
     meta: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if header is None:
-                header = fields
-            else:
-                rows.append(fields)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        key, _, value = body.partition("=")
+                        meta[key.strip()] = value.strip()
+                    continue
+                fields = [f.strip() for f in line.split(",")]
+                if header is None:
+                    header = fields
+                else:
+                    rows.append(fields)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if header is None:
         header = []
     return header, rows, meta

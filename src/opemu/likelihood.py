@@ -225,8 +225,6 @@ def optimize_correlation_lengths(
     input_basis: InputBasis,
     output_basis: OutputBasis,
     sigma2: float,
-    init=None,
-    bounds=None,
     restarts: int = 5,
     seed: int = 0,
     exponent: float = 1.5,
@@ -236,24 +234,21 @@ def optimize_correlation_lengths(
     """Maximize the marginal likelihood over the correlation lengths.
 
     tau is profiled out at each evaluation, and the returned state's ``tau``
-    is tau_hat at the optimum. Multi-start L-BFGS-B over the log-lengths. If
-    ``init`` is given (k+1 lengths, inputs then time) it seeds the first
-    start; the rest come from a Latin Hypercube over the log bounds with the
-    given seed. The best final value wins, ties broken by the lowest start
-    index. Raises :class:`OptimizationFailure` if every start fails.
+    is tau_hat at the optimum. Multi-start L-BFGS-B over the log-lengths in
+    the box :func:`default_length_bounds`, from ``restarts`` starts drawn by a
+    Latin Hypercube over the log box with the given seed. The best final
+    value wins, ties broken by the lowest start index. Raises
+    :class:`OptimizationFailure` if every start fails.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     space = train.design.space
     t_span = float(train.time_grid[-1] - train.time_grid[0]) or 1.0
-    if bounds is None:
-        bounds = default_length_bounds(space, t_span)
-    if len(bounds) != space.k + 1:
-        raise ValueError(f"need {space.k + 1} length bounds, got {len(bounds)}")
     if not np.any(train.outputs):
         # y' M^-1 y = 0, so tau_hat = 0 and the likelihood has no maximum
         raise DataError("training outputs are all zero; no tau maximizes the likelihood")
-    log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in bounds]
+    log_bounds = [(math.log(lo), math.log(hi))
+                  for lo, hi in default_length_bounds(space, t_span)]
 
     ws = _Workspace(train, input_basis, output_basis, sigma2, exponent, jitter)
     trace: list = []
@@ -287,7 +282,7 @@ def optimize_correlation_lengths(
     # scipy.special with it (~0.6 s), and only the length search needs it
     from scipy.optimize import minimize
 
-    starts = _starting_points(log_bounds, restarts, seed, init)
+    starts = _starting_points(log_bounds, restarts, seed)
     results = []
     diagnostics = []
     for idx, theta0 in enumerate(starts):
@@ -333,23 +328,11 @@ def optimize_correlation_lengths(
     )
 
 
-def _starting_points(log_bounds, restarts, seed, init):
-    """First start from ``init`` when given; the rest from a seeded LHD."""
-    starts = []
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.size != len(log_bounds):
-            raise ValueError(f"init needs {len(log_bounds)} entries, got {init.size}")
-        for i, v in enumerate(init.ravel()):
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"init[{i}] must be a finite length > 0, got {v}")
-        starts.append(np.log(init))
-    needed = restarts - len(starts)
-    if needed > 0:
-        space = DesignSpace(bounds=log_bounds)
-        sample = lhd(max(needed, 2), space, seed).points[:needed]
-        starts.extend(np.asarray(row) for row in sample)
-    return starts
+def _starting_points(log_bounds, restarts, seed):
+    """``restarts`` starts from a seeded LHD over the log box (an LHD needs
+    at least two points, so a single start is the first of two)."""
+    sample = lhd(max(restarts, 2), DesignSpace(bounds=log_bounds), seed).points
+    return list(sample[:restarts])
 
 
 def estimate_hyperparams(

@@ -28,6 +28,7 @@ from opemu import (
 from opemu.analysis import (
     QUANTILE_LEVELS,
     UQ_BLOCK,
+    check_sweep,
     save_histogram_csv,
     save_quantiles_csv,
     save_quantiles_json,
@@ -111,6 +112,20 @@ class TestSweep:
                 toy_model,
                 SweepSpec(dim=0, lower=-5.0, upper=0.0, fixed=(0.0, 1.5, 1.5)),
             )
+
+    @pytest.mark.parametrize("lower, upper, ok", [
+        (-3.0 - 1e-13, 1.0 + 1e-13, True),  # float noise at the ends
+        (-3.0 - 1e-11, 0.0, False),
+        (-2.0, 1.0 + 1e-11, False),
+    ], ids=["within-slack", "below", "above"])
+    def test_check_sweep_box_and_slack(self, lower, upper, ok):
+        space = DesignSpace(bounds=[(-3.0, 1.0), (1.0, 2.0)], names=("x0", "u0"))
+        spec = SweepSpec(dim=0, lower=lower, upper=upper, fixed=(0.0, 1.5))
+        if ok:
+            check_sweep(spec, space)
+        else:
+            with pytest.raises(ValueError, match=r"leaves the design box \[-3.0, 1.0\] for x0"):
+                check_sweep(spec, space)
 
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):

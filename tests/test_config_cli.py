@@ -61,6 +61,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="beta"):
             RunConfig({"analysis": {"beta": [[1, 1, 0, 1]]}})
 
+    def test_sweep_interval_keeps_its_slack_at_load(self):
+        # float noise of 1e-13 at the box's ends is not a sweep outside it
+        sweep = {"dim": "x0", "lower": -3.0 - 1e-13, "upper": 1.0 + 1e-13,
+                 "fixed": [-1.0, 1.5, 1.5]}
+        RunConfig({"analysis": {"sweeps": [sweep]}})
+
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="missing"):
             RunConfig({"analysis": {"sweeps": [{"dim": "u0"}]}})
@@ -308,19 +314,6 @@ class TestExitCodes:
         assert main(["design", "--config", str(cfg)]) == 2
         assert "u0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bounds", [
-        [[-1.0, 4.0], [0.2, 4.0], [0.3, 6.0], [1.0, 40.0]],  # negative lower bound
-        [[5.0, 2.0], [0.2, 4.0], [0.3, 6.0], [1.0, 40.0]],  # inverted pair
-        "abc",
-    ], ids=["negative", "inverted", "string"])
-    def test_bad_length_bounds_exit_2(self, tmp_path, capsys, bounds):
-        # rejected with the config, before fit reads training data or estimates the prior
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"kernel": {"length_bounds": bounds}}))
-        assert main(["fit", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "kernel.length_bounds" in err and "x0" in err
-
     @pytest.mark.parametrize("override, names", [
         ({"kernel": {"exponent": 3.0}}, ["kernel.exponent"]),
         ({"kernel": {"lengths": [-1.0, 1.0, 0.6, 3.0]}}, ["kernel.lengths"]),
@@ -331,7 +324,6 @@ class TestExitCodes:
         ({"analysis": {"sweeps": [{"dim": "x0", "lower": -2.0, "upper": 0.0,
                                    "resolution": 1, "fixed": [-1.0, 1.5, 1.5]}]}},
          ["analysis.sweeps", "resolution"]),
-        ({"simulator": {"damping": -1.0}}, ["simulator", "damping"]),
         ({"basis": {"frequencies": [0]}}, ["basis.frequencies"]),
         ({"basis": {"frequencies": [float("nan")]}}, ["basis.frequencies"]),
         ({"design": {"bounds": [[-float("inf"), 1.0], [1.0, 2.0], [0.5, 3.0]]}},
@@ -374,6 +366,10 @@ class TestExitCodes:
         ({"analysis": {"sweeps": [{**SWEEP, "resolutoin": 21}]}},
          ["analysis.sweeps[0].resolutoin"]),
         ({"validate": {"reoptimize": False}}, ["validate.reoptimize"]),
+        ({"simulator": {"damping": 0.05}}, ["unknown config key: simulator"]),
+        ({"kernel": {"length_bounds": None}}, ["unknown config key: kernel.length_bounds"]),
+        ({"analysis": {"sweeps": [SWEEP, {**SWEEP, "lower": -5.0}]}},
+         ["analysis.sweeps[1]", "design box", "x0"]),
         ({"kernel": {"lengths": [1.0, 1.0, "0.6", 3.0]}}, ["kernel.lengths"]),
         ({"design": {"bounds": [["-3", 1.0], [1.0, 2.0], [0.5, 3.0]]}},
          ["design.bounds", "x0"]),
@@ -383,8 +379,7 @@ class TestExitCodes:
         ({"analysis": {"sweeps": [{**SWEEP, "fixed": [-1.0, "1.5", 1.5]}]}},
          ["analysis.sweeps[0].fixed[1]"]),
     ], ids=["exponent", "negative-length", "string-length", "nan-length", "beta-shape",
-            "sweep-resolution",
-            "damping", "frequency", "nan-frequency", "infinite-lower-bound",
+            "sweep-resolution", "frequency", "nan-frequency", "infinite-lower-bound",
             "infinite-upper-bound", "string-bound", "short-bound-pair", "string-n",
             "fractional-n", "string-candidates",
             "string-dt", "negative-seed", "string-restarts", "negative-analysis-seed",
@@ -393,7 +388,8 @@ class TestExitCodes:
             "number-bounds", "number-names", "integer-names", "comma-name", "repeated-name",
             "number-lengths", "number-beta", "number-sweeps", "number-sweep",
             "number-sweep-fixed", "boolean-sweep-dim", "fractional-sweep-resolution",
-            "misspelt-sweep-key", "removed-reoptimize", "numeric-string-length",
+            "misspelt-sweep-key", "removed-reoptimize", "removed-simulator",
+            "removed-length-bounds", "sweep-out-of-box", "numeric-string-length",
             "numeric-string-bound", "boolean-frequency", "string-beta-entry",
             "numeric-string-sweep-fixed"])
     def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
@@ -573,6 +569,68 @@ class TestExitCodes:
                                 model=tmp_path / "model.json",
                                 reports=tmp_path / "reports")
         assert main(["validate", "--config", cfg]) == 0
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert main(["design", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(tmp_path) in err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"design": {"names": ["x\u00e90", "u0", "c"]}}'.encode("latin-1"))
+        assert main(["design", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+
+    @pytest.mark.parametrize("argv", [["fit"], ["predict", "--point=-1.0,1.5,1.5"]],
+                             ids=["fit", "predict"])
+    def test_model_path_directory_exit_3(self, pipeline_dir, tmp_path, capsys, monkeypatch,
+                                         argv):
+        # fit cannot replace a directory with the model, predict cannot read one
+        monkeypatch.chdir(tmp_path)
+        _, cfg_path = pipeline_dir
+        model = tmp_path / "model.json"
+        model.mkdir()
+        cfg = self._config_with(cfg_path, tmp_path, model=model)
+        assert main([*argv, "--config", cfg]) == 3
+        assert str(model) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "run.json"]
+
+    def test_predict_out_directory_exit_3(self, pipeline_dir, tmp_path, capsys):
+        _, cfg_path = pipeline_dir
+        assert main(["predict", "--config", str(cfg_path), "--point=-1.0,1.5,1.5",
+                     "--out", str(tmp_path)]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reports_path_file_exit_3(self, pipeline_dir, tmp_path, capsys):
+        _, cfg_path = pipeline_dir
+        reports = tmp_path / "reports"
+        reports.write_text("")
+        cfg = self._config_with(cfg_path, tmp_path, reports=reports)
+        assert main(["sweep", "--config", cfg]) == 3
+        assert str(reports) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, argv", [
+        ("design", ["simulate"]), ("training", ["fit"]),
+        ("model", ["predict", "--point=-1.0,1.5,1.5"]),
+    ], ids=["design", "training", "model"])
+    def test_non_utf8_input_exit_3_naming_the_file(self, pipeline_dir, tmp_path, capsys,
+                                                   monkeypatch, key, argv):
+        # the dimension name x0 written as "x\xe90", as a Latin-1 editor saves "xé0"
+        monkeypatch.chdir(tmp_path)
+        workdir, cfg_path = pipeline_dir
+        paths = {role: tmp_path / file for role, file in
+                 (("design", "design.csv"), ("training", "training.csv"),
+                  ("model", "model.json"))}
+        for file in paths.values():
+            file.write_bytes((workdir / file.name).read_bytes())
+        paths[key].write_bytes(paths[key].read_bytes().replace(b"x0", b"x\xe90", 1))
+        cfg = self._config_with(cfg_path, tmp_path, **paths, reports=tmp_path / "reports")
+        assert main([*argv, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(paths[key]) in err
+        assert "utf-8" in err
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -20,7 +20,7 @@ from opemu import (
 )
 from opemu.design import DesignSpace
 from opemu.errors import DataError
-from opemu.likelihood import _Workspace
+from opemu.likelihood import _starting_points, _Workspace, default_length_bounds
 
 
 def random_instance(n=3, q=4, seed=0):
@@ -196,16 +196,31 @@ def synthetic_from_kernel(n, q, lengths, tau, sigma2, seed, space=None):
     return train, ib, ob
 
 
+def length_box(train):
+    """The optimizer's search box: default_length_bounds over the design and grid."""
+    t_span = float(train.time_grid[-1] - train.time_grid[0])
+    return default_length_bounds(train.design.space, t_span)
+
+
+def first_start(train, seed):
+    """The optimizer's first start: the first row of its seeded LHD over the log box."""
+    log_box = [(math.log(lo), math.log(hi)) for lo, hi in length_box(train)]
+    return np.exp(_starting_points(log_box, 1, seed)[0])
+
+
 class TestOptimizer:
     def test_ascends_from_given_start(self):
+        # the start is the first row of the seeded LHD; the trace's first
+        # evaluation is there, at tau_hat
         train, ib, ob = synthetic_from_kernel(
             8, 10, (0.4, 0.4, 0.4, 1.0), tau=1.0, sigma2=0.1, seed=3
         )
-        init = np.array([0.2, 0.7, 0.3, 2.0, 0.5])
-        initial = log_marginal_likelihood(train, ib, ob, init[:4], init[4], 0.1)
-        state = optimize_correlation_lengths(
-            train, ib, ob, 0.1, init=init[:4], restarts=1, seed=0
-        )
+        start = first_start(train, seed=0)
+        state = optimize_correlation_lengths(train, ib, ob, 0.1, restarts=1, seed=0,
+                                             collect_trace=True)
+        first = state.trace[0]
+        np.testing.assert_allclose(first[4:8], start, rtol=1e-15)
+        initial = log_marginal_likelihood(train, ib, ob, start, first[8], 0.1)
         assert state.value >= initial
 
     def test_deterministic(self):
@@ -241,11 +256,9 @@ class TestOptimizer:
         train, ib, ob = synthetic_from_kernel(
             6, 8, (0.4, 0.4, 0.4, 1.0), tau=1.0, sigma2=0.1, seed=21
         )
-        init = np.array([0.3, 0.3, 0.3, 0.8, 0.5])
-        box = [(0.05, 20.0)] * 5
-        state = optimize_correlation_lengths(
-            train, ib, ob, 0.1, init=init[:4], restarts=1, seed=0, bounds=box[:4],
-        )
+        init = np.append(first_start(train, seed=0), 0.5)
+        box = [*length_box(train), (0.05, 20.0)]
+        state = optimize_correlation_lengths(train, ib, ob, 0.1, restarts=1, seed=0)
 
         def negative(theta):
             value = log_marginal_likelihood(train, ib, ob, theta[:4], theta[4], 0.1)
@@ -282,14 +295,6 @@ class TestOptimizer:
         assert state.kernel_spec(2.0) == state.kernel_spec()
         with pytest.raises(ValueError, match="exponent 2.0, not 1.5"):
             state.kernel_spec(1.5)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_bad_init(self, bad):
-        # the start is the log of ``init``, so an entry must be finite and > 0
-        train, ib, ob = random_instance(n=4, q=5, seed=3)
-        with pytest.raises(ValueError, match=r"init\[0\] must be a finite length > 0"):
-            optimize_correlation_lengths(train, ib, ob, 0.1, init=[bad, 1.0, 1.0, 1.0],
-                                         restarts=1)
 
     def test_zero_outputs_rejected(self):
         # tau_hat would be 0: the profiled likelihood has no maximum
