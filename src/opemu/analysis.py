@@ -89,15 +89,18 @@ class SweepCurve:
 
 def check_sweep(spec: SweepSpec, space: DesignSpace) -> None:
     """Raise ValueError unless ``spec`` sweeps a dimension of ``space`` inside
-    its box; the 1e-12 slack absorbs float noise at the box's ends."""
+    its box, with every other coordinate fixed inside it; the 1e-12 slack
+    absorbs float noise at the box's ends."""
     if not (0 <= spec.dim < space.k):
         raise ValueError(f"sweep dimension {spec.dim} out of range for k={space.k}")
-    lo_b, hi_b = space.bounds[spec.dim]
-    if spec.lower < lo_b - 1e-12 or spec.upper > hi_b + 1e-12:
-        raise ValueError(
-            f"sweep interval [{spec.lower}, {spec.upper}] leaves the design box "
-            f"[{lo_b}, {hi_b}] for {space.names[spec.dim]}"
-        )
+    if len(spec.fixed) != space.k:
+        raise ValueError(f"fixed needs {space.k} values, got {len(spec.fixed)}")
+    for j, (lo_b, hi_b) in enumerate(space.bounds):
+        lo, hi = (spec.lower, spec.upper) if j == spec.dim else (spec.fixed[j],) * 2
+        if not lo_b - 1e-12 <= lo <= hi <= hi_b + 1e-12:
+            what = f"sweep interval [{lo}, {hi}]" if j == spec.dim else f"fixed value {lo}"
+            raise ValueError(f"{what} leaves the design box [{lo_b}, {hi_b}] "
+                             f"for {space.names[j]}")
 
 
 def sensitivity_sweep(
@@ -107,8 +110,6 @@ def sensitivity_sweep(
     space = model.design.space
     check_sweep(spec, space)
     fixed = np.asarray(spec.fixed, dtype=float)
-    if fixed.size != space.k:
-        raise ValueError(f"fixed values need {space.k} entries, got {fixed.size}")
     values = np.linspace(spec.lower, spec.upper, spec.resolution)
     maxima = np.empty(spec.resolution)
     widths = np.empty(spec.resolution)

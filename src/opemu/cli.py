@@ -173,8 +173,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     training_path, model_path = cfg.raw["paths"]["training"], cfg.raw["paths"]["model"]
     train = ingest_runs(training_path, cfg.space())
     model = _load_model(cfg)
-    # an empty fingerprint comes from a model file that predates it
-    if model.training_fingerprint and model.training_fingerprint != train.fingerprint():
+    if model.training_fingerprint != train.fingerprint():
         raise DataError(
             f"{training_path} is not the training set {model_path} was fitted to "
             f"(training fingerprints differ); rerun fit"

@@ -207,8 +207,6 @@ class RunConfig:
             _check_numbers(f"{where}.fixed", sweep["fixed"])
             if sweep["dim"] not in names:
                 raise ConfigError(f"{where}.dim {sweep['dim']!r} is not a design dimension")
-            if len(sweep["fixed"]) != k:
-                raise ConfigError(f"{where}.fixed needs {k} values, got {len(sweep['fixed'])}")
         # the domain objects check their own values; build each once so a
         # bad value fails at load, named by its key, not in a later command
         exponent = kernel["exponent"]
@@ -219,9 +217,13 @@ class RunConfig:
                            ("analysis.beta", self.beta_spec),
                            ("analysis.sweeps", self.sweep_specs)):
             _build(key, build)
-        space = self.space()
-        for i, spec in enumerate(self.sweep_specs()):
+        space, specs = self.space(), self.sweep_specs()
+        for i, spec in enumerate(specs):
             _build(f"analysis.sweeps[{i}]", lambda: check_sweep(spec, space))
+            if any(other.dim == spec.dim for other in specs[:i]):
+                name = space.names[spec.dim]
+                raise ConfigError(f"analysis.sweeps[{i}] sweeps {name} again; each sweep "
+                                  f"writes sweep_<dim>.csv")
 
     # -- typed accessors -------------------------------------------------
 

@@ -516,10 +516,10 @@ def load_model(path: str) -> OpeModel:
     a number is not finite (JSON's ``NaN`` and ``Infinity``), an array's
     shape does not match the design, the time grid and the bases, the time
     grid is not strictly increasing, or ``posterior.dof`` is not the
-    a + n*q that the prior, design and grid imply. A
-    ``posterior.coeff_cov`` or ``design.seed`` stored by older versions is
-    ignored, and so is their ``prior.mean`` when it is all zero; a
-    non-zero one is rejected, since the prior is zero-mean.
+    a + n*q that the prior, design and grid imply, or
+    ``training_fingerprint`` is not a non-empty string. A ``prior.cov`` or
+    ``prior.mean`` (from builds before the zero-mean isotropic prior) asks
+    for a refit; a ``posterior.coeff_cov`` or ``design.seed`` is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -529,9 +529,10 @@ def load_model(path: str) -> OpeModel:
     if not isinstance(doc, dict) or doc.get("format") != "ope-model":
         raise DataError(f"{path}: not a fitted-model file")
     prior_doc = doc.get("prior")
-    if isinstance(prior_doc, dict) and "cov" in prior_doc and "sigma2" not in prior_doc:
-        raise DataError(f"{path}: prior has a dense 'cov' and no 'sigma2'; "
-                        "only isotropic priors (V = sigma2 * I) are supported")
+    for key in ("cov", "mean"):
+        if isinstance(prior_doc, dict) and key in prior_doc:
+            raise DataError(f"{path}: 'prior.{key}' is from a build before the prior "
+                            "became zero-mean and isotropic; rerun fit")
 
     def get(key, shape=()):
         """The finite number(s) at ``key``: a float for ``shape=()``, else an
@@ -567,9 +568,9 @@ def load_model(path: str) -> OpeModel:
         input_basis = InputBasis(space)
         output_basis = OutputBasis(tuple(get("output_basis.frequencies", (None,))))
         nu = (input_basis.size * output_basis.size,)
-        if isinstance(prior_doc, dict) and "mean" in prior_doc and np.any(
-                get("prior.mean", nu)):
-            raise DataError("'prior.mean' is non-zero; only zero-mean priors are supported")
+        fingerprint = get("training_fingerprint", None)
+        if not (isinstance(fingerprint, str) and fingerprint):
+            raise DataError("'training_fingerprint' is not a non-empty string")
         kernel = KernelSpec(input_lengths=tuple(get("kernel.input_lengths", (space.k,))),
                             output_length=get("kernel.output_length"),
                             exponent=get("kernel.exponent"))
@@ -579,7 +580,7 @@ def load_model(path: str) -> OpeModel:
         model = OpeModel(prior, _KronEigen(design, Gr, time, prior.sigma2),
                          get("posterior.coeff_mean", nu), get("posterior.scale"),
                          get("residual_weights", (points.shape[0], grid.size)),
-                         doc.get("training_fingerprint", ""))
+                         fingerprint)
         if get("posterior.dof") != model.dof:
             raise DataError(f"'posterior.dof' is not {model.dof!r}, the prior dof + n*q")
         return model

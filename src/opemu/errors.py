@@ -15,10 +15,9 @@ class DataError(ValueError):
 
 class NumericalDegeneracyError(RuntimeError):
     """A matrix factorization failed or found a non-positive eigenvalue;
-    names the offending matrix."""
+    the message names the offending matrix."""
 
     def __init__(self, matrix_name: str, detail: str = ""):
-        self.matrix_name = matrix_name
         msg = f"factorization failed for {matrix_name}"
         if detail:
             msg = f"{msg}: {detail}"
@@ -26,8 +25,4 @@ class NumericalDegeneracyError(RuntimeError):
 
 
 class OptimizationFailure(RuntimeError):
-    """Every optimizer restart failed; carries the per-start trace."""
-
-    def __init__(self, message: str, starts: list | None = None):
-        super().__init__(message)
-        self.starts = starts or []
+    """Every optimizer restart failed."""

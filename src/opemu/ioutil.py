@@ -32,7 +32,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def interval_columns(level: float) -> tuple:
     """Column names of a credible interval at ``level``: ("lo95", "hi95") at 0.95."""
-    percent = f"{100 * level:g}"
+    percent = f"{100 * level:.15g}"
     return f"lo{percent}", f"hi{percent}"
 
 

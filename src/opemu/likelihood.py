@@ -45,14 +45,15 @@ _BARRIER = 1e25
 
 @dataclass
 class MarginalLikelihoodState:
-    """Result of a likelihood maximization at one kernel exponent."""
+    """Result of a likelihood maximization at one kernel exponent; ``starts``
+    holds one dict per start with its ``start`` index, final ``value``,
+    ``iterations`` and whether it ``converged``."""
 
     input_lengths: tuple
     output_length: float
     exponent: float
     tau: float
     value: float
-    gradient: np.ndarray
     trace: list = field(default_factory=list)
     starts: list = field(default_factory=list)
 
@@ -299,30 +300,26 @@ def optimize_correlation_lengths(
         diagnostics.append(
             {
                 "start": idx,
-                "x0": np.exp(theta0).tolist(),
                 "value": float(-res.fun),
                 "iterations": int(res.nit),
                 "converged": bool(res.success),
-                "message": str(res.message),
             }
         )
         if np.isfinite(res.fun) and res.fun < _BARRIER / 2:
             results.append((idx, res))
     if not results:
         raise OptimizationFailure(
-            "all optimizer restarts failed to produce a finite likelihood",
-            diagnostics,
+            "all optimizer restarts failed to produce a finite likelihood"
         )
-    best_idx, best = min(results, key=lambda item: (item[1].fun, item[0]))
+    _, best = min(results, key=lambda item: (item[1].fun, item[0]))
     lengths = np.exp(best.x)
-    value, grad, tau = ws.evaluate(lengths, want_grad=True)
+    value, _, tau = ws.evaluate(lengths)
     return MarginalLikelihoodState(
         input_lengths=tuple(lengths[: space.k]),
         output_length=float(lengths[space.k]),
         exponent=exponent,
         tau=float(tau),
         value=float(value),
-        gradient=grad,
         trace=trace,
         starts=diagnostics,
     )

@@ -113,18 +113,26 @@ class TestSweep:
                 SweepSpec(dim=0, lower=-5.0, upper=0.0, fixed=(0.0, 1.5, 1.5)),
             )
 
-    @pytest.mark.parametrize("lower, upper, ok", [
-        (-3.0 - 1e-13, 1.0 + 1e-13, True),  # float noise at the ends
-        (-3.0 - 1e-11, 0.0, False),
-        (-2.0, 1.0 + 1e-11, False),
-    ], ids=["within-slack", "below", "above"])
-    def test_check_sweep_box_and_slack(self, lower, upper, ok):
+    @pytest.mark.parametrize("lower, upper, fixed, message", [
+        (-3.0 - 1e-13, 1.0 + 1e-13, (0.0, 1.5), None),  # float noise at the ends
+        (-3.0 - 1e-11, 0.0, (0.0, 1.5), r"design box \[-3.0, 1.0\] for x0"),
+        (-2.0, 1.0 + 1e-11, (0.0, 1.5), r"design box \[-3.0, 1.0\] for x0"),
+        (-2.0, 0.0, (0.0, 2.0 + 1e-13), None),
+        (-2.0, 0.0, (99.0, 1.5), None),  # the swept dimension's entry is not read
+        (-2.0, 0.0, (0.0, 2.0 + 1e-11), r"fixed value 2.00000000001 leaves the design box"),
+        (-2.0, 0.0, (0.0, 1.0 - 1e-11), r"fixed value 0.99999999999 leaves the design box"),
+        (-2.0, 0.0, (0.0, float("nan")), r"fixed value nan leaves .* \[1.0, 2.0\] for u0"),
+        (-2.0, 0.0, (0.0,), "fixed needs 2 values, got 1"),
+        (-2.0, 0.0, (0.0, 1.5, 1.5), "fixed needs 2 values, got 3"),
+    ], ids=["within-slack", "below", "above", "fixed-within-slack", "fixed-swept-entry",
+            "fixed-above", "fixed-below", "fixed-nan", "fixed-short", "fixed-long"])
+    def test_check_sweep_box_and_slack(self, lower, upper, fixed, message):
         space = DesignSpace(bounds=[(-3.0, 1.0), (1.0, 2.0)], names=("x0", "u0"))
-        spec = SweepSpec(dim=0, lower=lower, upper=upper, fixed=(0.0, 1.5))
-        if ok:
+        spec = SweepSpec(dim=0, lower=lower, upper=upper, fixed=fixed)
+        if message is None:
             check_sweep(spec, space)
         else:
-            with pytest.raises(ValueError, match=r"leaves the design box \[-3.0, 1.0\] for x0"):
+            with pytest.raises(ValueError, match=message):
                 check_sweep(spec, space)
 
     def test_rejects_low_resolution(self):

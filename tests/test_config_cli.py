@@ -265,6 +265,7 @@ class TestDefaultConfig:
 
 
 SWEEP = {"dim": "x0", "lower": -2.0, "upper": 0.0, "resolution": 21, "fixed": [-1.0, 1.5, 1.5]}
+U0_SWEEP = {**SWEEP, "dim": "u0", "lower": 1.0, "upper": 2.0}
 
 
 def _wrong_kind(default):
@@ -378,6 +379,14 @@ class TestExitCodes:
                                 [2.0, 5.0, 0.5, 2.5]]}}, ["analysis.beta[0][1]"]),
         ({"analysis": {"sweeps": [{**SWEEP, "fixed": [-1.0, "1.5", 1.5]}]}},
          ["analysis.sweeps[0].fixed[1]"]),
+        ({"analysis": {"sweeps": [{**U0_SWEEP, "fixed": [25.0, 1.5, -40.0]}]}},
+         ["analysis.sweeps[0]", "fixed value 25.0", "design box", "x0"]),
+        ({"analysis": {"sweeps": [U0_SWEEP, {**U0_SWEEP, "fixed": [-1.0, 1.5, -40.0]}]}},
+         ["analysis.sweeps[1]", "fixed value -40.0", "design box", "c"]),
+        ({"analysis": {"sweeps": [{**SWEEP, "fixed": [-1.0, 1.5]}]}},
+         ["analysis.sweeps[0]", "fixed needs 3 values, got 2"]),
+        ({"analysis": {"sweeps": [U0_SWEEP, SWEEP, U0_SWEEP]}},
+         ["analysis.sweeps[2]", "u0 again"]),
     ], ids=["exponent", "negative-length", "string-length", "nan-length", "beta-shape",
             "sweep-resolution", "frequency", "nan-frequency", "infinite-lower-bound",
             "infinite-upper-bound", "string-bound", "short-bound-pair", "string-n",
@@ -391,7 +400,8 @@ class TestExitCodes:
             "misspelt-sweep-key", "removed-reoptimize", "removed-simulator",
             "removed-length-bounds", "sweep-out-of-box", "numeric-string-length",
             "numeric-string-bound", "boolean-frequency", "string-beta-entry",
-            "numeric-string-sweep-fixed"])
+            "numeric-string-sweep-fixed", "sweep-fixed-out-of-box",
+            "later-sweep-fixed-out-of-box", "sweep-fixed-count", "repeated-sweep-dim"])
     def test_bad_domain_value_exit_2_at_load(self, tmp_path, capsys, override, names):
         # rejected with the config, so `design` fails, not a later command
         cfg = tmp_path / "bad.json"
@@ -548,6 +558,31 @@ class TestExitCodes:
             assert "rerun fit" in err
         assert not out.exists() and not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("lengths, message", [
+        ([1.0, 0.5, 0.8, 1.5], "factorization failed for the input correlation matrix"),
+        (None, "all optimizer restarts failed"),
+    ], ids=["fixed-lengths", "length-search"])
+    def test_repeated_design_row_exit_4(self, tmp_path, capsys, lengths, message):
+        # without jitter two equal rows leave a pivot of exactly 0 in the
+        # input correlation's Cholesky factor at every length
+        paths = {name: str(tmp_path / f"{name}.{ext}") for name, ext in
+                 (("design", "csv"), ("training", "csv"), ("model", "json"))}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "design": {"n": 6, "candidates": 4}, "time": {"t_max": 8.0, "dt": 0.5},
+            "kernel": {"jitter": 0, "restarts": 2, "lengths": lengths}, "paths": paths}))
+        assert main(["design", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "design.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[header + 2] = lines[header + 1]
+        (tmp_path / "design.csv").write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and message in err, err
+        assert not (tmp_path / "model.json").exists()
+
     def test_validate_rejects_other_training_set(self, pipeline_dir, tmp_path, capsys):
         workdir, cfg_path = pipeline_dir
         other = tmp_path / "training.csv"
@@ -561,14 +596,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(other) in err and str(workdir / "model.json") in err
 
-        # model files without a fingerprint skip the check
-        doc = json.loads((workdir / "model.json").read_text())
-        doc["training_fingerprint"] = ""
-        (tmp_path / "model.json").write_text(json.dumps(doc))
+        # a model file without a fingerprint cannot skip the check
         cfg = self._config_with(cfg_path, tmp_path, training=other,
                                 model=tmp_path / "model.json",
                                 reports=tmp_path / "reports")
-        assert main(["validate", "--config", cfg]) == 0
+        for fingerprint in ("", None):
+            doc = json.loads((workdir / "model.json").read_text())
+            if fingerprint is None:
+                del doc["training_fingerprint"]
+            else:
+                doc["training_fingerprint"] = fingerprint
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+            assert main(["validate", "--config", cfg]) == 3
+            assert "'training_fingerprint'" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
     def test_config_directory_exit_2(self, tmp_path, capsys):
         assert main(["design", "--config", str(tmp_path)]) == 2

@@ -555,29 +555,6 @@ class TestSerialization:
         with pytest.raises(DataError, match="residual_weights"):
             load_model(str(path))
 
-    def test_dense_prior_cov_rejected(self, wave_space, tmp_path):
-        from opemu.errors import DataError
-
-        _, path, doc = self._saved_doc(wave_space, tmp_path)
-        sigma2 = doc["prior"].pop("sigma2")
-        doc["prior"]["cov"] = (sigma2 * np.eye(77)).tolist()
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="dense 'cov' and no 'sigma2'"):
-            load_model(str(path))
-
-    def test_stored_zero_prior_mean_loads_identically(self, wave_space, tmp_path):
-        # files written before the prior became zero-mean store prior.mean
-        model, path, doc = self._saved_doc(wave_space, tmp_path)
-        assert "mean" not in doc["prior"]
-        loaded = load_model(str(path))
-        doc["prior"]["mean"] = [0.0] * 77
-        path.write_text(json.dumps(doc))
-        older = load_model(str(path))
-        r = [-0.5, 1.2, 2.7]
-        a, b = loaded.predict(r), older.predict(r)
-        assert np.array_equal(a.location, b.location)
-        assert np.array_equal(a.scale, b.scale)
-
     def test_stored_design_seed_loads_identically(self, wave_space, tmp_path):
         # files written before designs dropped their seed store design.seed
         model, path, doc = self._saved_doc(wave_space, tmp_path)
@@ -601,14 +578,20 @@ class TestSerialization:
         with pytest.raises(DataError, match="slashes"):
             load_model(str(path))
 
-    def test_nonzero_prior_mean_rejected(self, wave_space, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("cov", np.eye(77).tolist()),
+        ("mean", [0.0] * 77),
+        ("mean", [0.0] * 76 + [0.5]),
+    ], ids=["cov", "zero-mean", "nonzero-mean"])
+    def test_legacy_prior_key_rejected(self, wave_space, tmp_path, key, value):
+        # builds before the zero-mean isotropic prior stored prior.cov or prior.mean
         from opemu.cli import main
         from opemu.errors import DataError
 
         _, path, doc = self._saved_doc(wave_space, tmp_path)
-        doc["prior"]["mean"] = [0.0] * 76 + [0.5]
+        doc["prior"][key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="prior.mean"):
+        with pytest.raises(DataError, match=rf"'prior\.{key}'.*rerun fit"):
             load_model(str(path))
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"paths": {"model": str(path)}}))

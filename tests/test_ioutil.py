@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opemu.errors import DataError
-from opemu.ioutil import parse_rows, read_table, write_csv
+from opemu.ioutil import interval_columns, parse_rows, read_table, write_csv
 
 
 class TestWriteCsv:
@@ -27,6 +27,16 @@ class TestWriteCsv:
         header, rows, meta = read_table(str(path))
         assert meta == {"k": "v"}
         assert np.array_equal(parse_rows(str(path), header, rows), values)
+
+
+@pytest.mark.parametrize("level, percent", [
+    (0.95, "95"), (0.9, "90"), (0.5, "50"), (0.999, "99.9"),
+    (0.57, "57"),  # 100 * 0.57 is 56.99999999999999
+    (0.9999999, "99.99999"),  # not rounded up to 100
+    (0.123456789, "12.3456789"),
+])
+def test_interval_columns_name_the_level(level, percent):
+    assert interval_columns(level) == (f"lo{percent}", f"hi{percent}")
 
 
 class TestParseRows:
