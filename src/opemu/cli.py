@@ -39,16 +39,12 @@ from .validation import loo, save_fold_csv, save_report_json
 
 
 def _parser() -> argparse.ArgumentParser:
-    # the flags are global: accepted both before and after the subcommand.
+    # --config is global: accepted both before and after the subcommand.
     # SUPPRESS keeps the subparser's copy from overwriting a value given in
-    # the global position; real defaults are registered once below.
+    # the global position; main applies the default.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
                         help="run-config JSON file")
-    common.add_argument("--seed", type=int, metavar="U64", default=argparse.SUPPRESS,
-                        help="override the design/analysis seeds")
-    common.add_argument("--trace", action="store_true", default=argparse.SUPPRESS,
-                        help="write optimizer trace CSV next to the reports")
 
     parser = argparse.ArgumentParser(
         prog="opemu",
@@ -62,8 +58,10 @@ def _parser() -> argparse.ArgumentParser:
                    help="generate the maximin Latin Hypercube design CSV")
     sub.add_parser("simulate", parents=[common],
                    help="run the toy simulator over the design, write training CSV")
-    sub.add_parser("fit", parents=[common],
-                   help="estimate hyperparameters, optimize lengths, fit the emulator")
+    p_fit = sub.add_parser("fit", parents=[common],
+                           help="estimate hyperparameters, optimize lengths, fit the emulator")
+    p_fit.add_argument("--trace", action="store_true",
+                       help="write optimizer trace CSV next to the reports")
     sub.add_parser("validate", parents=[common],
                    help="leave-one-out diagnostics and summary report")
     p_pred = sub.add_parser("predict", parents=[common],
@@ -76,18 +74,6 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("uq", parents=[common],
                    help="Monte-Carlo uncertainty quantification tables")
     return parser
-
-
-def _load_config(args) -> RunConfig:
-    return RunConfig.load(args.config) if args.config else RunConfig()
-
-
-def _design_seed(cfg, args) -> int:
-    return args.seed if args.seed is not None else cfg.raw["design"]["seed"]
-
-
-def _analysis_seed(cfg, args) -> int:
-    return args.seed if args.seed is not None else cfg.raw["analysis"]["seed"]
 
 
 def _load_model(cfg: RunConfig):
@@ -103,12 +89,10 @@ def _load_model(cfg: RunConfig):
 
 
 def cmd_design(cfg: RunConfig, args) -> int:
-    seed = _design_seed(cfg, args)
-    design = maximin_lhd(
-        cfg.raw["design"]["n"], cfg.space(), seed, cfg.raw["design"]["candidates"]
-    )
+    d = cfg.raw["design"]
+    design = maximin_lhd(d["n"], cfg.space(), d["seed"], d["candidates"])
     path = cfg.raw["paths"]["design"]
-    save_design_csv(design, path, cfg.meta(seed))
+    save_design_csv(design, path, cfg.meta("design"))
     print(f"wrote {path}: {design.n} points, {design.space.k} dimensions")
     print(f"min pairwise distance: unit={design.min_distance(unit=True):.6f} "
           f"physical={design.min_distance(unit=False):.6f}")
@@ -119,7 +103,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     design = load_design_csv(cfg.raw["paths"]["design"], cfg.space())
     train = toy_training_set(design, cfg.time_grid(), cfg.toy_params())
     path = cfg.raw["paths"]["training"]
-    write_training_csv(train, path, cfg.meta(_design_seed(cfg, args)))
+    write_training_csv(train, path, cfg.meta("design"))
     print(f"wrote {path}: {train.n} runs x {train.q} time points")
     return 0
 
@@ -150,15 +134,14 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         print(f"optimized lengths: [{lengths}] log-likelihood={state.value:.4f}")
         if args.trace:
             trace_path = os.path.join(cfg.raw["paths"]["reports"], "fit_trace.csv")
-            _write_trace(state.trace, train.design.space, trace_path,
-                         cfg.meta(_design_seed(cfg, args)))
+            _write_trace(state.trace, train.design.space, trace_path, cfg.meta("design"))
             print(f"wrote {trace_path}")
     else:
         print(f"using configured lengths: {[float(v) for v in kernel.lengths]}")
 
     model = fit(prior, ib, ob, kernel, train, kernel_cfg["jitter"])
     path = cfg.raw["paths"]["model"]
-    save_model(model, path, cfg.meta(_design_seed(cfg, args)))
+    save_model(model, path, cfg.meta("design"))
     print(f"wrote {path}: posterior dof={model.dof:g} scale={model.scale:.6g}")
     return 0
 
@@ -172,6 +155,9 @@ def _write_trace(trace, space, path, meta):
 def cmd_validate(cfg: RunConfig, args) -> int:
     training_path, model_path = cfg.raw["paths"]["training"], cfg.raw["paths"]["model"]
     train = ingest_runs(training_path, cfg.space())
+    if train.n < 3:
+        raise DataError(f"{training_path}: leave-one-out needs at least 3 runs, "
+                        f"got {train.n}")
     model = _load_model(cfg)
     if model.training_fingerprint != train.fingerprint():
         raise DataError(
@@ -189,7 +175,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         level=level,
     )
     reports_dir = cfg.raw["paths"]["reports"]
-    meta = cfg.meta(_design_seed(cfg, args))
+    meta = cfg.meta("design")
     save_report_json(report, os.path.join(reports_dir, "loo_report.json"), meta)
     for diag in report.diagnostics:
         save_fold_csv(diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"), meta)
@@ -224,8 +210,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     level = cfg.raw["validate"]["level"]
     lo, hi = credible_interval(series, level)
     out = args.out or "prediction.csv"
-    meta = {**cfg.meta(_design_seed(cfg, args)), "point": args.point,
-            "dof": fmt(series.dof)}
+    meta = {**cfg.meta("design"), "point": args.point, "dof": fmt(series.dof)}
     write_csv(out, ("time", "location", "scale", *interval_columns(level)),
               zip(series.times, series.location, series.scale, lo, hi), meta)
     print(f"wrote {out}: {series.times.size} predictive marginals "
@@ -241,7 +226,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         curve = sensitivity_sweep(model, spec, cfg.raw["validate"]["level"])
         name = model.design.space.names[spec.dim]
         path = os.path.join(reports_dir, f"sweep_{name}.csv")
-        save_sweep_csv(curve, name, path, cfg.meta(_design_seed(cfg, args)))
+        save_sweep_csv(curve, name, path, cfg.meta("design"))
         total += curve.n_evaluations
         print(f"wrote {path}: {curve.n_evaluations} evaluations, "
               f"max elevation range [{curve.max_elev.min():.4g}, "
@@ -252,17 +237,16 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_uq(cfg: RunConfig, args) -> int:
     model = _load_model(cfg)
-    seed = _analysis_seed(cfg, args)
     result = uq_monte_carlo(
         model,
         cfg.beta_spec(),
         n=cfg.raw["analysis"]["mc_samples"],
-        seed=seed,
+        seed=cfg.raw["analysis"]["seed"],
         level=cfg.raw["validate"]["level"],
         bins=cfg.raw["analysis"]["bins"],
     )
     reports_dir = cfg.raw["paths"]["reports"]
-    meta = cfg.meta(seed)
+    meta = cfg.meta("analysis")
     save_quantiles_csv(result, os.path.join(reports_dir, "uq_quantiles.csv"), meta)
     save_quantiles_json(result, os.path.join(reports_dir, "uq_quantiles.json"), meta)
     save_histogram_csv(result, os.path.join(reports_dir, "uq_histogram.csv"), meta)
@@ -290,14 +274,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # SUPPRESS leaves unspecified globals unset; apply the real defaults here
-    args.config = getattr(args, "config", None)
-    args.seed = getattr(args, "seed", None)
-    args.trace = getattr(args, "trace", False)
+    config = getattr(args, "config", None)  # SUPPRESS leaves it unset
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        cfg = _load_config(args)
+        cfg = RunConfig.load(config) if config else RunConfig()
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

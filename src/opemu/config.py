@@ -278,8 +278,7 @@ class RunConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-    def meta(self, seed=None) -> dict:
-        out = {"config_hash": self.hash(), "version": __version__}
-        if seed is not None:
-            out["seed"] = seed
-        return out
+    def meta(self, stream: str) -> dict:
+        """An artifact's hash, version and the seed of ``stream`` (design, analysis)."""
+        return {"config_hash": self.hash(), "version": __version__,
+                "seed": self.raw[stream]["seed"]}

@@ -84,8 +84,8 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
 
     The header's leading cells name the input dimensions (they must match
     ``space``); the remaining ``t=...`` cells define the time grid, which is
-    taken as authoritative (no resampling). Every cell must be a finite
-    number; errors carry the offending row/column location.
+    taken as authoritative (no resampling). Every time and cell must be a
+    finite number; errors carry the offending row/column location.
     """
     header, rows, _ = read_table(path)
     if not header:
@@ -101,12 +101,13 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
         raise DataError(f"{path}: no time-grid columns (expected headers like t=0.0)")
     grid = np.empty(len(time_labels))
     for j, label in enumerate(time_labels):
-        if not label.startswith("t="):
-            raise DataError(f"{path}: column {k + j} header {label!r} is not a time")
         try:
-            grid[j] = float(label[2:])
-        except ValueError as exc:
-            raise DataError(f"{path}: unparseable time header {label!r}") from exc
+            grid[j] = float(label[2:]) if label.startswith("t=") else np.nan
+        except ValueError:
+            grid[j] = np.nan
+        if not np.isfinite(grid[j]):
+            raise DataError(f"{path}: column {k + j} header {label!r} is not a time "
+                            f"t=<finite number>")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DataError(f"{path}: time grid is not strictly increasing")
     if not rows:

@@ -3,15 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opemu
+from opemu import likelihood
 from opemu.cli import main
 from opemu.config import DEFAULTS, RunConfig
 from opemu.errors import ConfigError
+from opemu.ioutil import read_table
 
 
 class TestRunConfig:
@@ -110,6 +113,18 @@ def pipeline_dir(tmp_path_factory):
     return workdir, cfg_path
 
 
+def _config_with(cfg_path, tmp_path, sections=None, **paths):
+    """The config at ``cfg_path`` with ``paths`` set and ``sections``
+    ({section: {key: value}}) merged in, written to ``tmp_path``."""
+    config = json.loads(cfg_path.read_text())
+    for section, values in (sections or {}).items():
+        config[section].update(values)
+    config["paths"].update({key: str(value) for key, value in paths.items()})
+    out = tmp_path / "run.json"
+    out.write_text(json.dumps(config))
+    return str(out)
+
+
 class TestPipeline:
     def test_all_artifacts_exist(self, pipeline_dir):
         workdir, _ = pipeline_dir
@@ -176,23 +191,39 @@ class TestPipeline:
                 f"{doc['clamped']} variance entries clamped") in capsys.readouterr().out
 
     def test_global_flags_accepted_before_subcommand(self, pipeline_dir):
+        # --config is the one global flag: before the subcommand it gives the
+        # bytes it gave after it, in the fixture
         workdir, cfg_path = pipeline_dir
-        assert main(["--config", str(cfg_path), "--seed", "41", "design"]) == 0
         first = (workdir / "design.csv").read_bytes()
-        assert main(["design", "--config", str(cfg_path), "--seed", "41"]) == 0
+        assert main(["--config", str(cfg_path), "design"]) == 0
         assert (workdir / "design.csv").read_bytes() == first
-        assert main(["design", "--config", str(cfg_path)]) == 0  # restore
 
-    def test_seed_flag_overrides(self, pipeline_dir, tmp_path):
-        workdir, cfg_path = pipeline_dir
-        out1 = (workdir / "design.csv").read_bytes()
-        assert main(["design", "--config", str(cfg_path), "--seed", "77"]) == 0
-        changed = (workdir / "design.csv").read_bytes()
-        assert changed != out1
-        assert main(["design", "--config", str(cfg_path), "--seed", "77"]) == 0
-        assert (workdir / "design.csv").read_bytes() == changed
-        # restore for later tests in the module
-        assert main(["design", "--config", str(cfg_path)]) == 0
+    def test_seed_comes_from_the_config(self, tmp_path, capsys):
+        # every artifact's seed is the config's, which its config_hash pins
+        paths = {"design": str(tmp_path / "design.csv"),
+                 "training": str(tmp_path / "training.csv"),
+                 "model": str(tmp_path / "model.json"), "reports": str(tmp_path / "reports")}
+        doc = {"design": {"n": 6, "seed": 41, "candidates": 4},
+               "time": {"t_max": 8.0, "dt": 0.5},
+               "kernel": {"lengths": [1.0, 0.5, 0.8, 1.5]}, "paths": paths}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("design", "simulate", "fit"):
+            assert main([command, "--config", str(cfg)]) == 0
+        metas = [read_table(paths[name])[2] for name in ("design", "training")]
+        metas.append(json.loads((tmp_path / "model.json").read_text())["meta"])
+        assert [str(meta["seed"]) for meta in metas] == ["41"] * 3
+        config_hash = RunConfig(doc).hash()
+        assert [meta["config_hash"] for meta in metas] == [config_hash] * 3
+        del doc["design"]["seed"]
+        assert RunConfig(doc).hash() != config_hash
+
+        capsys.readouterr()
+        for argv in (["design", "--seed=41"], ["--seed=41", "design"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", str(cfg)])
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
 
     def test_predict_interpolates_training_row(self, pipeline_dir):
         workdir, cfg_path = pipeline_dir
@@ -218,6 +249,55 @@ class TestPipeline:
         location = np.array([float(r.split(",")[1]) for r in rows])
         std = observed.std()
         assert np.abs(location - observed).max() <= 1e-2 * std
+
+
+class TestFitTrace:
+    def test_one_row_per_evaluation(self, pipeline_dir, tmp_path, monkeypatch):
+        workdir, cfg_path = pipeline_dir
+        calls = []
+        evaluate = likelihood._Workspace.evaluate
+
+        def counted(self, lengths, tau=None, want_grad=False):
+            calls.append(want_grad)
+            return evaluate(self, lengths, tau, want_grad)
+
+        monkeypatch.setattr(likelihood._Workspace, "evaluate", counted)
+        cfg = _config_with(cfg_path, tmp_path, model=tmp_path / "model.json",
+                           reports=tmp_path / "reports")
+        assert main(["fit", "--trace", "--config", cfg]) == 0
+        header, rows, meta = read_table(str(tmp_path / "reports" / "fit_trace.csv"))
+        assert header == ["restart", "evaluation", "log_likelihood", "grad_norm",
+                          "x0", "u0", "c", "time", "tau"]
+        # the search evaluates with the gradient; the optimum is re-evaluated without
+        assert len(rows) == sum(calls) and len(calls) == sum(calls) + 1
+        restarts = [int(row[0]) for row in rows]
+        assert sorted(set(restarts)) == [0, 1]  # kernel.restarts is 2
+        for r in (0, 1):
+            counts = [int(row[1]) for row in rows if int(row[0]) == r]
+            assert counts == list(range(1, len(counts) + 1))
+        assert all(float(row[-1]) > 0 for row in rows)
+        assert meta["seed"] == "5" and meta["config_hash"]
+        # tracing leaves the fit alone
+        model = json.loads((tmp_path / "model.json").read_text())
+        fixture_model = json.loads((workdir / "model.json").read_text())
+        del model["meta"], fixture_model["meta"]
+        assert model == fixture_model
+
+    def test_no_trace_at_configured_lengths(self, pipeline_dir, tmp_path, capsys):
+        _, cfg_path = pipeline_dir
+        cfg = _config_with(cfg_path, tmp_path, {"kernel": {"lengths": [1.0, 0.5, 0.8, 1.5]}},
+                           model=tmp_path / "model.json", reports=tmp_path / "reports")
+        assert main(["fit", "--trace", "--config", cfg]) == 0
+        assert (tmp_path / "model.json").exists()
+        assert not (tmp_path / "reports" / "fit_trace.csv").exists()
+        assert "fit_trace" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["validate", "--trace"], ["--trace", "fit"]])
+    def test_trace_is_a_fit_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
 
 
 class TestDefaultConfig:
@@ -432,15 +512,6 @@ class TestExitCodes:
         assert "time.t_min" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
-    @pytest.mark.parametrize("argv", [["--seed", "-1", "design"], ["--seed=-1", "design"],
-                                      ["design", "--seed=-1"]])
-    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, argv):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"paths": {"design": str(tmp_path / "d.csv")}}))
-        assert main([*argv, "--config", str(cfg)]) == 2
-        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
-        assert not (tmp_path / "d.csv").exists()
-
     def test_missing_design_exit_3(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -493,7 +564,7 @@ class TestExitCodes:
         doc = json.loads((workdir / "model.json").read_text())
         doc["residual_weights"][0][0] = float("nan")
         (tmp_path / "model.json").write_text(json.dumps(doc))
-        cfg = self._config_with(cfg_path, tmp_path, model=tmp_path / "model.json")
+        cfg = _config_with(cfg_path, tmp_path, model=tmp_path / "model.json")
         out = tmp_path / "prediction.csv"
         assert main(["predict", "--config", str(cfg), "--point=-1.0,1.5,1.5",
                      "--out", str(out)]) == 3
@@ -514,14 +585,6 @@ class TestExitCodes:
         assert header == "time,location,scale,lo90,hi90"
 
 
-    @staticmethod
-    def _config_with(cfg_path, tmp_path, **paths):
-        config = json.loads(cfg_path.read_text())
-        config["paths"].update({key: str(value) for key, value in paths.items()})
-        out = tmp_path / "run.json"
-        out.write_text(json.dumps(config))
-        return str(out)
-
     def test_non_finite_training_input_exit_3(self, pipeline_dir, tmp_path, capsys):
         workdir, cfg_path = pipeline_dir
         lines = (workdir / "training.csv").read_text().splitlines()
@@ -531,10 +594,48 @@ class TestExitCodes:
         lines[data[3]] = ",".join(cells)
         bad = tmp_path / "training.csv"
         bad.write_text("\n".join(lines) + "\n")
-        cfg = self._config_with(cfg_path, tmp_path, training=bad,
-                                model=tmp_path / "model.json")
+        cfg = _config_with(cfg_path, tmp_path, training=bad, model=tmp_path / "model.json")
         assert main(["fit", "--config", cfg]) == 3
         assert "row 2, column u0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, label", [(3, "t=inf"), (3, "t=-inf"), (-1, "t=nan")])
+    def test_non_finite_time_header_exit_3(self, pipeline_dir, tmp_path, capsys, column, label):
+        # float() reads these labels; the grid time must still be finite
+        workdir, cfg_path = pipeline_dir
+        lines = (workdir / "training.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        cells = lines[header].split(",")
+        cells[column] = label
+        lines[header] = ",".join(cells)
+        bad = tmp_path / "training.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = _config_with(cfg_path, tmp_path, training=bad, model=tmp_path / "model.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--config", cfg]) == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert err == (f"data error: {bad}: column {column % len(cells)} header {label!r} "
+                       f"is not a time t=<finite number>\n")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_validate_on_two_runs_exit_3(self, tmp_path, capsys):
+        # design, simulate and fit take two runs; leave-one-out needs three
+        paths = {"design": str(tmp_path / "design.csv"),
+                 "training": str(tmp_path / "training.csv"),
+                 "model": str(tmp_path / "model.json"), "reports": str(tmp_path / "reports")}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "design": {"n": 2, "candidates": 4}, "time": {"t_max": 8.0, "dt": 0.5},
+            "kernel": {"lengths": [1.0, 0.5, 0.8, 1.5]}, "paths": paths}))
+        for command in ("design", "simulate", "fit"):
+            assert main([command, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: {paths['training']}: leave-one-out needs at least "
+                       f"3 runs, got 2\n")
+        assert not (tmp_path / "reports").exists()
 
     def test_model_over_other_dimension_order_exit_3(self, pipeline_dir, tmp_path, capsys):
         # the same dimensions listed as u0, x0, c, with bounds, beta rows and
@@ -586,10 +687,11 @@ class TestExitCodes:
     def test_validate_rejects_other_training_set(self, pipeline_dir, tmp_path, capsys):
         workdir, cfg_path = pipeline_dir
         other = tmp_path / "training.csv"
-        cfg = self._config_with(cfg_path, tmp_path, design=tmp_path / "design.csv",
-                                training=other, model=workdir / "model.json",
-                                reports=tmp_path / "reports")
-        assert main(["design", "--config", cfg, "--seed", "11"]) == 0
+        # the fixture's design has seed 5
+        cfg = _config_with(cfg_path, tmp_path, {"design": {"seed": 11}},
+                           design=tmp_path / "design.csv", training=other,
+                           model=workdir / "model.json", reports=tmp_path / "reports")
+        assert main(["design", "--config", cfg]) == 0
         assert main(["simulate", "--config", cfg]) == 0
         capsys.readouterr()
         assert main(["validate", "--config", cfg]) == 3
@@ -597,9 +699,8 @@ class TestExitCodes:
         assert str(other) in err and str(workdir / "model.json") in err
 
         # a model file without a fingerprint cannot skip the check
-        cfg = self._config_with(cfg_path, tmp_path, training=other,
-                                model=tmp_path / "model.json",
-                                reports=tmp_path / "reports")
+        cfg = _config_with(cfg_path, tmp_path, training=other, model=tmp_path / "model.json",
+                           reports=tmp_path / "reports")
         for fingerprint in ("", None):
             doc = json.loads((workdir / "model.json").read_text())
             if fingerprint is None:
@@ -632,7 +733,7 @@ class TestExitCodes:
         _, cfg_path = pipeline_dir
         model = tmp_path / "model.json"
         model.mkdir()
-        cfg = self._config_with(cfg_path, tmp_path, model=model)
+        cfg = _config_with(cfg_path, tmp_path, model=model)
         assert main([*argv, "--config", cfg]) == 3
         assert str(model) in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "run.json"]
@@ -648,7 +749,7 @@ class TestExitCodes:
         _, cfg_path = pipeline_dir
         reports = tmp_path / "reports"
         reports.write_text("")
-        cfg = self._config_with(cfg_path, tmp_path, reports=reports)
+        cfg = _config_with(cfg_path, tmp_path, reports=reports)
         assert main(["sweep", "--config", cfg]) == 3
         assert str(reports) in capsys.readouterr().err
 
@@ -667,7 +768,7 @@ class TestExitCodes:
         for file in paths.values():
             file.write_bytes((workdir / file.name).read_bytes())
         paths[key].write_bytes(paths[key].read_bytes().replace(b"x0", b"x\xe90", 1))
-        cfg = self._config_with(cfg_path, tmp_path, **paths, reports=tmp_path / "reports")
+        cfg = _config_with(cfg_path, tmp_path, **paths, reports=tmp_path / "reports")
         assert main([*argv, "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(paths[key]) in err
