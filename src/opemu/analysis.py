@@ -12,6 +12,9 @@ Reproducibility: Beta draws use inverse-CDF transforms of a single seeded
 uniform stream (one column per dimension, drawn in one block, so results
 do not depend on dimension processing order), and quantiles use the
 type-7 order-statistic convention (NumPy's default linear interpolation).
+The inverse CDF is scipy's compiled ``betaincinv``, loaded without the
+``scipy.special`` package, so ``uq`` pays ~40 ms instead of ~0.3 s for it
+and draws the same bits as through the package.
 
 The Monte-Carlo analysis predicts its draws in blocks of ``UQ_BLOCK`` rows
 with :meth:`OpeModel.predict_many`; the block size bounds the memory of
@@ -28,6 +31,7 @@ import numpy as np
 from .design import DesignSpace
 from .emulator import OpeModel, Predictive, credible_interval
 from .ioutil import atomic_write_text, write_csv
+from .kernels import _ufuncs
 
 QUANTILE_LEVELS = (1.0, 5.0, 50.0, 95.0, 99.0)
 UQ_BLOCK = 256
@@ -143,11 +147,15 @@ class BetaInputSpec:
 
 
 def sample_beta(spec: BetaInputSpec, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. input draws, Beta per dimension mapped onto [lower, upper]."""
-    from scipy.special import betaincinv
+    """n i.i.d. input draws, Beta per dimension mapped onto [lower, upper].
 
+    The inverse CDF is ``betaincinv`` from scipy's compiled
+    special-function module (:func:`~opemu.kernels._ufuncs`), the object
+    ``scipy.special.betaincinv`` names, loaded without that package.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
+    betaincinv = _ufuncs().betaincinv
     rng = np.random.default_rng(seed)
     uniforms = rng.random((n, spec.k))
     out = np.empty((n, spec.k))
@@ -261,7 +269,7 @@ def save_quantiles_json(result: UqResult, path: str, meta=None):
         "extrapolated": result.extrapolated,
         "clamped": result.clamped,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def save_histogram_csv(result: UqResult, path: str, meta=None):

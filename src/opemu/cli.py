@@ -100,7 +100,14 @@ def cmd_design(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    design = load_design_csv(cfg.raw["paths"]["design"], cfg.space())
+    space = cfg.space()
+    if space.k < 3:
+        # fit, validate and the analyses take any k >= 1 from an ingested
+        # training CSV; only the toy needs its three inputs
+        raise ConfigError(f"design.names lists {space.k} inputs {list(space.names)!r}, but "
+                          f"the toy simulator needs at least 3: position, speed and "
+                          f"spread ratio (the defaults x0, u0, c)")
+    design = load_design_csv(cfg.raw["paths"]["design"], space)
     train = toy_training_set(design, cfg.time_grid(), cfg.toy_params())
     path = cfg.raw["paths"]["training"]
     write_training_csv(train, path, cfg.meta("design"))
@@ -152,6 +159,11 @@ def _write_trace(trace, space, path, meta):
     write_csv(path, header, ((str(r[0]), str(r[1]), *r[2:]) for r in trace), meta)
 
 
+def _statistic(value) -> str:
+    """A LOO summary for stdout; the report writes ``null`` where it is undefined."""
+    return "undefined" if value is None else f"{value:.4f}"
+
+
 def cmd_validate(cfg: RunConfig, args) -> int:
     training_path, model_path = cfg.raw["paths"]["training"], cfg.raw["paths"]["model"]
     train = ingest_runs(training_path, cfg.space())
@@ -180,9 +192,9 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     for diag in report.diagnostics:
         save_fold_csv(diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"), meta)
     print(f"leave-one-out: {len(report.diagnostics)}/{train.n} folds completed")
-    print(f"pooled {level:.0%} coverage: {report.pooled_coverage:.4f}")
-    print(f"corr(MED, RMSE)={report.corr_med_rmse:.4f} "
-          f"corr(MED, MCIL)={report.corr_med_mcil:.4f}")
+    print(f"pooled {level:.0%} coverage: {_statistic(report.pooled_coverage)}")
+    print(f"corr(MED, RMSE)={_statistic(report.corr_med_rmse)} "
+          f"corr(MED, MCIL)={_statistic(report.corr_med_mcil)}")
     if report.failures:
         print(f"failed folds: {[f['index'] for f in report.failures]}", file=sys.stderr)
     return 0

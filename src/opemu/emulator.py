@@ -47,6 +47,7 @@ from .ioutil import atomic_write_text
 from .kernels import (
     DEFAULT_JITTER,
     KernelSpec,
+    _ufuncs,
     chol_solve,
     input_correlation_matrix,
     kernel_matrices,
@@ -275,14 +276,13 @@ def _t_quantile(dof: float, p: float) -> float:
     From dof 3000 on, and for an infinite dof, it is the Cornish-Fisher
     expansion about the normal quantile z, Abramowitz & Stegun 26.7.5, to
     the 1/dof^4 term; it agrees with 40-digit values to ~1e-15 relative
-    there for levels up to 0.9999 and loads no ``scipy.special`` (~0.3 s).
-    Below dof 3000, where that expansion loses digits, it is
-    ``scipy.special.stdtrit``.
+    there for levels up to 0.9999 and loads nothing from scipy. Below dof
+    3000, where that expansion loses digits, it is ``stdtrit`` from
+    scipy's compiled special-function module (:func:`~opemu.kernels._ufuncs`,
+    ~40 ms to load), the object ``scipy.special.stdtrit`` names.
     """
     if dof < 3000.0:
-        from scipy.special import stdtrit
-
-        return float(stdtrit(dof, p))
+        return float(_ufuncs().stdtrit(dof, p))
     if p >= 1.0:
         return math.inf
     # ~3 ms, so imported here: `import opemu.cli` does not load it
@@ -506,7 +506,7 @@ def save_model(model: OpeModel, path: str, meta: dict | None = None) -> None:
         "residual_weights": model.residual_weights.tolist(),
         "training_fingerprint": model.training_fingerprint,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def load_model(path: str) -> OpeModel:

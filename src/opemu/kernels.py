@@ -13,10 +13,13 @@ before factorization; dense time grids make the output factor nearly
 singular without it.
 """
 
+import _imp
+import importlib
 import importlib.machinery
 import importlib.util
 import os
 import sys
+import types
 from dataclasses import dataclass
 from functools import cache
 
@@ -75,19 +78,26 @@ def output_correlation_matrix(times_a, times_b, spec: KernelSpec) -> np.ndarray:
 
 
 _FLAPACK = "scipy.linalg._flapack"
+_UFUNCS = "scipy.special._ufuncs"
+
+
+def _scipy_dirs(subpackage: str) -> list:
+    """The directories of scipy's ``subpackage``, found without importing
+    scipy (``find_spec`` of a top-level package runs no ``__init__``);
+    empty if scipy is not installed."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return []
+    return [os.path.join(root, subpackage) for root in scipy.submodule_search_locations]
 
 
 def _flapack_spec():
     """Import spec of scipy's compiled LAPACK module, or ``None`` if it is not there.
 
-    ``find_spec`` of a top-level package, and the path finder on its
-    ``linalg`` directory, locate it without running a package ``__init__``.
+    The path finder on scipy's ``linalg`` directory locates it without
+    running a package ``__init__``.
     """
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None:
-        return None
-    return importlib.machinery.PathFinder.find_spec(
-        _FLAPACK, [os.path.join(root, "linalg") for root in scipy.submodule_search_locations])
+    return importlib.machinery.PathFinder.find_spec(_FLAPACK, _scipy_dirs("linalg"))
 
 
 @cache
@@ -118,6 +128,45 @@ def _lapack():
             return lapack
         sys.modules[_FLAPACK] = module
     return sys.modules[_FLAPACK]
+
+
+@cache
+def _ufuncs():
+    """scipy's compiled special-function module, holding ``betaincinv`` and
+    ``stdtrit``, bound once.
+
+    It is ``scipy.special._ufuncs``, loaded without running
+    ``scipy/special/__init__.py``, whose array-API set-up costs a command
+    ~0.25 s; the extension modules, with scipy's top-level package, load
+    in ~40 ms (2-core x86 host). Their init imports its siblings
+    relatively (``._special_ufuncs``, ``._ufuncs_cxx``), so under the
+    import lock a bare placeholder package named ``scipy.special``, whose
+    path is scipy's ``special`` directory, stands in for the package while
+    they load, and is removed after. A later ``import scipy.special`` runs the real ``__init__`` and
+    reuses the loaded extensions from ``sys.modules``: its ``betaincinv``
+    and ``stdtrit`` are this module's objects, so draws and quantiles keep
+    their bits. If the package is already imported, or the file is absent
+    or does not load on its own, the package serves, as
+    ``scipy.linalg.lapack`` does for :func:`_lapack`.
+    """
+    package = "scipy.special"
+    _imp.acquire_lock()
+    try:
+        if package not in sys.modules:
+            placeholder = types.ModuleType(package)
+            placeholder.__path__ = _scipy_dirs("special")
+            sys.modules[package] = placeholder
+            try:
+                return importlib.import_module(_UFUNCS)
+            except (ImportError, OSError):
+                pass
+            finally:
+                del sys.modules[package]
+    finally:
+        _imp.release_lock()
+    from scipy.special import _ufuncs
+
+    return _ufuncs
 
 
 def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:

@@ -279,8 +279,9 @@ def optimize_correlation_lengths(
     # load only scipy's compiled `_flapack` module, and from dof 3000 the t
     # quantile is opemu's own, so there `fit` at fixed lengths, `validate`,
     # `predict` and `sweep` load no scipy package (below it they load
-    # scipy.special for stdtrit). scipy.optimize brings scipy.linalg and
-    # scipy.special with it (~0.6 s), and only the length search needs it
+    # scipy.special's compiled modules for stdtrit, as `uq` does for
+    # betaincinv). scipy.optimize brings scipy.linalg and scipy.special
+    # with it (~0.6 s), and only the length search needs it
     from scipy.optimize import minimize
 
     starts = _starting_points(log_bounds, restarts, seed)

@@ -85,7 +85,9 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
     The header's leading cells name the input dimensions (they must match
     ``space``); the remaining ``t=...`` cells define the time grid, which is
     taken as authoritative (no resampling). Every time and cell must be a
-    finite number; errors carry the offending row/column location.
+    finite number, and no two rows may share a design point (the input
+    correlation matrix would be singular); errors carry the offending
+    row/column location, rows 0-based after the header.
     """
     header, rows, _ = read_table(path)
     if not header:
@@ -117,6 +119,12 @@ def ingest_runs(path: str, space: DesignSpace) -> TrainingSet:
     # contiguous copies: numpy reduces a strided view in another order
     points = np.ascontiguousarray(values[:, :k])
     outputs = np.ascontiguousarray(values[:, k:])
+    first_row = {}
+    for i, point in enumerate(map(tuple, points)):
+        first = first_row.setdefault(point, i)
+        if first != i:
+            raise DataError(f"{path}: rows {first} and {i} repeat the design point "
+                            f"({', '.join(map(fmt, point))})")
     design = Design(points=points, unit_points=space.to_unit(points), space=space)
     return TrainingSet(design=design, time_grid=grid, outputs=outputs)
 

@@ -19,6 +19,7 @@ degrades predictions.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,17 +72,29 @@ class DiagnosticsReport:
 
     diagnostics: list
     med: np.ndarray
-    corr_med_rmse: float
-    corr_med_mcil: float
+    corr_med_rmse: float | None
+    corr_med_mcil: float | None
     level: float
     failures: list = field(default_factory=list)
 
     @property
-    def pooled_coverage(self) -> float:
-        """Fraction of all held-out values inside their credible interval."""
+    def pooled_coverage(self) -> float | None:
+        """Fraction of all held-out values inside their credible interval;
+        ``None`` if no fold completed."""
         inside = sum(d.coverage * d.observed.size for d in self.diagnostics)
         total = sum(d.observed.size for d in self.diagnostics)
-        return inside / total if total else float("nan")
+        return inside / total if total else None
+
+
+def _correlation(x, y) -> float | None:
+    """Pearson correlation of two vectors, or ``None`` where it is undefined:
+    fewer than two pairs, or a vector with no spread (at a level so small
+    that every interval is 0 wide, each fold's MCIL is 0)."""
+    if len(x) < 2:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = float(np.corrcoef(x, y)[0, 1])
+    return r if math.isfinite(r) else None
 
 
 def _drop_point(train: TrainingSet, i: int) -> TrainingSet:
@@ -144,17 +157,12 @@ def loo(
             failures.append({"index": i, "error": str(exc)})
 
     distances = med(train.design)
-    ok = [d.index for d in diagnostics]
-    if len(ok) >= 2:
-        corr_rmse = float(np.corrcoef(distances[ok], [d.rmse for d in diagnostics])[0, 1])
-        corr_mcil = float(np.corrcoef(distances[ok], [d.mcil for d in diagnostics])[0, 1])
-    else:
-        corr_rmse = corr_mcil = float("nan")
+    fold_med = distances[[d.index for d in diagnostics]]
     return DiagnosticsReport(
         diagnostics=diagnostics,
         med=distances,
-        corr_med_rmse=corr_rmse,
-        corr_med_mcil=corr_mcil,
+        corr_med_rmse=_correlation(fold_med, [d.rmse for d in diagnostics]),
+        corr_med_mcil=_correlation(fold_med, [d.mcil for d in diagnostics]),
         level=level,
         failures=failures,
     )
@@ -193,4 +201,4 @@ def save_report_json(report: DiagnosticsReport, path: str, meta=None):
         ],
         "failures": report.failures,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")

@@ -659,30 +659,52 @@ class TestExitCodes:
             assert "rerun fit" in err
         assert not out.exists() and not (tmp_path / "reports").exists()
 
-    @pytest.mark.parametrize("lengths, message", [
-        ([1.0, 0.5, 0.8, 1.5], "factorization failed for the input correlation matrix"),
-        (None, "all optimizer restarts failed"),
-    ], ids=["fixed-lengths", "length-search"])
-    def test_repeated_design_row_exit_4(self, tmp_path, capsys, lengths, message):
-        # without jitter two equal rows leave a pivot of exactly 0 in the
-        # input correlation's Cholesky factor at every length
-        paths = {name: str(tmp_path / f"{name}.{ext}") for name, ext in
-                 (("design", "csv"), ("training", "csv"), ("model", "json"))}
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "design": {"n": 6, "candidates": 4}, "time": {"t_max": 8.0, "dt": 0.5},
-            "kernel": {"jitter": 0, "restarts": 2, "lengths": lengths}, "paths": paths}))
-        assert main(["design", "--config", str(cfg)]) == 0
-        lines = (tmp_path / "design.csv").read_text().splitlines()
+    def test_repeated_training_rows_exit_3(self, tmp_path, capsys):
+        # without jitter two equal rows would leave a pivot of exactly 0 in
+        # the input correlation's Cholesky factor; ingest names both rows
+        cfg = _small_config(tmp_path, design={"n": 6, "candidates": 4},
+                            kernel={"jitter": 0, "restarts": 2})
+        for command in ("design", "simulate"):
+            assert main([command, "--config", cfg]) == 0
+        training = tmp_path / "t.csv"
+        lines = training.read_text().splitlines()
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        lines[header + 2] = lines[header + 1]
-        (tmp_path / "design.csv").write_text("\n".join(lines) + "\n")
-        assert main(["simulate", "--config", str(cfg)]) == 0
+        lines[header + 6] = lines[header + 2]  # the 6th data row repeats the 2nd
+        training.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(["fit", "--config", str(cfg)]) == 4
+        assert main(["fit", "--config", cfg]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical error:") and message in err, err
-        assert not (tmp_path / "model.json").exists()
+        assert err.startswith("data error:") and f"{training}: rows 1 and 5 repeat" in err, err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_singular_input_correlation_exit_4(self, tmp_path, capsys):
+        # at lengths of 1e12 every input correlation rounds to exactly 1, so
+        # without jitter the second Cholesky pivot is exactly 0
+        cfg = _small_config(tmp_path, kernel={"jitter": 0, "lengths": [1e12, 1e12, 1e12, 1.0]})
+        for command in ("design", "simulate"):
+            assert main([command, "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: factorization failed for the input "
+                              "correlation matrix: 2-th leading minor"), err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_two_input_config_simulate_exit_2_naming_the_key(self, tmp_path, capsys):
+        # design and fit take any dimension count; the toy needs three inputs
+        cfg = _small_config(tmp_path, design={"n": 5, "seed": 1, "candidates": 3,
+                                              "names": ["x0", "u0"],
+                                              "bounds": [[-3.0, 1.0], [1.0, 2.0]]},
+                            analysis={"beta": DEFAULTS["analysis"]["beta"][:2],
+                                      "sweeps": [{"dim": "x0", "lower": -2.0, "upper": 0.0,
+                                                  "fixed": [-1.0, 1.5]}]})
+        assert main(["design", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: design.names lists 2 inputs ['x0', 'u0']"), err
+        assert "position, speed and spread ratio" in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_validate_rejects_other_training_set(self, pipeline_dir, tmp_path, capsys):
         workdir, cfg_path = pipeline_dir
@@ -809,12 +831,17 @@ def _small_config(path, **sections) -> str:
     return str(cfg)
 
 
-def _loaded_scipy(*commands):
-    """The scipy modules a fresh interpreter holds after running ``commands``."""
-    code = "import sys; from opemu.cli import main\n"
+def _loaded_scipy(*commands, kinds=False):
+    """The scipy modules a fresh interpreter holds after running ``commands``:
+    their sorted names, or with ``kinds`` a map from each name to whether
+    the module is a compiled extension."""
+    code = "import importlib.machinery, sys; from opemu.cli import main\n"
     for argv in commands:
         code += f"assert main({argv!r}) == 0\n"
-    return ast.literal_eval(_run_python(code + f"print({LOADED_SCIPY})"))
+    report = (f"{{m: isinstance(sys.modules[m].__loader__, "
+              f"importlib.machinery.ExtensionFileLoader) for m in {LOADED_SCIPY}}}"
+              if kinds else LOADED_SCIPY)
+    return ast.literal_eval(_run_python(code + f"print({report})"))
 
 
 def test_design_and_simulate_load_no_scipy(tmp_path):
@@ -824,6 +851,26 @@ def test_design_and_simulate_load_no_scipy(tmp_path):
 
 
 FIXED_LENGTHS = {"lengths": [1.0, 0.5, 0.8, 1.0]}
+
+
+def test_tiny_level_validate_writes_null_correlation(tmp_path):
+    # at level 1e-300 every interval is 0 wide, so each fold's MCIL is 0
+    # and its correlation with MED is undefined: null, with nothing on stderr
+    cfg = _small_config(tmp_path, kernel=FIXED_LENGTHS, validate={"level": 1e-300})
+    for command in ("design", "simulate", "fit"):
+        assert main([command, "--config", cfg]) == 0
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(opemu.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "opemu.cli", "validate", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "corr(MED, MCIL)=undefined" in proc.stdout
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((tmp_path / "r" / "loo_report.json").read_text(), parse_constant=reject)
+    assert doc["corr_med_mcil"] is None
+    assert all(fold["mcil"] == 0.0 for fold in doc["folds"])
 
 
 @pytest.fixture(scope="module")
@@ -853,22 +900,32 @@ def test_serving_commands_load_only_compiled_lapack(served, command):
     assert set(_loaded_scipy(argv)) <= {"scipy.linalg._flapack"}
 
 
-def test_uq_loads_scipy_special_only(served):
-    # the Beta draws still take betaincinv from scipy.special
-    loaded = _loaded_scipy(["uq", "--config", served[1]])
-    assert "scipy.special" in loaded
+def _assert_compiled_special_only(loaded):
+    """``loaded`` (module name -> compiled?) holds scipy.special's compiled
+    modules, and neither the scipy.special nor the scipy.linalg package."""
+    assert "scipy.special" not in loaded
     assert "scipy.linalg" not in loaded
+    special = {name: compiled for name, compiled in loaded.items()
+               if name.startswith("scipy.special.")}
+    assert "scipy.special._ufuncs" in special
+    assert all(special.values()), special
 
 
-def test_small_dof_interval_loads_scipy_special_only(tmp_path):
-    # five runs on five times give dof 28: the t quantile is scipy.special.stdtrit
+def test_uq_loads_compiled_special_modules_only(served):
+    # the Beta draws take betaincinv from scipy's compiled module, loaded
+    # without the scipy.special package
+    _assert_compiled_special_only(_loaded_scipy(["uq", "--config", served[1]], kinds=True))
+
+
+def test_small_dof_interval_loads_compiled_special_modules_only(tmp_path):
+    # five runs on five times give dof 28: the t quantile is stdtrit from
+    # scipy's compiled module, loaded without the scipy.special package
     cfg = _small_config(tmp_path, kernel=FIXED_LENGTHS)
     loaded = _loaded_scipy(*([command, "--config", cfg] for command in
                              ("design", "simulate", "fit")),
                            ["predict", "--point=-1.0,1.5,1.5", "--config", cfg,
-                            "--out", str(tmp_path / "prediction.csv")])
-    assert "scipy.special" in loaded
-    assert "scipy.linalg" not in loaded
+                            "--out", str(tmp_path / "prediction.csv")], kinds=True)
+    _assert_compiled_special_only(loaded)
 
 
 class TestThreadPin:

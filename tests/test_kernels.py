@@ -1,9 +1,11 @@
+import hashlib
 import importlib.machinery
 import importlib.util
 import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -231,3 +233,67 @@ class TestCholSolve:
         with pytest.raises(NumericalDegeneracyError, match="the test matrix") as info:
             _factor(m, 0.0, "the test matrix")
         assert "2-th leading minor of the array is not positive definite" in str(info.value)
+
+
+def _run_fresh(*pieces: str) -> list:
+    """Run the dedented ``pieces`` in turn in a fresh interpreter on this
+    checkout; the words it printed."""
+    code = "\n".join(textwrap.dedent(piece) for piece in pieces)
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.split()
+
+
+class TestUfuncs:
+    """scipy's compiled special-function module, loaded without the
+    scipy.special package or from it, gives the package's objects and bits."""
+
+    # the default config's Beta rows, and the t quantiles at the dof of a
+    # five-run fit (28) and of the CI's small config (855)
+    BETA_ROWS = ((5.0, 2.0, -2.0, 0.0), (2.0, 5.0, 1.0, 2.0), (2.0, 5.0, 0.5, 2.5))
+    DRAWS = f"""
+        from opemu.analysis import BetaInputSpec, sample_beta
+        from opemu.emulator import _t_quantile
+        spec = BetaInputSpec({BETA_ROWS!r})
+        draws = sample_beta(spec, 2000, 7)
+        quantiles = [_t_quantile(dof, 0.975) for dof in (28.0, 855.0)]
+    """
+
+    def test_scipy_special_imports_after_a_direct_load(self):
+        out = _run_fresh("import sys", self.DRAWS, """
+            import numpy as np
+            from opemu import kernels
+            direct = kernels._ufuncs()
+            assert "scipy.special" not in sys.modules
+            import scipy.special, scipy.stats, scipy.optimize
+            kernels._ufuncs.cache_clear()
+            again = sample_beta(spec, 2000, 7)
+            print(scipy.special.betaincinv is direct.betaincinv,
+                  scipy.special.stdtrit is direct.stdtrit,
+                  kernels._ufuncs() is direct,
+                  np.array_equal(again, draws),
+                  [scipy.special.stdtrit(dof, 0.975) for dof in (28.0, 855.0)] == quantiles)
+        """)
+        assert out == ["True"] * 5
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["absent", "unloadable"])
+    def test_fallback_module_gives_the_same_bits(self, tmp_path, missing):
+        # without a loadable compiled file, the scipy.special package serves
+        from scipy.special import stdtrit
+
+        from opemu.analysis import BetaInputSpec, sample_beta
+
+        if not missing:  # a file that is there but does not load as an extension
+            (tmp_path / ("_ufuncs" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"")
+        out = _run_fresh(f"""
+            import hashlib, sys
+            from opemu import kernels
+            kernels._scipy_dirs = lambda subpackage: [{str(tmp_path)!r}]
+        """, self.DRAWS, """
+            print(kernels._ufuncs().__name__, "scipy.special" in sys.modules,
+                  hashlib.sha256(draws.tobytes()).hexdigest(), *map(float.hex, quantiles))
+        """)
+        draws = sample_beta(BetaInputSpec(self.BETA_ROWS), 2000, 7)
+        assert out == ["scipy.special._ufuncs", "True", hashlib.sha256(draws.tobytes()).hexdigest(),
+                       *(float(stdtrit(dof, 0.975)).hex() for dof in (28.0, 855.0))]

@@ -115,6 +115,13 @@ class TestTrainingCsv:
         with pytest.raises(DataError, match=r"row 2, column u0"):
             ingest_runs(str(path), wave_space)
 
+    def test_repeated_design_point_names_both_rows(self, wave_space, tmp_path):
+        # equal as numbers, though written differently, with other outputs
+        path = tmp_path / "repeat.csv"
+        path.write_text("x0,u0,c,t=0.0\n-1.0,1.5,2.0,0.1\n0,1,1,0.2\n-1,1.50,2e0,0.3\n")
+        with pytest.raises(DataError, match=r"rows 0 and 2 repeat the design point \(-1.0, 1.5, 2.0\)"):
+            ingest_runs(str(path), wave_space)
+
     def test_empty_data_section(self, wave_space, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x0,u0,c,t=0.0\n")
