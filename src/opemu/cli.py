@@ -159,9 +159,9 @@ def _write_trace(trace, space, path, meta):
     write_csv(path, header, ((str(r[0]), str(r[1]), *r[2:]) for r in trace), meta)
 
 
-def _statistic(value) -> str:
+def _statistic(value: float) -> str:
     """A LOO summary for stdout; the report writes ``null`` where it is undefined."""
-    return "undefined" if value is None else f"{value:.4f}"
+    return f"{value:.4f}" if math.isfinite(value) else "undefined"
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:

@@ -142,14 +142,24 @@ def _ufuncs():
     relatively (``._special_ufuncs``, ``._ufuncs_cxx``), so under the
     import lock a bare placeholder package named ``scipy.special``, whose
     path is scipy's ``special`` directory, stands in for the package while
-    they load, and is removed after. A later ``import scipy.special`` runs the real ``__init__`` and
-    reuses the loaded extensions from ``sys.modules``: its ``betaincinv``
-    and ``stdtrit`` are this module's objects, so draws and quantiles keep
-    their bits. If the package is already imported, or the file is absent
+    they load, and is removed after. A later ``import scipy.special`` runs
+    the real ``__init__`` and reuses the loaded extensions from
+    ``sys.modules``: its ``betaincinv`` and ``stdtrit`` are this module's
+    objects, so draws and quantiles keep their bits. If the package is already imported, or the file is absent
     or does not load on its own, the package serves, as
     ``scipy.linalg.lapack`` does for :func:`_lapack`.
+
+    The placeholder relies on CPython's global import lock: no other
+    thread imports while it is registered. ``scipy`` itself is imported
+    before the lock is taken, so the lock is held only while the
+    extensions load, never while another thread's ``import scipy`` holds
+    that package's module lock and waits for the global one.
     """
     package = "scipy.special"
+    try:
+        import scipy  # noqa: F401
+    except ImportError:
+        pass
     _imp.acquire_lock()
     try:
         if package not in sys.modules:

@@ -72,29 +72,32 @@ class DiagnosticsReport:
 
     diagnostics: list
     med: np.ndarray
-    corr_med_rmse: float | None
-    corr_med_mcil: float | None
+    corr_med_rmse: float
+    corr_med_mcil: float
     level: float
     failures: list = field(default_factory=list)
 
     @property
-    def pooled_coverage(self) -> float | None:
-        """Fraction of all held-out values inside their credible interval;
-        ``None`` if no fold completed."""
+    def pooled_coverage(self) -> float:
+        """Fraction of all held-out values inside their credible interval."""
         inside = sum(d.coverage * d.observed.size for d in self.diagnostics)
         total = sum(d.observed.size for d in self.diagnostics)
-        return inside / total if total else None
+        return inside / total if total else float("nan")
 
 
-def _correlation(x, y) -> float | None:
-    """Pearson correlation of two vectors, or ``None`` where it is undefined:
-    fewer than two pairs, or a vector with no spread (at a level so small
-    that every interval is 0 wide, each fold's MCIL is 0)."""
+def _correlation(x, y) -> float:
+    """Pearson correlation of two vectors, NaN where it is undefined: fewer
+    than two pairs, or a vector with no spread (at a level so small that
+    every interval is 0 wide, each fold's MCIL is 0)."""
     if len(x) < 2:
-        return None
+        return float("nan")
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = float(np.corrcoef(x, y)[0, 1])
-    return r if math.isfinite(r) else None
+        return float(np.corrcoef(x, y)[0, 1])
+
+
+def _json_number(value: float) -> float | None:
+    """``value`` for the report, or ``None`` (``null``) where it is undefined."""
+    return value if math.isfinite(value) else None
 
 
 def _drop_point(train: TrainingSet, i: int) -> TrainingSet:
@@ -186,9 +189,9 @@ def save_report_json(report: DiagnosticsReport, path: str, meta=None):
     doc = {
         "meta": meta or {},
         "level": report.level,
-        "pooled_coverage": report.pooled_coverage,
-        "corr_med_rmse": report.corr_med_rmse,
-        "corr_med_mcil": report.corr_med_mcil,
+        "pooled_coverage": _json_number(report.pooled_coverage),
+        "corr_med_rmse": _json_number(report.corr_med_rmse),
+        "corr_med_mcil": _json_number(report.corr_med_mcil),
         "folds": [
             {
                 "index": d.index,

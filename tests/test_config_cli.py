@@ -659,6 +659,33 @@ class TestExitCodes:
             assert "rerun fit" in err
         assert not out.exists() and not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("lengths, message", [
+        ([1.0, 0.5, 0.8, 1.5], "factorization failed for the input correlation matrix"),
+        (None, "all optimizer restarts failed"),
+    ], ids=["fixed-lengths", "length-search"])
+    def test_repeated_design_row_exit_4(self, tmp_path, capsys, lengths, message):
+        # a row one ulp from another passes ingest's repeat check, but their
+        # correlation rounds to exactly 1 at every length, so without jitter
+        # the input correlation's Cholesky factor has a pivot of exactly 0
+        paths = {name: str(tmp_path / f"{name}.{ext}") for name, ext in
+                 (("design", "csv"), ("training", "csv"), ("model", "json"))}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "design": {"n": 6, "candidates": 4}, "time": {"t_max": 8.0, "dt": 0.5},
+            "kernel": {"jitter": 0, "restarts": 2, "lengths": lengths}, "paths": paths}))
+        assert main(["design", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "design.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        x0, *rest = lines[header + 1].split(",")
+        lines[header + 2] = ",".join([repr(float(np.nextafter(float(x0), 0.0))), *rest])
+        (tmp_path / "design.csv").write_text("\n".join(lines) + "\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and message in err, err
+        assert not (tmp_path / "model.json").exists()
+
     def test_repeated_training_rows_exit_3(self, tmp_path, capsys):
         # without jitter two equal rows would leave a pivot of exactly 0 in
         # the input correlation's Cholesky factor; ingest names both rows
@@ -675,19 +702,6 @@ class TestExitCodes:
         assert main(["fit", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"{training}: rows 1 and 5 repeat" in err, err
-        assert not (tmp_path / "m.json").exists()
-
-    def test_singular_input_correlation_exit_4(self, tmp_path, capsys):
-        # at lengths of 1e12 every input correlation rounds to exactly 1, so
-        # without jitter the second Cholesky pivot is exactly 0
-        cfg = _small_config(tmp_path, kernel={"jitter": 0, "lengths": [1e12, 1e12, 1e12, 1.0]})
-        for command in ("design", "simulate"):
-            assert main([command, "--config", cfg]) == 0
-        capsys.readouterr()
-        assert main(["fit", "--config", cfg]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("numerical error: factorization failed for the input "
-                              "correlation matrix: 2-th leading minor"), err
         assert not (tmp_path / "m.json").exists()
 
     def test_two_input_config_simulate_exit_2_naming_the_key(self, tmp_path, capsys):
@@ -801,15 +815,18 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def _run_python(code, **env_vars):
-    """Run ``code`` in a fresh interpreter without the thread variables set;
-    returns the last line it printed."""
+def _python(code, **env_vars) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter without the thread variables set."""
     src = os.path.dirname(os.path.dirname(opemu.__file__))
     env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
     env.update(PYTHONPATH=src, **env_vars)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    return proc.stdout.strip().splitlines()[-1]
+
+
+def _run_python(code, **env_vars):
+    """Run ``code`` as :func:`_python` does; returns the last line it printed."""
+    return _python(code, **env_vars).stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -859,10 +876,9 @@ def test_tiny_level_validate_writes_null_correlation(tmp_path):
     cfg = _small_config(tmp_path, kernel=FIXED_LENGTHS, validate={"level": 1e-300})
     for command in ("design", "simulate", "fit"):
         assert main([command, "--config", cfg]) == 0
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(opemu.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "opemu.cli", "validate", "--config", cfg],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = _python(f"import sys; from opemu.cli import main; "
+                   f"sys.exit(main(['validate', '--config', {cfg!r}]))")
+    assert proc.stderr == ""
     assert "corr(MED, MCIL)=undefined" in proc.stdout
 
     def reject(constant):

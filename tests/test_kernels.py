@@ -145,6 +145,16 @@ class TestMatrices:
             kernel_matrices(design, spec3(), jitter=-1e-9)
 
 
+def _run_fresh(*pieces: str) -> list:
+    """Run the dedented ``pieces`` in turn in a fresh interpreter on this
+    checkout; the words it printed."""
+    code = "\n".join(textwrap.dedent(piece) for piece in pieces)
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.split()
+
+
 class TestCholSolve:
     """The direct LAPACK calls against scipy's wrappers, bit for bit, with
     LAPACK loaded from scipy's compiled module or from scipy.linalg.lapack."""
@@ -206,7 +216,7 @@ class TestCholSolve:
             kernels._lapack.cache_clear()
 
     def test_scipy_linalg_imports_after_a_direct_load(self):
-        code = """if True:
+        out = _run_fresh("""
             import sys
             import numpy as np
             from opemu.kernels import (KernelSpec, _factor, _lapack, chol_solve,
@@ -222,27 +232,14 @@ class TestCholSolve:
             print(scipy.linalg.lapack.dpotrf is _lapack().dpotrf,
                   np.array_equal(ref[0], chol[0]),
                   np.array_equal(scipy.linalg.cho_solve(ref, B), x))
-        """
-        src = os.path.dirname(os.path.dirname(kernels.__file__))
-        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=120, check=True)
-        assert proc.stdout.split() == ["True", "True", "True"]
+        """)
+        assert out == ["True", "True", "True"]
 
     def test_degenerate_matrix_names_factor_and_minor(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalDegeneracyError, match="the test matrix") as info:
             _factor(m, 0.0, "the test matrix")
         assert "2-th leading minor of the array is not positive definite" in str(info.value)
-
-
-def _run_fresh(*pieces: str) -> list:
-    """Run the dedented ``pieces`` in turn in a fresh interpreter on this
-    checkout; the words it printed."""
-    code = "\n".join(textwrap.dedent(piece) for piece in pieces)
-    src = os.path.dirname(os.path.dirname(kernels.__file__))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120, check=True)
-    return proc.stdout.split()
 
 
 class TestUfuncs:
