@@ -32,7 +32,7 @@ from .config import RunConfig
 from .design import load_design_csv, maximin_lhd, save_design_csv
 from .emulator import NigPrior, credible_interval, fit, load_model, save_model
 from .errors import ConfigError, DataError, NumericalDegeneracyError, OptimizationFailure
-from .ioutil import fmt, interval_columns, write_csv
+from .ioutil import fmt, interval_columns, percent, write_csv
 from .likelihood import estimate_hyperparams, optimize_correlation_lengths
 from .simulator import ingest_runs, toy_training_set, write_training_csv
 from .validation import loo, save_fold_csv, save_report_json
@@ -192,7 +192,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     for diag in report.diagnostics:
         save_fold_csv(diag, os.path.join(reports_dir, f"loo_fold_{diag.index:02d}.csv"), meta)
     print(f"leave-one-out: {len(report.diagnostics)}/{train.n} folds completed")
-    print(f"pooled {level:.0%} coverage: {_statistic(report.pooled_coverage)}")
+    print(f"pooled {percent(level)}% coverage: {_statistic(report.pooled_coverage)}")
     print(f"corr(MED, RMSE)={_statistic(report.corr_med_rmse)} "
           f"corr(MED, MCIL)={_statistic(report.corr_med_mcil)}")
     if report.failures:

@@ -30,10 +30,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def percent(level: float) -> str:
+    """A credible level as a percentage to 15 significant digits: "95" at 0.95."""
+    return f"{100 * level:.15g}"
+
+
 def interval_columns(level: float) -> tuple:
     """Column names of a credible interval at ``level``: ("lo95", "hi95") at 0.95."""
-    percent = f"{100 * level:.15g}"
-    return f"lo{percent}", f"hi{percent}"
+    return f"lo{percent(level)}", f"hi{percent(level)}"
 
 
 def write_csv(path: str, header, rows, meta: dict | None = None) -> None:

@@ -889,6 +889,19 @@ def test_tiny_level_validate_writes_null_correlation(tmp_path):
     assert all(fold["mcil"] == 0.0 for fold in doc["folds"])
 
 
+@pytest.mark.parametrize("level", [1e-300, 0.95])
+def test_validate_stdout_names_the_fold_csv_level(tmp_path, capsys, level):
+    # stdout names the level as the fold CSVs' band columns do, also where
+    # whole percents would round it to "0%"
+    cfg = _small_config(tmp_path, kernel=FIXED_LENGTHS, validate={"level": level})
+    for command in ("design", "simulate", "fit", "validate"):
+        assert main([command, "--config", cfg]) == 0
+    fold = (tmp_path / "r" / "loo_fold_00.csv").read_text().splitlines()
+    lo = next(line for line in fold if not line.startswith("#")).split(",")[3]
+    assert lo == ("lo1e-298" if level == 1e-300 else "lo95")
+    assert f"pooled {lo[2:]}% coverage: " in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     """A workdir fitted at fixed lengths, and its config: 19 runs on the

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opemu import DesignSpace, lhd, maximin_lhd
+from opemu import DesignSpace, design, lhd, maximin_lhd
 from opemu.config import RunConfig
-from opemu.design import _swap_refine, candidate_seed, load_design_csv, save_design_csv
+from opemu.design import (_swap_refine, candidate_seed, load_design_csv, pairwise_distances,
+                          save_design_csv)
 from opemu.errors import DataError
+from make_maximin_digests import check as check_digests
 from reference import full_swap_refine
 
 EXPECTED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -160,6 +162,47 @@ class TestSwapRefineOracle:
             rng = np.random.default_rng(seed)
             start = np.column_stack([(rng.permutation(n) + 0.5) / n for _ in range(k)])
             assert np.array_equal(_swap_refine(start), full_swap_refine(start)), seed
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_blocks_of_one_and_two_swaps(self, monkeypatch, block, k):
+        # a block of 1 or 2 swaps ends inside one (column, i), whose
+        # partners are every later row when i is in all closest pairs, and
+        # across columns; each start must still give the unpruned design
+        n = 12
+        monkeypatch.setattr(design, "_BLOCK_BYTES", block * 16 * n * k)
+        for seed in range(10):
+            start = pool_start(n, unit_space(k), seed, 10)
+            assert np.array_equal(_swap_refine(start), full_swap_refine(start)), seed
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            start = np.column_stack([(rng.permutation(9) + 0.5) / 9 for _ in range(k)])
+            assert np.array_equal(_swap_refine(start), full_swap_refine(start)), seed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 16])
+def test_min_distance_matches_pairwise_distances(k):
+    # one sqrt of the smallest squared distance, bit for bit the smallest
+    # norm; k >= 8 is where the sum over a row is no longer sequential
+    space = DesignSpace(bounds=[(-3.0, 1.0 + j) for j in range(k)])
+    for seed in range(20):
+        d = lhd(17, space, seed)
+        for unit in (True, False):
+            dist = pairwise_distances(d.unit_points if unit else d.points)
+            assert d.min_distance(unit) == dist[np.triu_indices(d.n, 1)].min(), (seed, unit)
+    rng = np.random.default_rng(k)
+    tied = np.floor(rng.random((30, k)) * 3) / 3  # many pairs at one distance
+    tied[-1] = tied[0]  # and a repeated row: distance 0
+    d = design._from_unit(tied, unit_space(k))
+    assert d.min_distance() == pairwise_distances(tied)[np.triu_indices(30, 1)].min() == 0.0
+
+
+def test_designs_match_recorded_digests():
+    # the small designs of tests/data/maximin_digests.json; the script's
+    # --check mode covers the whole grid
+    checked, bad = check_digests(lambda case: case["n"] <= 20
+                                 and (case["candidates"] < 100 or case["n"] <= 5))
+    assert checked == 390 and bad == []
 
 
 def test_default_design_keeps_recorded_min_distance():
