@@ -112,9 +112,9 @@ class _TimeFactor:
         Returns (Gs_new, Ks_cross, explained_out, products). With A =
         Gs_new Us and B = Ks_cross K_output^-1 G_output Us, the time halves
         of the regression-uncertainty term, and dA = A - B, ``products``
-        holds the three transposed products (dA*dA)', (dA*B)' and (B*B)'
-        that :meth:`_KronEigen.regression_variance` takes. They do not
-        depend on the inputs, so the grid cache keeps them ready.
+        is [(dA*dA)', 2 (dA*B)', (B*B)'], nu_s x 3q, the time half that
+        :meth:`_KronEigen.variance_factor` weights by D. It does not
+        depend on the inputs, so the grid cache keeps it ready.
         """
         t = np.asarray(times, dtype=float).ravel()
         Gs_new = self.output_basis.evaluate_many(t)
@@ -123,7 +123,7 @@ class _TimeFactor:
         explained_out = np.einsum("ji,ij->j", Ks_cross, Ks_solve)
         A, B = Gs_new @ self.Us, Ks_solve.T @ (self.Gs @ self.Us)
         dA = A - B
-        return Gs_new, Ks_cross, explained_out, ((dA * dA).T, (dA * B).T, (B * B).T)
+        return Gs_new, Ks_cross, explained_out, np.concatenate([dA * dA, 2.0 * dA * B, B * B]).T
 
     def grid_side(self):
         """:meth:`side` of the training grid, built once."""
@@ -169,18 +169,38 @@ class _KronEigen:
         """S^-1 vec(B) as a nu_r x nu_s matrix."""
         return self.Ur @ (self.D * (self.Ur.T @ B @ self.time.Us)) @ self.time.Us.T
 
-    def regression_variance(self, Gr_new, U, products) -> np.ndarray:
+    def variance_factor(self, products) -> np.ndarray:
+        """The time half V of :meth:`regression_variance`: 3 nu_r x q.
+
+        ``products`` is a time side's [(dA*dA)', 2 (dA*B)', (B*B)']
+        (:meth:`_TimeFactor.side`). One product weights all three by D,
+        and row 3i + k of V is row i of the k-th of D (dA*dA)',
+        2 D (dA*B)' and D (B*B)'. It depends on this core's D, so the core
+        keeps the training grid's as :attr:`grid_factor`.
+        """
+        return (self.D @ products).reshape(3 * self.D.shape[0], products.shape[1] // 3)
+
+    @cached_property
+    def grid_factor(self) -> np.ndarray:
+        """:meth:`variance_factor` of the training grid, built once."""
+        return self.variance_factor(self.time.grid_side()[3])
+
+    def regression_variance(self, Gr_new, U, V) -> np.ndarray:
         """rho_ij' S^-1 rho_ij for rho_ij = gr_i (x) gs_j - u_i (x) w_j: m x q.
 
         Gr_new holds the rows gr_i' and U the rows u_i' (m x nu_r). A holds
-        the rows gs_j' Us and B the rows w_j' Us (q x nu_s); ``products``
-        is the time side's ((dA*dA)', (dA*B)', (B*B)') with dA = A - B
-        (:meth:`_TimeFactor.side`). In the eigenbasis rho = a (x) A - b (x) B
-        with a = gr' Ur and b = u' Ur, which is rewritten as
-        a (x) dA + da (x) B with da = a - b. Its square weighted by D then
-        takes three matrix products:
+        the rows gs_j' Us and B the rows w_j' Us (q x nu_s), dA = A - B,
+        and V is the time half :meth:`variance_factor` builds from them.
+        In the eigenbasis rho = a (x) A - b (x) B with a = gr' Ur and
+        b = u' Ur, which is rewritten as a (x) dA + da (x) B with
+        da = a - b. Its square weighted by D is
 
-            ((a*a) D) (dA*dA)' + 2 ((a*da) D) (dA*B)' + ((da*da) D) (B*B)'
+            (a*a) D (dA*dA)' + 2 (a*da) D (dA*B)' + (da*da) D (B*B)'
+
+        which is one matrix product of inner size 3 nu_r: column 3i + k of
+        its left factor is column i of the k-th of a*a, a*da and da*da, to
+        match V's rows. The result is a new m x q array the caller may
+        overwrite.
 
         Expanding a (x) A - b (x) B itself would cancel badly where rho is
         close to zero: at a design point on the grid both products are
@@ -188,12 +208,10 @@ class _KronEigen:
         both O(jitter) there, so every term is already small and nothing
         of size O(1) cancels.
         """
-        dA2, dAB, B2 = products
         a = Gr_new @ self.Ur
         da = a - U @ self.Ur
-        return (((a * a) @ self.D) @ dA2
-                + 2.0 * (((a * da) @ self.D) @ dAB)
-                + ((da * da) @ self.D) @ B2)
+        left = np.stack([a * a, a * da, da * da], axis=2)
+        return left.reshape(a.shape[0], 3 * a.shape[1]) @ V
 
 
 class TrainingSet:
@@ -261,12 +279,20 @@ def credible_interval(series, level: float = 0.95):
     :func:`_t_quantile`, computed once per (dof, level); an infinite dof
     gives the normal quantile.
     """
+    half = _interval_quantile(series.dof, level) * series.scale
+    return series.location - half, series.location + half
+
+
+def _interval_quantile(dof: float, level: float) -> float:
+    """The t quantile that scales the half-width of a ``level`` interval.
+
+    Raises ``ValueError`` unless 0 < level < 1 and dof > 0.
+    """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
-    if not series.dof > 0:
-        raise ValueError(f"dof must be positive, got {series.dof}")
-    half = _t_quantile(series.dof, 0.5 * (1.0 + level)) * series.scale
-    return series.location - half, series.location + half
+    if not dof > 0:
+        raise ValueError(f"dof must be positive, got {dof}")
+    return _t_quantile(dof, 0.5 * (1.0 + level))
 
 
 @lru_cache(maxsize=64)
@@ -314,9 +340,10 @@ class OpeModel:
     of the training grid (``_grid_cache``, ``None`` until the first
     training-grid prediction): Gs and the grid's cross-correlations, the
     explained time variance and the three variance products of
-    :meth:`_TimeFactor.side`, so a training-grid predict computes only its
-    input side. Models fitted with one shared time side share that cache
-    too.
+    :meth:`_TimeFactor.side`, plus the core's D-weighted
+    :attr:`_KronEigen.grid_factor`, so a training-grid predict computes
+    only its input side. Models fitted with one shared time side share
+    the time-side cache too.
     """
 
     def __init__(self, prior: NigPrior, core: _KronEigen, coeff_mean: np.ndarray,
@@ -393,15 +420,26 @@ class OpeModel:
         the training grid, whose time-side factors are computed once and
         cached. Rows outside the design box, or every row when ``times``
         reach beyond the training grid, are flagged as extrapolation.
+
+        Past the input side, m rows cost two matrix products, the residual
+        correction's (m x n by n x q) and the variance's (m x 3 nu_r by
+        3 nu_r x q, :meth:`_KronEigen.regression_variance`), and a fixed
+        number of in-place passes over the variance's m x q result. For
+        m > n the correction multiplies the residual weights by Ks_cross'
+        first, n x q, which costs n q^2 where the other order costs m q^2;
+        for m <= n, a one-point predict included, it keeps the other order,
+        so those locations do not depend on the other rows.
         """
         R = np.atleast_2d(np.asarray(R, dtype=float))
         core, time = self._core, self._core.time
         if times is None:
             t = time.grid
-            Gs_new, Ks_cross, explained_out, products = time.grid_side()
+            Gs_new, Ks_cross, explained_out, _ = time.grid_side()
+            V = core.grid_factor
         else:
             t = np.asarray(times, dtype=float).ravel()
             Gs_new, Ks_cross, explained_out, products = time.side(t)
+            V = core.variance_factor(products)
 
         Gr_new = self.input_basis.evaluate_many(R)
         Kr_cross = input_correlation_matrix(R, core.design.points, time.kernel)
@@ -410,17 +448,22 @@ class OpeModel:
 
         # location: regression surface + kernel-weighted residual correction
         location = (Gr_new @ self.coeff_matrix) @ Gs_new.T
-        location += (Kr_cross @ self.residual_weights) @ Ks_cross.T
+        if R.shape[0] > core.design.n:
+            location += Kr_cross @ (self.residual_weights @ Ks_cross.T)
+        else:
+            location += (Kr_cross @ self.residual_weights) @ Ks_cross.T
 
         # regression-uncertainty term rho' Vn rho with
-        # rho_ij = gr_i (x) gs_j - u_i (x) w_j
-        var_reg = core.regression_variance(Gr_new, kr_solve.T @ core.Gr, products)
-
-        # prior correlation of a point with itself, nugget included
-        unit_var = (1.0 + time.jitter) ** 2 - np.outer(explained_in, explained_out) + var_reg
-        clamped = np.sum(unit_var < 0.0, axis=1)
+        # rho_ij = gr_i (x) gs_j - u_i (x) w_j, then the prior correlation
+        # of a point with itself, nugget included, less the explained part
+        unit_var = core.regression_variance(Gr_new, kr_solve.T @ core.Gr, V)
+        unit_var -= np.outer(explained_in, explained_out)
+        unit_var += (1.0 + time.jitter) ** 2
+        clamped = np.count_nonzero(unit_var < 0.0, axis=1)
         min_unit_var = unit_var.min(axis=1) if t.size else np.zeros(R.shape[0])
-        scale = np.sqrt(self.tau_estimate * np.maximum(unit_var, 0.0))
+        scale = np.maximum(unit_var, 0.0, out=unit_var)
+        scale *= self.tau_estimate
+        np.sqrt(scale, out=scale)
 
         extrapolation = ~core.design.space.contains_rows(R)
         # the training grid cannot reach beyond itself

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import mcil
 from .design import Design, pairwise_distances
 from .emulator import NigPrior, Predictive, TrainingSet, _TimeFactor, credible_interval, fit
 from .errors import NumericalDegeneracyError
@@ -147,7 +148,7 @@ def loo(
             lower=lo,
             upper=hi,
             rmse=rmse(observed, series.location),
-            mcil=float(np.mean(hi - lo)),
+            mcil=float(mcil(series, level)),
             coverage=float(inside),
         )
 

@@ -15,6 +15,7 @@ from opemu import (
     OutputBasis,
     Predictive,
     SweepSpec,
+    credible_interval,
     fit,
     max_elevation,
     mcil,
@@ -82,6 +83,41 @@ def toy_model():
     prior = NigPrior(0.01, 3.0, 0.1)
     kern = KernelSpec((2.0, 1.0, 0.6), 1.5)
     return fit(prior, ib, ob, kern, train)
+
+
+class TestMcil:
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_is_the_credible_intervals_mean_length(self, toy_model, rows):
+        space = toy_model.design.space
+        R = space.from_unit(np.random.default_rng(rows).random((rows, space.k)))
+        pred = toy_model.predict(R[0]) if rows == 1 else toy_model.predict_many(R)
+        lo, hi = credible_interval(pred, 0.95)
+        width = np.mean(hi - lo, axis=-1)
+        # With u = eps/2 and h the half-width t*s that credible_interval
+        # adds to and subtracts from the location x: x - h and x + h each
+        # round by at most u (|x| + h), and their difference, about 2h,
+        # rounds by at most 2u h more, so every length is 2h within
+        # 2 eps (|x| + h), and so is the lengths' mean. Then the floats of
+        # the two means: q nonnegative terms sum within (q - 1) u of their
+        # total in any order and the division rounds once more, so the
+        # lengths' mean, about 2 mean(h), is within q eps mean(h) of its
+        # exact value; mcil = 2t * mean(s) is within (q + 1) eps mean(h)
+        # of 2t times the exact mean(s) (the mean and one product); and
+        # h = fl(t*s) is within u h of t*s, which moves 2 mean(h) by at
+        # most eps mean(h).
+        half = 0.5 * (hi - lo)
+        q = pred.times.size
+        tol = (2 * np.finfo(float).eps * np.max(np.abs(pred.location) + half, axis=-1)
+               + 2 * (q + 1) * np.finfo(float).eps * np.mean(half, axis=-1))
+        got = mcil(pred, 0.95)
+        assert np.shape(got) == np.shape(width) == (() if rows == 1 else (rows,))
+        assert np.all(np.abs(got - width) <= tol)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_rejects_levels_zero_and_one(self, toy_model, level):
+        pred = toy_model.predict(toy_model.design.points[0])
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            mcil(pred, level)
 
 
 class TestSweep:

@@ -242,6 +242,39 @@ class TestPredictMany:
                 assert np.all(np.abs(batch.scale[i] - scale) < 1e-8 * (1 + np.abs(scale)))
             assert batch.extrapolation.tolist() == [beyond, beyond, True]
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_row_counts_around_n(self, seed):
+        # predict_many associates the residual correction one way for
+        # m <= n rows and the other way for m > n; both match the oracle
+        n = 4
+        train, ib, ob, kern = small_problem(n=n, q=5, seed=seed)
+        jitter = 1e-8
+        nu = ib.size * ob.size
+        prior = NigPrior(0.25, 3.0, 0.5)
+        model = fit(prior, ib, ob, kern, train, jitter)
+        K, Q = reference.dense_problem(train, ib, ob, kern, jitter)
+        dense = (K, Q, *reference.dense_fit(train.outputs, K, Q, np.zeros(nu),
+                                            prior.sigma2 * np.eye(nu), prior.dof,
+                                            prior.scale))
+        space = train.design.space
+        rng = np.random.default_rng(seed + 21)
+        # design points, points in the box and points beyond it
+        R = np.vstack([train.design.points, space.from_unit(rng.random((5, space.k))),
+                       space.from_unit(rng.uniform(1.1, 1.5, (3, space.k)))])
+        for m in (n - 1, n, n + 1, 3 * n):
+            for times in (None, np.array([0.3, 1.7, 2.5])):
+                batch = model.predict_many(R[:m], times)
+                assert batch.location.shape == (m, batch.times.size)
+                for i, r in enumerate(R[:m]):
+                    loc, scale = reference.dense_series(train, ob, kern, jitter, dense, r,
+                                                        times)
+                    assert np.all(np.abs(batch.location[i] - loc) < 1e-8 * (1 + np.abs(loc)))
+                    assert np.all(np.abs(batch.scale[i] - scale)
+                                  < 1e-8 * (1 + np.abs(scale)))
+                    one = model.predict(r, times)
+                    assert batch.clamped[i] == one.clamped
+                    assert batch.extrapolation[i] == one.extrapolation
+
     def test_matches_row_by_row_predict(self, wave_space):
         design = lhd(10, wave_space, 9)
         grid = np.round(0.2 * np.arange(30), 12)
