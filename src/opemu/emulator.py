@@ -161,7 +161,12 @@ class _KronEigen:
         self.logdet = float(np.sum(np.log(P)))
 
     def whiten(self, F: np.ndarray) -> np.ndarray:
-        """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks."""
+        """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks.
+
+        Only the likelihood calls it now; :func:`fit` solves the time side
+        first. Its Kr-first order is kept because the fitted-length UQ gate
+        pins the likelihood's bits, until that gate checks results instead.
+        """
         W = chol_solve(self.chol, F)
         return chol_solve(self.time.chol, W.T).T
 
@@ -482,30 +487,40 @@ def fit(
     train: TrainingSet,
     jitter: float = DEFAULT_JITTER,
     _time: _TimeFactor | None = None,
+    _FKs: np.ndarray | None = None,
 ) -> OpeModel:
     """Conjugate posterior update from a training set.
 
     All solves go through the per-factor Cholesky decompositions and the
     eigenbasis of the regression term; cost is O(n^3 + q^3) rather than
-    O((nq)^3). ``_time`` is internal: a :class:`_TimeFactor` already built
-    for this training grid, which the fit then shares instead of building
-    its own. The model reads its kernel, jitter and output basis from it,
-    so it must match the ``kernel``, ``jitter`` and ``output_basis``
-    arguments; :func:`~opemu.validation.loo` is its one caller. An input
-    basis over another box than the design's, or a kernel with another
-    input-length count than its dimension, raises ``ValueError``.
+    O((nq)^3). The time side is solved first: with W0 = Kr^-1 (F Ks^-1),
+    the residual weights K^-1 vec(R) are W0 - Kr^-1 Gr mn Gs' Ks^-1, so
+    past F Ks^-1 the fit makes one n x n solve and no q x q one.
+
+    Two arguments are internal, and :func:`~opemu.validation.loo` is their
+    one caller. ``_time`` is a :class:`_TimeFactor` already built for this
+    training grid, which the fit then shares instead of building its own.
+    The model reads its kernel, jitter and output basis from it, so it
+    must match the ``kernel``, ``jitter`` and ``output_basis`` arguments.
+    ``_FKs`` is F Ks^-1 of this training set (n x q), the rows a fold
+    takes from the full design's product; without it the fit computes it.
+    An input basis over another box than the design's, or a kernel with
+    another input-length count than its dimension, raises ``ValueError``.
     """
     Gr, Gs = regressor_matrices(train.design, train.time_grid, input_basis, output_basis)
     time = _time or _TimeFactor(train.time_grid, output_basis, kernel, jitter, Gs)
     core = _KronEigen(train.design, Gr, time, prior.sigma2)
     F = train.outputs
+    if _FKs is None:
+        _FKs = chol_solve(time.chol, F.T).T
 
     # mn = Vn Q' K^-1 y, with Q' K^-1 y = vec(Gr' K^-1 F Gs)
-    coeff = core.solve(Gr.T @ core.whiten(F) @ Gs)
+    W0 = chol_solve(core.chol, _FKs)
+    coeff = core.solve(Gr.T @ W0 @ Gs)
 
     # scale update in residual form: guaranteed to stay positive
     R = F - Gr @ coeff @ Gs.T
-    W = core.whiten(R)
+    W = W0 - core.KrGr @ coeff @ time.KsGs.T
     post_scale = float(prior.scale + np.sum(R * W) + np.sum(coeff * coeff) / prior.sigma2)
     return OpeModel(prior, core, coeff.ravel(), post_scale, W, train.fingerprint())
 

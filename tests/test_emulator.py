@@ -21,7 +21,9 @@ from opemu import (
     save_model,
     toy_training_set,
 )
+from opemu.basis import regressor_matrices
 from opemu.design import DesignSpace
+from opemu.emulator import OpeModel, _KronEigen, _TimeFactor
 from opemu.kernels import input_correlation_matrix, output_correlation_matrix
 
 
@@ -116,6 +118,85 @@ class TestFitRejectsMismatch:
         train, ib, ob, _ = small_problem(n=3, q=4, seed=3)
         with pytest.raises(ValueError, match=f"{len(lengths)} input lengths.*3 coordinates"):
             fit(NigPrior(0.1, 3.0, 0.2), ib, ob, KernelSpec(lengths, 0.9), train)
+
+
+def _input_first_fit(prior, ib, ob, kern, train, jitter):
+    """The input-first fit, the reference the time-first ``fit`` is checked
+    against: Kr^-1 then Ks^-1 on F for the coefficients, and the residual
+    weights solved from the residual R itself.
+
+    Returns the model and R."""
+    Gr, Gs = regressor_matrices(train.design, train.time_grid, ib, ob)
+    core = _KronEigen(train.design, Gr, _TimeFactor(train.time_grid, ob, kern, jitter, Gs),
+                      prior.sigma2)
+    F = train.outputs
+    coeff = core.solve(Gr.T @ core.whiten(F) @ Gs)
+    R = F - Gr @ coeff @ Gs.T
+    W = core.whiten(R)
+    scale = prior.scale + np.sum(R * W) + np.sum(coeff * coeff) / prior.sigma2
+    return OpeModel(prior, core, coeff.ravel(), scale, W, train.fingerprint()), R
+
+
+def _equation_residual(model, R):
+    """||Kr W Ks - R|| / ||R|| for the model's residual weights W, with the
+    jittered factors the fit solved with."""
+    core = model._core
+    error = core.Kr @ model.residual_weights @ core.time.Ks - R
+    return np.linalg.norm(error) / np.linalg.norm(R)
+
+
+def _cond_K(model):
+    """2-norm condition number of K = Kr (x) Ks, the product of the factors'."""
+    return np.linalg.cond(model._core.Kr) * np.linalg.cond(model._core.time.Ks)
+
+
+class TestTimeFirstFit:
+    """``fit`` solves F Ks^-1 first and takes the residual weights from it;
+    the input-first path is the reference."""
+
+    def test_matches_input_first_path(self, wave_space):
+        design = lhd(8, wave_space, 3)
+        train = toy_training_set(design, np.round(0.5 * np.arange(13), 12))
+        ib, ob = InputBasis(wave_space), OutputBasis()
+        prior, kern, jitter = NigPrior(0.05, 3.0, 0.1), KernelSpec((1.0, 0.5, 0.8), 1.0), 1e-8
+        model = fit(prior, ib, ob, kern, train, jitter)
+        old, _ = _input_first_fit(prior, ib, ob, kern, train, jitter)
+        cond = _cond_K(model)
+        assert cond < 1e4
+        # Both paths solve with the same Cholesky factors and differ only
+        # in the order of the two factor solves and in how the residual
+        # weights are formed. To first order each computed K^-1 x carries a
+        # relative error of at most gamma cond(K), gamma = (n + q) eps, the
+        # dimension factor of the two triangular-solve pairs (Higham 2002,
+        # sec. 10.1), so the paths differ by at most twice that. predict
+        # multiplies the weights by the cross-correlations and Ks again,
+        # which undoes K^-1's amplification, so the bound holds relative to
+        # each time column's largest magnitude. Measured at cond(K) = 91:
+        # 3.4e-15 in location and 1.5e-16 in scale, against 8.5e-13.
+        tol = 2.0 * (train.n + train.q) * np.finfo(float).eps * cond
+        points = np.vstack([design.points, lhd(6, wave_space, 17).points])
+        a, b = model.predict_many(points), old.predict_many(points)
+        for got, want in ((a.location, b.location), (a.scale, b.scale)):
+            assert np.all(np.abs(got - want) <= tol * np.abs(want).max(axis=0))
+        assert abs(model.scale - old.scale) <= tol * old.scale
+
+    def test_ill_conditioned_equation_residual(self, wave_space):
+        # the exponent-2 row of the extended-precision oracle's table in
+        # ROADMAP.md (n=5, q=10, time length 1.5, jitter 1e-8, step 0.2),
+        # at the design seed whose cond(K) is closest to its 1.2e9
+        design = lhd(5, wave_space, 1)
+        train = toy_training_set(design, np.round(0.2 * np.arange(10), 12))
+        ib, ob = InputBasis(wave_space), OutputBasis()
+        prior, kern, jitter = NigPrior(0.05, 3.0, 0.1), KernelSpec((1.0, 0.5, 0.8), 1.5, 2.0), 1e-8
+        model = fit(prior, ib, ob, kern, train, jitter)
+        old, R_old = _input_first_fit(prior, ib, ob, kern, train, jitter)
+        assert 1e8 < _cond_K(model) < 1e10
+        R = train.outputs - model.input_basis.evaluate_many(design.points) @ (
+            model.coeff_matrix @ ob.evaluate_many(train.time_grid).T)
+        # solving F Ks^-1 before subtracting the regression surface costs
+        # digits where F is much larger than R; the bound is 4x the
+        # input-first path's own residual
+        assert _equation_residual(model, R) <= 4.0 * _equation_residual(old, R_old)
 
 
 class TestPredictionBehavior:
