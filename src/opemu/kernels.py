@@ -91,13 +91,38 @@ def _scipy_dirs(subpackage: str) -> list:
     return [os.path.join(root, subpackage) for root in scipy.submodule_search_locations]
 
 
-def _flapack_spec():
-    """Import spec of scipy's compiled LAPACK module, or ``None`` if it is not there.
+def _compiled_spec(name: str, subpackage: str):
+    """Import spec of scipy's compiled module ``name``, which lives in
+    ``subpackage``, or ``None`` if its file is not there.
 
-    The path finder on scipy's ``linalg`` directory locates it without
+    The path finder on scipy's ``subpackage`` directory locates it without
     running a package ``__init__``.
     """
-    return importlib.machinery.PathFinder.find_spec(_FLAPACK, _scipy_dirs("linalg"))
+    return importlib.machinery.PathFinder.find_spec(name, _scipy_dirs(subpackage))
+
+
+def _flapack_spec():
+    """Import spec of scipy's compiled LAPACK module, or ``None`` if it is not there."""
+    return _compiled_spec(_FLAPACK, "linalg")
+
+
+def _load_compiled(name: str, spec):
+    """The compiled module ``name`` run from ``spec`` and entered in
+    ``sys.modules``, so that a later import of its package reuses it.
+
+    ``None`` where ``spec`` is ``None`` or the file does not load on its
+    own (say, before scipy's ``__init__`` has set up its bundled
+    libraries).
+    """
+    if spec is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    sys.modules[name] = module
+    return module
 
 
 @cache
@@ -111,22 +136,13 @@ def _lapack():
     reuses it from ``sys.modules``; the one trace of the direct load is
     that the package lacks the attribute ``scipy.linalg._flapack``, which
     scipy reads only by ``from scipy.linalg import _flapack`` (that falls
-    back to ``sys.modules``). Where the file is absent or does not load on
-    its own (say, before scipy's ``__init__`` has set up its bundled
-    libraries), ``scipy.linalg.lapack`` serves.
+    back to ``sys.modules``). Where :func:`_load_compiled` cannot load it,
+    ``scipy.linalg.lapack`` serves.
     """
-    if _FLAPACK not in sys.modules:
-        spec = _flapack_spec()
-        try:
-            if spec is None:
-                raise ImportError(f"no {_FLAPACK} file")
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except (ImportError, OSError):
-            from scipy.linalg import lapack
+    if _FLAPACK not in sys.modules and _load_compiled(_FLAPACK, _flapack_spec()) is None:
+        from scipy.linalg import lapack
 
-            return lapack
-        sys.modules[_FLAPACK] = module
+        return lapack
     return sys.modules[_FLAPACK]
 
 

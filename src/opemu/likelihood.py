@@ -25,10 +25,14 @@ Correlation lengths are estimated by multi-start quasi-Newton ascent
 (L-BFGS-B on the negative profiled likelihood) over the k+1 log-lengths,
 which both enforces positivity and makes the box bounds scale-free.
 Starting points come from a seeded Latin Hypercube over the log bounds, so
-results are deterministic given the seed.
+results are deterministic given the seed. L-BFGS-B is scipy's compiled
+reverse-communication routine ``setulb`` (Byrd, Lu, Nocedal & Zhu 1995;
+Zhu, Byrd, Lu & Nocedal 1997), driven here as
+``scipy.optimize.minimize`` drives it.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,9 +42,14 @@ from .basis import InputBasis, OutputBasis, regressor_matrices
 from .design import DesignSpace, lhd
 from .emulator import NigPrior, TrainingSet, _KronEigen, _TimeFactor
 from .errors import DataError, NumericalDegeneracyError, OptimizationFailure
-from .kernels import DEFAULT_JITTER, KernelSpec, chol_solve
+from .kernels import DEFAULT_JITTER, KernelSpec, _compiled_spec, _load_compiled, chol_solve
 
 _BARRIER = 1e25
+_LBFGSB = "scipy.optimize._lbfgsb"
+# the signature of the C routine in scipy 1.17.1, the one version the
+# direct loop is checked against; the Fortran routine of scipy < 1.15 takes
+# other arguments, and 1.15 and 1.16 are unchecked
+_SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
 
 @dataclass
@@ -276,44 +285,37 @@ def optimize_correlation_lengths(
     # at module level, so `import opemu.cli` loads no scipy and `opemu
     # design` and `opemu simulate` never do. Cholesky factors and solves
     # call LAPACK through `kernels._factor` and `kernels.chol_solve`, which
-    # load only scipy's compiled `_flapack` module, and from dof 3000 the t
-    # quantile is opemu's own, so there `fit` at fixed lengths, `validate`,
-    # `predict` and `sweep` load no scipy package (below it they load
-    # scipy.special's compiled modules for stdtrit, as `uq` does for
-    # betaincinv). scipy.optimize brings scipy.linalg and scipy.special
-    # with it (~0.6 s), and only the length search needs it
-    from scipy.optimize import minimize
-
+    # load only scipy's compiled `_flapack` module, and the search drives
+    # only scipy's compiled `_lbfgsb` module, so no default command loads a
+    # scipy package: from dof 3000 the t quantile is opemu's own, and below
+    # it `validate`, `predict` and `sweep` load scipy.special's compiled
+    # modules for stdtrit, as `uq` does for betaincinv. The routine is
+    # chosen before the first evaluation, so a trace never holds the rows
+    # of an abandoned attempt
+    setulb = _setulb()
     starts = _starting_points(log_bounds, restarts, seed)
     results = []
     diagnostics = []
     for idx, theta0 in enumerate(starts):
         counter = [0]
-        res = minimize(
-            objective,
-            theta0,
-            args=(idx, counter),
-            method="L-BFGS-B",
-            jac=True,
-            bounds=log_bounds,
-            options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8},
-        )
+        x, f, nit, converged = _lbfgsb(setulb, lambda theta: objective(theta, idx, counter),
+                                       theta0, log_bounds)
         diagnostics.append(
             {
                 "start": idx,
-                "value": float(-res.fun),
-                "iterations": int(res.nit),
-                "converged": bool(res.success),
+                "value": float(-f),
+                "iterations": int(nit),
+                "converged": bool(converged),
             }
         )
-        if np.isfinite(res.fun) and res.fun < _BARRIER / 2:
-            results.append((idx, res))
+        if np.isfinite(f) and f < _BARRIER / 2:
+            results.append((f, idx, x))
     if not results:
         raise OptimizationFailure(
             "all optimizer restarts failed to produce a finite likelihood"
         )
-    _, best = min(results, key=lambda item: (item[1].fun, item[0]))
-    lengths = np.exp(best.x)
+    _, _, best = min(results, key=lambda item: item[:2])
+    lengths = np.exp(best)
     value, _, tau = ws.evaluate(lengths)
     return MarginalLikelihoodState(
         input_lengths=tuple(lengths[: space.k]),
@@ -331,6 +333,80 @@ def _starting_points(log_bounds, restarts, seed):
     at least two points, so a single start is the first of two)."""
     sample = lhd(max(restarts, 2), DesignSpace(bounds=log_bounds), seed).points
     return list(sample[:restarts])
+
+
+def _setulb():
+    """scipy's compiled L-BFGS-B routine ``setulb``, or ``None`` where it
+    cannot be driven directly.
+
+    It is ``scipy.optimize._lbfgsb``, loaded from its file as
+    :func:`~opemu.kernels._lapack` loads ``_flapack``, so the search pays
+    for neither the ``scipy.optimize`` package import nor the
+    scipy.linalg and scipy.special packages it brings: ~0.3 s and ~40 MB
+    of a fresh ``opemu fit``. A later ``import scipy.optimize`` reuses the
+    module; one already imported serves as it is. ``None`` where the file
+    is absent or does not load on its own, or where its ``setulb`` does
+    not document the signature of scipy 1.17.1's: then
+    ``scipy.optimize.minimize`` serves.
+    """
+    module = sys.modules.get(_LBFGSB) or _load_compiled(
+        _LBFGSB, _compiled_spec(_LBFGSB, "optimize"))
+    setulb = getattr(module, "setulb", None)
+    doc = getattr(setulb, "__doc__", None) or ""
+    return setulb if doc.split("\n", 1)[0] == _SETULB else None
+
+
+def _lbfgsb(setulb, fun, x0, bounds, maxiter=200, ftol=1e-12, gtol=1e-8):
+    """Minimize ``fun`` (returning value and gradient) from ``x0`` in the box
+    ``bounds`` with L-BFGS-B: (x, f, iterations, converged).
+
+    With ``setulb`` (see :func:`_setulb`) this is the loop of scipy 1.17's
+    ``minimize(method="L-BFGS-B", jac=True)``, so it takes the same steps
+    bit for bit: m = 10 stored corrections, at most 20 line-search steps,
+    factr = ftol / eps and both bounds set on every variable. ``setulb``
+    asks through ``task[0]``: 3 to evaluate at x, 1 at each new iteration
+    (the search then stops at ``maxiter`` with task (5, 504)); any other
+    value ends the search, which converged iff it is 4. As with scipy's
+    ``ScalarFunction``, ``fun`` runs once at x0 before the loop and again
+    only when x changes. scipy's stop at 15000 evaluations is left out:
+    200 iterations of at most two 20-step line searches stay below it.
+    With ``setulb`` None, ``scipy.optimize.minimize`` runs the search.
+    """
+    if setulb is None:
+        from scipy.optimize import minimize
+
+        res = minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+                       options={"maxiter": maxiter, "ftol": ftol, "gtol": gtol})
+        return res.x, res.fun, res.nit, res.success
+    m, maxls = 10, 20
+    lower, upper = np.array(bounds, dtype=float).T.copy()
+    x = np.clip(x0, lower, upper)
+    n = x.size
+    x_eval = x.copy()
+    f_eval, g_eval = fun(x.copy())
+    f, g = 0.0, np.zeros(n)
+    nbd = np.full(n, 2, dtype=np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    iterations = 0
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task,
+               lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:
+            if not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f_eval, g_eval = fun(x.copy())
+            # scipy hands setulb a copy of its cached gradient
+            f, g = f_eval, g_eval.copy()
+        elif task[0] == 1:
+            iterations += 1
+            if iterations >= maxiter:
+                task[:] = 5, 504
+        else:
+            return x, f, iterations, task[0] == 4
 
 
 def estimate_hyperparams(

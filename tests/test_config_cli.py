@@ -929,6 +929,18 @@ def test_serving_commands_load_only_compiled_lapack(served, command):
     assert set(_loaded_scipy(argv)) <= {"scipy.linalg._flapack"}
 
 
+def test_searching_fit_loads_only_compiled_lapack_and_lbfgsb(tmp_path):
+    # the length search drives scipy's compiled L-BFGS-B module, loaded
+    # without the scipy.optimize package, which would bring scipy.linalg and
+    # scipy.special with it
+    cfg = _small_config(tmp_path, kernel={"restarts": 2})
+    for command in ("design", "simulate"):
+        assert main([command, "--config", cfg]) == 0
+    loaded = _loaded_scipy(["fit", "--trace", "--config", cfg], kinds=True)
+    assert loaded == {"scipy.linalg._flapack": True, "scipy.optimize._lbfgsb": True}
+    assert (tmp_path / "r" / "fit_trace.csv").exists()
+
+
 def _assert_compiled_special_only(loaded):
     """``loaded`` (module name -> compiled?) holds scipy.special's compiled
     modules, and neither the scipy.special nor the scipy.linalg package."""

@@ -20,6 +20,16 @@ class TestWriteCsv:
         write_csv(str(path), ["x"], [])
         assert path.read_bytes() == b"x\n"
 
+    def test_mixed_cells(self, tmp_path):
+        # strings as given; ints and numpy scalars print as floats, and
+        # -0.0 and the extremes keep every bit
+        rows = [("x", 1, np.float64(-0.0), 5e-324), ("", np.int64(7), np.float32(0.1), 1e300),
+                ("n", True, -1 / 3, "7")]
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ["s", "a", "b", "c"], rows)
+        assert path.read_bytes() == (b"s,a,b,c\nx,1.0,-0.0,5e-324\n,7.0,0.10000000149011612,1e+300\n"
+                                     b"n,1.0,-0.3333333333333333,7\n")
+
     def test_numbers_round_trip(self, tmp_path):
         values = np.random.default_rng(0).normal(size=(20, 4)) * 10.0 ** np.arange(-8, 8, 4)
         path = tmp_path / "t.csv"

@@ -1,8 +1,16 @@
+import importlib.machinery
+import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import opemu
 import reference
 from opemu import (
     InputBasis,
@@ -20,6 +28,7 @@ from opemu import (
 )
 from opemu.design import DesignSpace
 from opemu.errors import DataError
+from opemu import likelihood
 from opemu.likelihood import _starting_points, _Workspace, default_length_bounds
 
 
@@ -402,3 +411,81 @@ class TestHyperparamEstimation:
         eps = draws.standard_normal(200_000) * np.sqrt(taus)
         simulated = float(np.var(betas + eps))
         assert 0.6 < simulated / analytic < 1.6
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+class TestDirectLbfgsb:
+    """The search drives scipy's compiled L-BFGS-B routine as
+    scipy.optimize.minimize drives it, bit for bit, and falls back to
+    minimize where the routine cannot be driven directly."""
+
+    def test_direct_and_fallback_searches_give_the_same_bits(self):
+        # the default search and one with an unconverged start, each run
+        # through the directly driven routine and through minimize in one
+        # child process: value, tau_hat, lengths, per-start records and
+        # trace rows all equal. The child is pinned to one BLAS thread, as
+        # the benchmark is. (make_search_bits.py --check compares with the
+        # recording, which holds only on the host that made it)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opemu.__file__)),
+                   PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        argv = [sys.executable, os.path.join(TESTS, "make_search_bits.py"), "--paths"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == ["2 searches compared across the two paths, 0 differ"]
+
+    def test_recorded_case_has_an_unconverged_start(self):
+        with open(os.path.join(TESTS, "data", "search_bits.json"), encoding="utf-8") as fh:
+            cases = json.load(fh)["cases"]
+        start = cases["unconverged"]["starts"][0]
+        assert (start["converged"], start["iterations"]) == (False, 28)
+        assert cases["unconverged"]["evaluations"] == 73
+        assert cases["default"]["evaluations"] == 143
+        assert all(start["converged"] for start in cases["default"]["starts"])
+
+    @pytest.mark.parametrize("maxiter", [4, 200], ids=["stopped", "converged"])
+    def test_direct_loop_takes_the_steps_of_minimize(self, maxiter):
+        from scipy.optimize import minimize, rosen, rosen_der
+
+        def fun(x, points):
+            points.append(x.copy())
+            return rosen(x), rosen_der(x)
+
+        x0, bounds = np.array([-1.2, 1.0, 2.5]), [(-2.0, 2.0), (-0.5, 1.5), (0.0, 2.0)]
+        options = {"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-8}
+        seen, direct = [], []
+        res = minimize(fun, x0, args=(seen,), method="L-BFGS-B", jac=True, bounds=bounds,
+                       options=options)
+        setulb = likelihood._setulb()
+        assert setulb is not None
+        x, f, nit, converged = likelihood._lbfgsb(setulb, lambda x: fun(x, direct), x0, bounds,
+                                                  **options)
+        assert np.array_equal(x, res.x) and f == res.fun
+        assert (nit, converged) == (res.nit, res.success)
+        assert converged == (nit < maxiter) == (maxiter == 200)
+        assert len(direct) == len(seen) == res.nfev
+        assert all(np.array_equal(a, b) for a, b in zip(direct, seen))
+
+    @pytest.mark.parametrize("fault", ["absent", "unloadable", "other interface"])
+    def test_routine_that_cannot_be_driven_falls_back(self, monkeypatch, tmp_path, fault):
+        monkeypatch.delitem(sys.modules, likelihood._LBFGSB, raising=False)
+        if fault == "absent":
+            monkeypatch.setattr(likelihood, "_compiled_spec", lambda name, subpackage: None)
+        elif fault == "unloadable":  # a file that is there but does not load as an extension
+            path = tmp_path / ("_lbfgsb" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            path.write_bytes(b"")
+            spec = importlib.util.spec_from_file_location(likelihood._LBFGSB, path)
+            monkeypatch.setattr(likelihood, "_compiled_spec", lambda name, subpackage: spec)
+        else:  # the Fortran routine of scipy < 1.15, as f2py documents it
+            def setulb():
+                pass
+
+            setulb.__doc__ = ("x,f,g,... = setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,"
+                              "iprint,csave,lsave,isave,dsave,maxls,[n])")
+            monkeypatch.setitem(sys.modules, likelihood._LBFGSB,
+                                types.SimpleNamespace(setulb=setulb))
+        assert likelihood._setulb() is None
+        if fault != "other interface":
+            assert likelihood._LBFGSB not in sys.modules
