@@ -22,6 +22,12 @@ class NumericalDegeneracyError(RuntimeError):
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)
+        self._init_args = (matrix_name, detail)
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, not from its message, so that it
+        # survives pickling (the length search's workers pickle exceptions)
+        return type(self), self._init_args
 
 
 class OptimizationFailure(RuntimeError):

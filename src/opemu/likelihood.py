@@ -29,10 +29,23 @@ results are deterministic given the seed. L-BFGS-B is scipy's compiled
 reverse-communication routine ``setulb`` (Byrd, Lu, Nocedal & Zhu 1995;
 Zhu, Byrd, Lu & Nocedal 1997), driven here as
 ``scipy.optimize.minimize`` drives it.
+
+The starts are independent descents, so on Linux, with BLAS pinned to one
+thread (as the CLI pins it) and no other thread running, they run in
+forked worker processes, one per usable CPU, and the caller is worker 0
+(DiceKriging's ``km`` runs its multistart descents in parallel for the
+same reason; Roustant, Ginsbourger & Deville 2012). Each start takes the
+same steps wherever it runs and the results are merged in start order, so
+the winner, tau_hat, the per-start records and the trace do not depend on
+the worker count, bit for bit.
 """
 
 import math
+import os
+import pickle
 import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +59,10 @@ from .kernels import DEFAULT_JITTER, KernelSpec, _compiled_spec, _load_compiled,
 
 _BARRIER = 1e25
 _LBFGSB = "scipy.optimize._lbfgsb"
+# the variables the CLI sets to pin BLAS to one thread; the search forks
+# only under that pin, since two processes of multi-threaded BLAS
+# oversubscribe the cores
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the signature of the C routine in scipy 1.17.1, the one version the
 # direct loop is checked against; the Fortran routine of scipy < 1.15 takes
 # other arguments, and 1.15 and 1.16 are unchecked
@@ -261,25 +278,29 @@ def optimize_correlation_lengths(
                   for lo, hi in default_length_bounds(space, t_span)]
 
     ws = _Workspace(train, input_basis, output_basis, sigma2, exponent, jitter)
-    trace: list = []
 
-    def objective(theta, start_idx, counter):
-        lengths = np.exp(theta)
-        try:
-            value, grad, tau = ws.evaluate(lengths, want_grad=True)
-        except NumericalDegeneracyError:
-            return _BARRIER, np.zeros_like(theta)
-        if not np.isfinite(value):
-            return _BARRIER, np.zeros_like(theta)
-        # chain rule: d/d log(l) = l * d/dl; the tau entry is 0 at tau_hat
-        grad_log = lengths * grad[:-1]
-        if collect_trace:
-            counter[0] += 1
-            trace.append(
-                (start_idx, counter[0], value, float(np.linalg.norm(grad_log)))
-                + tuple(lengths) + (tau,)
-            )
-        return -value, -grad_log
+    def run_start(idx):
+        """(x, f, iterations, converged, trace rows) of the descent from start ``idx``."""
+        rows = []
+
+        def objective(theta):
+            lengths = np.exp(theta)
+            try:
+                value, grad, tau = ws.evaluate(lengths, want_grad=True)
+            except NumericalDegeneracyError:
+                return _BARRIER, np.zeros_like(theta)
+            if not np.isfinite(value):
+                return _BARRIER, np.zeros_like(theta)
+            # chain rule: d/d log(l) = l * d/dl; the tau entry is 0 at tau_hat
+            grad_log = lengths * grad[:-1]
+            if collect_trace:
+                rows.append(
+                    (idx, len(rows) + 1, value, float(np.linalg.norm(grad_log)))
+                    + tuple(lengths) + (tau,)
+                )
+            return -value, -grad_log
+
+        return _lbfgsb(setulb, objective, starts[idx], log_bounds) + (rows,)
 
     # package rule: scipy is imported in the functions that call it, never
     # at module level, so `import opemu.cli` loads no scipy and `opemu
@@ -291,15 +312,17 @@ def optimize_correlation_lengths(
     # it `validate`, `predict` and `sweep` load scipy.special's compiled
     # modules for stdtrit, as `uq` does for betaincinv. The routine is
     # chosen before the first evaluation, so a trace never holds the rows
-    # of an abandoned attempt
+    # of an abandoned attempt, and the fallback's package is imported
+    # before any worker forks, so the workers do not each import it
     setulb = _setulb()
+    if setulb is None:
+        import scipy.optimize  # noqa: F401
     starts = _starting_points(log_bounds, restarts, seed)
+    outcomes = _run_starts(run_start, restarts)
+    trace = [row for *_, rows in outcomes for row in rows]
     results = []
     diagnostics = []
-    for idx, theta0 in enumerate(starts):
-        counter = [0]
-        x, f, nit, converged = _lbfgsb(setulb, lambda theta: objective(theta, idx, counter),
-                                       theta0, log_bounds)
+    for idx, (x, f, nit, converged, _) in enumerate(outcomes):
         diagnostics.append(
             {
                 "start": idx,
@@ -333,6 +356,145 @@ def _starting_points(log_bounds, restarts, seed):
     at least two points, so a single start is the first of two)."""
     sample = lhd(max(restarts, 2), DesignSpace(bounds=log_bounds), seed).points
     return list(sample[:restarts])
+
+
+def _search_workers(restarts):
+    """How many processes run a search's ``restarts`` starts: one per
+    usable CPU, at most ``restarts``, where forking is known to be safe and
+    to pay, and 1 elsewhere.
+
+    That is on Linux, the one platform measured, with BLAS pinned to one
+    thread by the variables the CLI sets, and with no other Python thread
+    alive: a fork copies only the calling thread, so a lock another thread
+    holds would never be released in the child.
+    """
+    if (sys.platform != "linux" or restarts < 2 or threading.active_count() != 1
+            or any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS)):
+        return 1
+    return min(len(os.sched_getaffinity(0)), restarts)
+
+
+def _run_starts(run, count):
+    """``[run(i) for i in range(count)]``, the starts dealt round-robin to
+    :func:`_search_workers` processes, the caller running worker 0's.
+
+    Each forked worker (:func:`_fork`) sends back its outcomes, up to its
+    first failure, and the warnings it showed, and leaves through
+    ``os._exit`` whatever happens. Every worker is reaped before this
+    returns or raises. A worker's warnings are issued again here, through
+    this process's filters and the registry of the module that raised
+    them, so a warning the caller's own starts have shown is not shown
+    twice; they come after the caller's own. The exception of the lowest
+    failing start is raised, as the serial loop, which stops at it, raises
+    it; from a worker it keeps its type and message but not its traceback
+    or chain.
+    """
+    workers = _search_workers(count)
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork(run, range(w, count, workers)))
+        shares = [_run_share(run, range(0, count, workers))]
+        for pid, reader in children:
+            with reader:
+                data = reader.read()
+            if not data:
+                raise ChildProcessError(f"search worker {pid} ended without a result")
+            share, shown = pickle.loads(data)
+            for message, category, filename, lineno, module in shown:
+                registry = None
+                if module in sys.modules:
+                    registry = vars(sys.modules[module]).setdefault("__warningregistry__", {})
+                warnings.warn_explicit(message, category, filename, lineno, module, registry)
+            shares.append(share)
+    finally:
+        for pid, reader in children:
+            if not reader.closed:  # abandoned: stop it
+                import signal  # here only: `import opemu.cli` does not load it
+
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # in start order, every start before a share's first failure is there
+    outcomes = []
+    for _, outcome, exc in sorted((entry for share in shares for entry in share),
+                                  key=lambda entry: entry[0]):
+        if exc is not None:
+            raise exc
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _run_share(run, indices):
+    """[(i, run(i), None), ...] over ``indices`` in order, ended by
+    (i, None, exception) at the first start that raises."""
+    share = []
+    for i in indices:
+        try:
+            share.append((i, run(i), None))
+        except Exception as exc:
+            share.append((i, None, exc))
+            break
+    return share
+
+
+def _fork(run, indices):
+    """(pid, reader): a forked child that runs the starts ``indices`` by
+    :func:`_run_share` and sends the share, with the warnings it showed,
+    down a pipe, pickled; and the read end of that pipe.
+
+    The child's warning filters and registries are the caller's at the
+    fork. Each warning it shows is sent with the name of the module that
+    raised it. A failing start's exception is sent as itself where
+    pickling gives it back with its type and message (:func:`_portable`).
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            shown = []
+            warnings.showwarning = lambda message, category, filename, lineno, *_: shown.append(
+                (message, category, filename, lineno, _module_at(filename, lineno)))
+            share = [(i, outcome, None if exc is None else _portable(exc))
+                     for i, outcome, exc in _run_share(run, indices)]
+            data = pickle.dumps((share, shown))  # all or nothing reaches the pipe
+            with open(write_fd, "wb") as writer:
+                writer.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _module_at(filename, lineno):
+    """``__name__`` of the innermost calling frame at ``filename``:``lineno``,
+    the module whose registry a warning raised there goes through, or None."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        if (frame.f_code.co_filename, frame.f_lineno) == (filename, lineno):
+            return frame.f_globals.get("__name__")
+        frame = frame.f_back
+    return None
+
+
+def _portable(exc):
+    """``exc`` where pickling gives it back with its type and message, and
+    otherwise a RuntimeError that names both."""
+    try:
+        back = pickle.loads(pickle.dumps(exc))
+    except Exception:
+        back = None
+    if type(back) is type(exc) and str(back) == str(exc):
+        return exc
+    return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 def _setulb():

@@ -1,11 +1,14 @@
 """Record and compare the bits of two length searches.
 
-Run by hand, from the repository root, with ``src`` on the path and BLAS
-pinned to one thread:
+Run by hand, from the repository root, with ``src`` on the path:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/make_search_bits.py
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/make_search_bits.py --check [--fallback]
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/make_search_bits.py --paths
+    PYTHONPATH=src python tests/make_search_bits.py
+    PYTHONPATH=src python tests/make_search_bits.py --check [--fallback]
+    PYTHONPATH=src python tests/make_search_bits.py --paths
+
+BLAS is pinned to one thread by the variables the CLI sets, unless they
+are set already; under that pin the search runs its starts in worker
+processes, one per usable CPU.
 
 The cases are the default config's search, and one at n=8 (design seed 0,
 10 candidates, exponent 2.0, 3 restarts) whose start 0 stops unconverged.
@@ -20,9 +23,11 @@ through ``minimize`` instead of the directly driven L-BFGS-B routine. The
 recorded bits hold only where they were recorded: they move with the
 thread count, the CPU's BLAS kernels and the numpy and scipy builds (the
 file names the versions). ``--paths`` needs no recording: it runs both
-cases through the direct routine and then through ``minimize`` in one
-process and exits 1 naming each case whose facts differ, which holds on
-any host.
+cases through the direct routine, again with this process pinned to one
+CPU, which runs every start in one process, and then through ``minimize``,
+all in one process, and exits 1 naming each run whose facts differ from
+the first, which holds on any host. Where every search runs in one
+process anyway, it says so.
 """
 
 import argparse
@@ -30,6 +35,10 @@ import hashlib
 import json
 import os
 import sys
+
+# as the CLI pins them, before the first import that loads numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy
 import scipy
@@ -70,6 +79,16 @@ def search(case: str) -> dict:
             "trace_sha256": hashlib.sha256(rows.encode()).hexdigest()}
 
 
+def _at_one_cpu(case: str) -> dict:
+    """:func:`search` with this process pinned to one of its usable CPUs."""
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(usable)})
+    try:
+        return search(case)
+    finally:
+        os.sched_setaffinity(0, usable)
+
+
 def _report(what: str, cases, bad) -> int:
     print(f"{len(cases)} searches {what}, {len(bad)} differ")
     for case in bad:
@@ -83,15 +102,22 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare with the recorded bits instead of rewriting them")
     mode.add_argument("--paths", action="store_true",
-                      help="compare the direct routine with minimize, without the recording")
+                      help="compare the direct routine at every CPU and at one with "
+                           "minimize, without the recording")
     parser.add_argument("--fallback", action="store_true",
                         help="search through scipy.optimize.minimize")
     args = parser.parse_args(argv)
     if args.paths:
         direct = {case: search(case) for case in CASES}
+        bad = [f"{case} at one CPU" for case in CASES if _at_one_cpu(case) != direct[case]]
         likelihood._setulb = lambda: None
-        bad = [case for case in CASES if search(case) != direct[case]]
-        return _report("compared across the two paths", CASES, bad)
+        bad += [f"{case} through minimize" for case in CASES if search(case) != direct[case]]
+        status = _report("compared across the two paths and at one CPU", CASES, bad)
+        if len(os.sched_getaffinity(0)) < 2:
+            print("  only one CPU is usable: every search ran in one process")
+        elif likelihood._search_workers(2) < 2:
+            print("  BLAS is not pinned to one thread: every search ran in one process")
+        return status
     if args.fallback or not args.check:
         likelihood._setulb = lambda: None
     got = {case: search(case) for case in CASES}

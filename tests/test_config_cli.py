@@ -262,6 +262,10 @@ class TestFitTrace:
             return evaluate(self, lengths, tau, want_grad)
 
         monkeypatch.setattr(likelihood._Workspace, "evaluate", counted)
+        # calls counted in a forked search worker never reach this list, so
+        # every start runs here (the worker count changes no row: see
+        # test_likelihood's TestForkedStarts)
+        monkeypatch.setattr(likelihood, "_search_workers", lambda restarts: 1)
         cfg = _config_with(cfg_path, tmp_path, model=tmp_path / "model.json",
                            reports=tmp_path / "reports")
         assert main(["fit", "--trace", "--config", cfg]) == 0

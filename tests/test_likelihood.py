@@ -3,8 +3,10 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import types
 
 import numpy as np
@@ -27,7 +29,7 @@ from opemu import (
     toy_training_set,
 )
 from opemu.design import DesignSpace
-from opemu.errors import DataError
+from opemu.errors import DataError, NumericalDegeneracyError
 from opemu import likelihood
 from opemu.likelihood import _starting_points, _Workspace, default_length_bounds
 
@@ -423,9 +425,10 @@ class TestDirectLbfgsb:
 
     def test_direct_and_fallback_searches_give_the_same_bits(self):
         # the default search and one with an unconverged start, each run
-        # through the directly driven routine and through minimize in one
-        # child process: value, tau_hat, lengths, per-start records and
-        # trace rows all equal. The child is pinned to one BLAS thread, as
+        # through the directly driven routine, with its starts in worker
+        # processes and again at one CPU in one process, and through
+        # minimize, in one child process: value, tau_hat, lengths, per-start
+        # records and trace rows all equal. The child is pinned to one BLAS thread, as
         # the benchmark is. (make_search_bits.py --check compares with the
         # recording, which holds only on the host that made it)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opemu.__file__)),
@@ -434,7 +437,10 @@ class TestDirectLbfgsb:
         argv = [sys.executable, os.path.join(TESTS, "make_search_bits.py"), "--paths"]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines() == ["2 searches compared across the two paths, 0 differ"]
+        expected = ["2 searches compared across the two paths and at one CPU, 0 differ"]
+        if len(os.sched_getaffinity(0)) < 2:
+            expected.append("  only one CPU is usable: every search ran in one process")
+        assert proc.stdout.splitlines() == expected
 
     def test_recorded_case_has_an_unconverged_start(self):
         with open(os.path.join(TESTS, "data", "search_bits.json"), encoding="utf-8") as fh:
@@ -489,3 +495,208 @@ class TestDirectLbfgsb:
         assert likelihood._setulb() is None
         if fault != "other interface":
             assert likelihood._LBFGSB not in sys.modules
+
+
+# Run as a child process pinned to the CPUs named in argv[2:]: a search at
+# n=8 with 3 restarts, with the fault named in argv[1], first with its
+# starts in worker processes, then at one CPU in one process. Prints
+# whether the two outcomes (value, per-start records and trace, or the
+# exception's type and message, then the warnings' messages) are equal, the outcome's kind ("found" or
+# the exception's type), whether a child process is left after either
+# run, and the forks of each run.
+SEARCH_CHILD = """
+import os, sys, warnings
+os.sched_setaffinity(0, {int(cpu) for cpu in sys.argv[2:]})
+import opemu
+from opemu import likelihood
+from opemu.config import RunConfig
+from opemu.errors import NumericalDegeneracyError
+
+cfg = RunConfig()
+design = opemu.maximin_lhd(8, cfg.space(), 0, 10)
+train = opemu.toy_training_set(design, cfg.time_grid(), cfg.toy_params())
+ib, ob = cfg.input_basis(), cfg.output_basis()
+sigma2 = opemu.estimate_hyperparams(train, ib, ob).sigma2
+
+if sys.argv[1] in ("starts 1 and 2 raise", "start 1 warns", "starts 0 and 1 warn",
+                   "start 0 is interrupted"):
+    picked, real_points, real_lbfgsb = [], likelihood._starting_points, likelihood._lbfgsb
+
+    def points(*args):
+        picked[:] = real_points(*args)
+        return picked
+
+    def lbfgsb(setulb, fun, x0, bounds):
+        if x0 is picked[1] and sys.argv[1] == "start 1 warns":
+            warnings.warn("start 1 warns", RuntimeWarning)
+        if (x0 is picked[0] or x0 is picked[1]) and sys.argv[1] == "starts 0 and 1 warn":
+            warnings.warn("starts 0 and 1 warn", RuntimeWarning)
+        if x0 is picked[0] and sys.argv[1] == "start 0 is interrupted":
+            raise KeyboardInterrupt("start 0 is interrupted")
+        for idx in (1, 2):
+            if x0 is picked[idx] and sys.argv[1] == "starts 1 and 2 raise":
+                raise ValueError(f"start {idx} cannot descend")
+        return real_lbfgsb(setulb, fun, x0, bounds)
+
+    likelihood._starting_points, likelihood._lbfgsb = points, lbfgsb
+elif sys.argv[1] == "every start fails":
+    def degenerate(self, lengths, tau=None, want_grad=False):
+        raise NumericalDegeneracyError("K")
+
+    likelihood._Workspace.evaluate = degenerate
+
+forks, real_fork = [], os.fork
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = fork
+
+
+def outcome():
+    del forks[:]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            state = opemu.optimize_correlation_lengths(train, ib, ob, sigma2, restarts=3,
+                                                       collect_trace=True)
+        except (Exception, KeyboardInterrupt) as exc:
+            result = type(exc).__name__, str(exc)
+        else:
+            result = "found", state.value.hex(), state.starts, state.trace
+    return result + tuple(str(w.message) for w in caught), len(forks)
+
+
+def child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+if sys.argv[1] == "starts 0 and 1 warn":
+    # one search under the default filters, at the CPUs given: its
+    # warnings go to stderr as they would outside this test
+    workers = likelihood._search_workers(3)
+    opemu.optimize_correlation_lengths(train, ib, ob, sigma2, restarts=3)
+    print(workers, child_left(), len(forks))
+else:
+    assert likelihood._search_workers(3) == 2
+    parallel, parallel_forks = outcome()
+    left = child_left()
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    serial, serial_forks = outcome()
+    print(parallel == serial, parallel[0], left or child_left(), parallel_forks, serial_forks)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux and two usable CPUs")
+class TestForkedStarts:
+    """With BLAS pinned and two usable CPUs the search runs its starts in a
+    forked worker; no worker outlives it or writes anything, and the
+    caller gets the serial run's result or exception, and its warnings."""
+
+    @staticmethod
+    def search(fault, cpus):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opemu.__file__)),
+                   PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        argv = [sys.executable, "-c", SEARCH_CHILD, fault] + [str(cpu) for cpu in cpus]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("fault, kind", [
+        ("none", "found"),
+        ("start 1 warns", "found"),
+        ("starts 1 and 2 raise", "ValueError"),
+        ("every start fails", "OptimizationFailure"),
+        ("start 0 is interrupted", "KeyboardInterrupt"),
+    ])
+    def test_no_process_outlives_a_search(self, fault, kind):
+        # the lowest failing start's exception wins, as in the serial loop,
+        # which stops at start 1: here start 2 fails in the caller's own
+        # share and start 1 in the worker's. An interrupt in the caller's
+        # share stops the worker mid-descent, which is then killed
+        proc = self.search(fault, sorted(os.sched_getaffinity(0))[:2])
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [f"True {kind} False 1 0"]
+
+    def test_a_warning_two_starts_raise_is_shown_once(self):
+        # under the default filters a warning is shown once per location,
+        # so start 1's, raised in the worker, is not shown again after
+        # start 0's, raised in the caller: stderr is the one-process run's
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        forked, serial = self.search("starts 0 and 1 warn", cpus), \
+            self.search("starts 0 and 1 warn", cpus[:1])
+        assert forked.stdout.splitlines() == ["2 False 1"]
+        assert serial.stdout.splitlines() == ["1 False 0"]
+        assert forked.stderr == serial.stderr
+        assert serial.stderr.count("RuntimeWarning: starts 0 and 1 warn") == 1
+
+
+class TestPortable:
+    """A worker's exception reaches the caller with its type and message."""
+
+    def test_a_picklable_exception_is_sent_as_itself(self):
+        exc = ValueError("start 1 cannot descend")
+        assert likelihood._portable(exc) is exc
+
+    def test_numerical_degeneracy_survives_pickling(self):
+        exc = NumericalDegeneracyError("Kr", "leading minor 3")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is NumericalDegeneracyError
+        assert str(back) == str(exc) == "factorization failed for Kr: leading minor 3"
+        assert likelihood._portable(exc) is exc
+
+    def test_other_exceptions_become_a_runtime_error_naming_them(self):
+        class TwoArgs(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        got = likelihood._portable(TwoArgs("x", "y"))
+        assert type(got) is RuntimeError and str(got) == "TwoArgs: x and y"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux's usable CPUs")
+class TestSearchWorkers:
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        for var in likelihood._BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(likelihood.sys, "platform", "linux")
+
+    def test_one_per_usable_cpu_up_to_the_restarts(self, pinned):
+        cpus = len(os.sched_getaffinity(0))
+        assert likelihood._search_workers(5) == min(cpus, 5)
+        assert likelihood._search_workers(1) == 1
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS"])
+    def test_serial_unless_blas_is_pinned(self, pinned, monkeypatch, var):
+        monkeypatch.delenv(var)
+        assert likelihood._search_workers(5) == 1
+        monkeypatch.setenv(var, "2")
+        assert likelihood._search_workers(5) == 1
+
+    def test_serial_off_linux(self, pinned, monkeypatch):
+        monkeypatch.setattr(likelihood.sys, "platform", "darwin")
+        assert likelihood._search_workers(5) == 1
+
+    def test_serial_while_another_thread_is_alive(self, pinned):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert likelihood._search_workers(5) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
