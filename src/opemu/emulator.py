@@ -160,16 +160,6 @@ class _KronEigen:
         self.D = 1.0 / P
         self.logdet = float(np.sum(np.log(P)))
 
-    def whiten(self, F: np.ndarray) -> np.ndarray:
-        """K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks.
-
-        Only the likelihood calls it now; :func:`fit` solves the time side
-        first. Its Kr-first order is kept because the fitted-length UQ gate
-        pins the likelihood's bits, until that gate checks results instead.
-        """
-        W = chol_solve(self.chol, F)
-        return chol_solve(self.time.chol, W.T).T
-
     def solve(self, B: np.ndarray) -> np.ndarray:
         """S^-1 vec(B) as a nu_r x nu_s matrix."""
         return self.Ur @ (self.D * (self.Ur.T @ B @ self.time.Us)) @ self.time.Us.T

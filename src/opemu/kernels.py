@@ -11,11 +11,13 @@ The default exponent is 3/2: smooth, but not the infinitely smooth p=2
 squared-exponential. A small jitter is added to each factor's diagonal
 before factorization; dense time grids make the output factor nearly
 singular without it.
+
+LAPACK, and the special functions of the analysis, come from scipy's
+compiled modules, which :func:`_compiled` loads without their packages.
 """
 
 import _imp
 import importlib
-import importlib.machinery
 import importlib.util
 import os
 import sys
@@ -91,59 +93,55 @@ def _scipy_dirs(subpackage: str) -> list:
     return [os.path.join(root, subpackage) for root in scipy.submodule_search_locations]
 
 
-def _compiled_spec(name: str, subpackage: str):
-    """Import spec of scipy's compiled module ``name``, which lives in
-    ``subpackage``, or ``None`` if its file is not there.
+def _compiled(name: str):
+    """scipy's compiled module ``name`` (``scipy.<subpackage>.<module>``),
+    loaded from its file without running the subpackage's ``__init__``, or
+    ``None`` where the subpackage serves instead.
 
-    The path finder on scipy's ``subpackage`` directory locates it without
-    running a package ``__init__``.
+    A module already in ``sys.modules`` is returned as it is. Where its
+    package is imported, or the file is absent or does not load on its
+    own, the result is ``None``. Otherwise, under CPython's global import
+    lock, so that no other thread imports meanwhile, a bare placeholder
+    package whose path is the subpackage's directory (:func:`_scipy_dirs`)
+    stands in for the package while the module loads, so that relative
+    imports of its siblings resolve, and is removed after, whether or not
+    the load succeeded. The module stays in ``sys.modules``, and a later
+    import of its package runs the real ``__init__`` and reuses it; the
+    one trace of the direct load is that the package lacks the module as
+    an attribute, which scipy reads only by ``from <package> import
+    <module>`` (that falls back to ``sys.modules``). A module whose
+    extensions import ``scipy`` needs that package imported before this
+    is called, so that the lock is never held while another thread's
+    ``import scipy`` holds that package's lock and waits for the global
+    one.
     """
-    return importlib.machinery.PathFinder.find_spec(name, _scipy_dirs(subpackage))
-
-
-def _flapack_spec():
-    """Import spec of scipy's compiled LAPACK module, or ``None`` if it is not there."""
-    return _compiled_spec(_FLAPACK, "linalg")
-
-
-def _load_compiled(name: str, spec):
-    """The compiled module ``name`` run from ``spec`` and entered in
-    ``sys.modules``, so that a later import of its package reuses it.
-
-    ``None`` where ``spec`` is ``None`` or the file does not load on its
-    own (say, before scipy's ``__init__`` has set up its bundled
-    libraries).
-    """
-    if spec is None:
-        return None
+    package = name.rpartition(".")[0]
+    _imp.acquire_lock()
     try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except (ImportError, OSError):
-        return None
-    sys.modules[name] = module
-    return module
+        if name in sys.modules or package in sys.modules:
+            return sys.modules.get(name)
+        placeholder = sys.modules[package] = types.ModuleType(package)
+        placeholder.__path__ = _scipy_dirs(package.partition(".")[2])
+        try:
+            return importlib.import_module(name)
+        except (ImportError, OSError):
+            return None
+        finally:
+            del sys.modules[package]
+    finally:
+        _imp.release_lock()
 
 
 @cache
 def _lapack():
     """The module holding the compiled ``dpotrf`` and ``dpotrs``, bound once.
 
-    It is ``scipy.linalg._flapack``, loaded from its file so that a
+    It is ``scipy.linalg._flapack`` from :func:`_compiled`, so that a
     serving command does not pay for the ``scipy`` and ``scipy.linalg``
-    package imports. It is the module ``scipy.linalg.lapack`` wraps, so
-    factors and solves keep their bits. A later ``import scipy.linalg``
-    reuses it from ``sys.modules``; the one trace of the direct load is
-    that the package lacks the attribute ``scipy.linalg._flapack``, which
-    scipy reads only by ``from scipy.linalg import _flapack`` (that falls
-    back to ``sys.modules``). Where :func:`_load_compiled` cannot load it,
-    ``scipy.linalg.lapack`` serves.
+    package imports, or else ``scipy.linalg.lapack``, which wraps the same
+    module, so factors and solves keep their bits.
     """
-    if _FLAPACK not in sys.modules and _load_compiled(_FLAPACK, _flapack_spec()) is None:
-        from scipy.linalg import lapack
-
-        return lapack
-    return sys.modules[_FLAPACK]
+    return _compiled(_FLAPACK) or importlib.import_module("scipy.linalg.lapack")
 
 
 @cache
@@ -151,48 +149,21 @@ def _ufuncs():
     """scipy's compiled special-function module, holding ``betaincinv`` and
     ``stdtrit``, bound once.
 
-    It is ``scipy.special._ufuncs``, loaded without running
+    It is ``scipy.special._ufuncs`` from :func:`_compiled`, which skips
     ``scipy/special/__init__.py``, whose array-API set-up costs a command
     ~0.25 s; the extension modules, with scipy's top-level package, load
-    in ~40 ms (2-core x86 host). Their init imports its siblings
-    relatively (``._special_ufuncs``, ``._ufuncs_cxx``), so under the
-    import lock a bare placeholder package named ``scipy.special``, whose
-    path is scipy's ``special`` directory, stands in for the package while
-    they load, and is removed after. A later ``import scipy.special`` runs
-    the real ``__init__`` and reuses the loaded extensions from
-    ``sys.modules``: its ``betaincinv`` and ``stdtrit`` are this module's
-    objects, so draws and quantiles keep their bits. If the package is already imported, or the file is absent
-    or does not load on its own, the package serves, as
-    ``scipy.linalg.lapack`` does for :func:`_lapack`.
-
-    The placeholder relies on CPython's global import lock: no other
-    thread imports while it is registered. ``scipy`` itself is imported
-    before the lock is taken, so the lock is held only while the
-    extensions load, never while another thread's ``import scipy`` holds
-    that package's module lock and waits for the global one.
+    in ~40 ms (2-core x86 host). Their init imports ``scipy`` and its
+    siblings (``._special_ufuncs``, ``._ufuncs_cxx``), so ``scipy`` is
+    imported first. A later ``import scipy.special`` reuses the loaded
+    extensions: its ``betaincinv`` and ``stdtrit`` are this module's
+    objects, so draws and quantiles keep their bits. Where
+    :func:`_compiled` gives ``None``, the package serves.
     """
-    package = "scipy.special"
     try:
         import scipy  # noqa: F401
     except ImportError:
         pass
-    _imp.acquire_lock()
-    try:
-        if package not in sys.modules:
-            placeholder = types.ModuleType(package)
-            placeholder.__path__ = _scipy_dirs("special")
-            sys.modules[package] = placeholder
-            try:
-                return importlib.import_module(_UFUNCS)
-            except (ImportError, OSError):
-                pass
-            finally:
-                del sys.modules[package]
-    finally:
-        _imp.release_lock()
-    from scipy.special import _ufuncs
-
-    return _ufuncs
+    return _compiled(_UFUNCS) or importlib.import_module(_UFUNCS)
 
 
 def _factor(matrix: np.ndarray, jitter: float, name: str) -> tuple:

@@ -55,7 +55,7 @@ from .basis import InputBasis, OutputBasis, regressor_matrices
 from .design import DesignSpace, lhd
 from .emulator import NigPrior, TrainingSet, _KronEigen, _TimeFactor
 from .errors import DataError, NumericalDegeneracyError, OptimizationFailure
-from .kernels import DEFAULT_JITTER, KernelSpec, _compiled_spec, _load_compiled, chol_solve
+from .kernels import DEFAULT_JITTER, KernelSpec, _compiled, chol_solve
 
 _BARRIER = 1e25
 _LBFGSB = "scipy.optimize._lbfgsb"
@@ -150,7 +150,10 @@ class _Workspace:
         time = _TimeFactor(self.train.time_grid, self.output_basis, spec, self.jitter, self.Gs)
         core = _KronEigen(self.train.design, self.Gr, time, self.sigma2)
 
-        W0 = core.whiten(F)
+        # K^-1 vec(F) as an n x q matrix, K = Kr (x) Ks. `fit` solves the time
+        # side first; this Kr-first order is kept because the fitted-length
+        # UQ gate pins the likelihood's bits, until that gate checks results
+        W0 = chol_solve(time.chol, chol_solve(core.chol, F).T).T
         b = self.Gr.T @ W0 @ self.Gs
         Z = core.solve(b)
         quad_K = float(np.sum(F * W0))
@@ -304,16 +307,13 @@ def optimize_correlation_lengths(
 
     # package rule: scipy is imported in the functions that call it, never
     # at module level, so `import opemu.cli` loads no scipy and `opemu
-    # design` and `opemu simulate` never do. Cholesky factors and solves
-    # call LAPACK through `kernels._factor` and `kernels.chol_solve`, which
-    # load only scipy's compiled `_flapack` module, and the search drives
-    # only scipy's compiled `_lbfgsb` module, so no default command loads a
-    # scipy package: from dof 3000 the t quantile is opemu's own, and below
-    # it `validate`, `predict` and `sweep` load scipy.special's compiled
-    # modules for stdtrit, as `uq` does for betaincinv. The routine is
-    # chosen before the first evaluation, so a trace never holds the rows
-    # of an abandoned attempt, and the fallback's package is imported
-    # before any worker forks, so the workers do not each import it
+    # design` and `opemu simulate` never do. LAPACK (`_flapack`), this
+    # search's `_lbfgsb` and, below dof 3000 and in `uq`, scipy.special's
+    # `_ufuncs` are scipy's compiled modules, loaded by `kernels._compiled`,
+    # so no default command loads a scipy package. The routine is chosen
+    # before the first evaluation, so a trace never holds the rows of an
+    # abandoned attempt, and the fallback's package is imported before any
+    # worker forks, so the workers do not each import it
     setulb = _setulb()
     if setulb is None:
         import scipy.optimize  # noqa: F401
@@ -376,7 +376,8 @@ def _search_workers(restarts):
 
 def _run_starts(run, count):
     """``[run(i) for i in range(count)]``, the starts dealt round-robin to
-    :func:`_search_workers` processes, the caller running worker 0's.
+    :func:`_search_workers` processes, the caller running worker 0's, and
+    the share of any worker that cannot be forked after its own.
 
     Each forked worker (:func:`_fork`) sends back its outcomes, up to its
     first failure, and the warnings it showed, and leaves through
@@ -390,11 +391,14 @@ def _run_starts(run, count):
     or chain.
     """
     workers = _search_workers(count)
-    children = []
+    children, local = [], [0]
     try:
         for w in range(1, workers):
-            children.append(_fork(run, range(w, count, workers)))
-        shares = [_run_share(run, range(0, count, workers))]
+            try:
+                children.append(_fork(run, range(w, count, workers)))
+            except OSError:  # no process to spare: the caller runs this share too
+                local.append(w)
+        shares = [_run_share(run, range(w, count, workers)) for w in local]
         for pid, reader in children:
             with reader:
                 data = reader.read()
@@ -501,19 +505,15 @@ def _setulb():
     """scipy's compiled L-BFGS-B routine ``setulb``, or ``None`` where it
     cannot be driven directly.
 
-    It is ``scipy.optimize._lbfgsb``, loaded from its file as
-    :func:`~opemu.kernels._lapack` loads ``_flapack``, so the search pays
-    for neither the ``scipy.optimize`` package import nor the
-    scipy.linalg and scipy.special packages it brings: ~0.3 s and ~40 MB
-    of a fresh ``opemu fit``. A later ``import scipy.optimize`` reuses the
-    module; one already imported serves as it is. ``None`` where the file
-    is absent or does not load on its own, or where its ``setulb`` does
-    not document the signature of scipy 1.17.1's: then
+    It is in ``scipy.optimize._lbfgsb`` from
+    :func:`~opemu.kernels._compiled`, so the search pays for neither the
+    ``scipy.optimize`` package import nor the scipy.linalg and
+    scipy.special packages it brings: ~0.3 s and ~40 MB of a fresh
+    ``opemu fit``. ``None`` where that gives no module, or where its
+    ``setulb`` does not document the signature of scipy 1.17.1's: then
     ``scipy.optimize.minimize`` serves.
     """
-    module = sys.modules.get(_LBFGSB) or _load_compiled(
-        _LBFGSB, _compiled_spec(_LBFGSB, "optimize"))
-    setulb = getattr(module, "setulb", None)
+    setulb = getattr(_compiled(_LBFGSB), "setulb", None)
     doc = getattr(setulb, "__doc__", None) or ""
     return setulb if doc.split("\n", 1)[0] == _SETULB else None
 

@@ -24,7 +24,7 @@ from opemu import (
 from opemu.basis import regressor_matrices
 from opemu.design import DesignSpace
 from opemu.emulator import OpeModel, _KronEigen, _TimeFactor
-from opemu.kernels import input_correlation_matrix, output_correlation_matrix
+from opemu.kernels import chol_solve, input_correlation_matrix, output_correlation_matrix
 
 
 def small_problem(n=2, q=3, seed=0, k=3, freqs=(0.25, 0.5)):
@@ -130,9 +130,13 @@ def _input_first_fit(prior, ib, ob, kern, train, jitter):
     core = _KronEigen(train.design, Gr, _TimeFactor(train.time_grid, ob, kern, jitter, Gs),
                       prior.sigma2)
     F = train.outputs
-    coeff = core.solve(Gr.T @ core.whiten(F) @ Gs)
+
+    def whiten(B):  # K^-1 vec(B) as an n x q matrix: Kr^-1, then Ks^-1
+        return chol_solve(core.time.chol, chol_solve(core.chol, B).T).T
+
+    coeff = core.solve(Gr.T @ whiten(F) @ Gs)
     R = F - Gr @ coeff @ Gs.T
-    W = core.whiten(R)
+    W = whiten(R)
     scale = prior.scale + np.sum(R * W) + np.sum(coeff * coeff) / prior.sigma2
     return OpeModel(prior, core, coeff.ravel(), scale, W, train.fingerprint()), R
 

@@ -1,6 +1,5 @@
 import hashlib
 import importlib.machinery
-import importlib.util
 import math
 import os
 import subprocess
@@ -192,28 +191,33 @@ class TestCholSolve:
         assert np.array_equal(x, cho_solve(chol, B, check_finite=False))
         assert np.array_equal(B, before)
 
-    @pytest.mark.parametrize("missing", [True, False], ids=["absent", "unloadable"])
-    def test_fallback_module_gives_the_same_bits(self, factored, monkeypatch, tmp_path,
-                                                 missing):
-        # without a loadable compiled file, scipy.linalg.lapack serves
-        Ks, chol = factored
+    FACTOR = """
+        import hashlib
+        import numpy as np
+        grid = np.round(0.2 * np.arange(176), 12)
+        Ks = kernels.output_correlation_matrix(grid, grid, kernels.KernelSpec((1.0,), 1.582))
+        chol = kernels._factor(Ks, 1e-8, "Ks")
         B = np.random.default_rng(5).standard_normal((176, 11))
-        x = chol_solve(chol, B)
-        spec = None
+        print(kernels._lapack().__name__, hashlib.sha256(chol[0].tobytes()).hexdigest(),
+              hashlib.sha256(kernels.chol_solve(chol, B).tobytes()).hexdigest())
+    """
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["absent", "unloadable"])
+    def test_fallback_module_gives_the_same_bits(self, tmp_path, missing):
+        # without a loadable compiled file, scipy.linalg.lapack serves; in
+        # fresh processes, since a session that has imported scipy.linalg
+        # already holds the compiled module, and both under one environment,
+        # since the BLAS thread count changes a factor's last bits
         if not missing:  # a file that is there but does not load as an extension
-            path = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-            path.write_bytes(b"")
-            spec = importlib.util.spec_from_file_location(kernels._FLAPACK, path)
-        monkeypatch.setattr(kernels, "_flapack_spec", lambda: spec)
-        monkeypatch.delitem(sys.modules, kernels._FLAPACK, raising=False)
-        kernels._lapack.cache_clear()
-        try:
-            assert kernels._lapack().__name__ == "scipy.linalg.lapack"
-            fallback = _factor(Ks.copy(), 0.0, "Ks")  # Ks already holds the jitter
-            assert np.array_equal(fallback[0], chol[0])
-            assert np.array_equal(chol_solve(fallback, B), x)
-        finally:
-            kernels._lapack.cache_clear()
+            (tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"")
+        fallback = _run_fresh(f"""
+            from opemu import kernels
+            kernels._scipy_dirs = lambda subpackage: [{str(tmp_path)!r}]
+        """, self.FACTOR)
+        direct = _run_fresh("from opemu import kernels", self.FACTOR)
+        assert fallback[0] == "scipy.linalg.lapack"
+        assert direct[0] == kernels._FLAPACK
+        assert fallback[1:] == direct[1:]
 
     def test_scipy_linalg_imports_after_a_direct_load(self):
         out = _run_fresh("""
@@ -240,6 +244,32 @@ class TestCholSolve:
         with pytest.raises(NumericalDegeneracyError, match="the test matrix") as info:
             _factor(m, 0.0, "the test matrix")
         assert "2-th leading minor of the array is not positive definite" in str(info.value)
+
+
+class TestCompiled:
+    """Where scipy's compiled module cannot load on its own, the direct
+    load leaves neither it nor a placeholder package in ``sys.modules``,
+    and the real package then imports and serves it."""
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["absent", "unloadable"])
+    @pytest.mark.parametrize("name", ["scipy.linalg._flapack", "scipy.special._ufuncs",
+                                      "scipy.optimize._lbfgsb"])
+    def test_failed_load_leaves_nothing_behind(self, tmp_path, name, missing):
+        package, _, module = name.rpartition(".")
+        if not missing:  # a file that is there but does not load as an extension
+            (tmp_path / (module + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"")
+        out = _run_fresh(f"""
+            import importlib, sys
+            from opemu import kernels
+            kernels._scipy_dirs = lambda subpackage: [{str(tmp_path)!r}]
+            print(kernels._compiled({name!r}), {name!r} in sys.modules,
+                  {package!r} in sys.modules)
+            real = importlib.import_module({package!r})
+            print(real.__file__.endswith("__init__.py"),
+                  sys.modules[{name!r}].__file__.startswith(real.__path__[0]),
+                  kernels._compiled({name!r}) is sys.modules[{name!r}])
+        """)
+        assert out == ["None", "False", "False", "True", "True", "True"]
 
 
 class TestUfuncs:

@@ -1,5 +1,4 @@
 import importlib.machinery
-import importlib.util
 import json
 import math
 import os
@@ -476,15 +475,7 @@ class TestDirectLbfgsb:
 
     @pytest.mark.parametrize("fault", ["absent", "unloadable", "other interface"])
     def test_routine_that_cannot_be_driven_falls_back(self, monkeypatch, tmp_path, fault):
-        monkeypatch.delitem(sys.modules, likelihood._LBFGSB, raising=False)
-        if fault == "absent":
-            monkeypatch.setattr(likelihood, "_compiled_spec", lambda name, subpackage: None)
-        elif fault == "unloadable":  # a file that is there but does not load as an extension
-            path = tmp_path / ("_lbfgsb" + importlib.machinery.EXTENSION_SUFFIXES[0])
-            path.write_bytes(b"")
-            spec = importlib.util.spec_from_file_location(likelihood._LBFGSB, path)
-            monkeypatch.setattr(likelihood, "_compiled_spec", lambda name, subpackage: spec)
-        else:  # the Fortran routine of scipy < 1.15, as f2py documents it
+        if fault == "other interface":  # the Fortran routine of scipy < 1.15, as f2py documents it
             def setulb():
                 pass
 
@@ -492,20 +483,32 @@ class TestDirectLbfgsb:
                               "iprint,csave,lsave,isave,dsave,maxls,[n])")
             monkeypatch.setitem(sys.modules, likelihood._LBFGSB,
                                 types.SimpleNamespace(setulb=setulb))
-        assert likelihood._setulb() is None
-        if fault != "other interface":
-            assert likelihood._LBFGSB not in sys.modules
+            assert likelihood._setulb() is None
+            return
+        # in a fresh process, since a session that has imported
+        # scipy.optimize already holds the compiled module
+        if fault == "unloadable":  # a file that is there but does not load as an extension
+            (tmp_path / ("_lbfgsb" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"")
+        code = (f"import sys; from opemu import kernels, likelihood; "
+                f"kernels._scipy_dirs = lambda subpackage: [{str(tmp_path)!r}]; "
+                f"print(likelihood._setulb(), likelihood._LBFGSB in sys.modules, "
+                f"'scipy.optimize' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opemu.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.split() == ["None", "False", "False"]
 
 
 # Run as a child process pinned to the CPUs named in argv[2:]: a search at
-# n=8 with 3 restarts, with the fault named in argv[1], first with its
-# starts in worker processes, then at one CPU in one process. Prints
+# n=8 with 3 restarts, with the fault named in argv[1] ("fork fails":
+# os.fork raises EAGAIN), first with its starts in worker processes, then
+# at one CPU in one process. Prints
 # whether the two outcomes (value, per-start records and trace, or the
 # exception's type and message, then the warnings' messages) are equal, the outcome's kind ("found" or
 # the exception's type), whether a child process is left after either
 # run, and the forks of each run.
 SEARCH_CHILD = """
-import os, sys, warnings
+import errno, os, sys, warnings
 os.sched_setaffinity(0, {int(cpu) for cpu in sys.argv[2:]})
 import opemu
 from opemu import likelihood
@@ -549,6 +552,8 @@ forks, real_fork = [], os.fork
 
 
 def fork():
+    if sys.argv[1] == "fork fails":
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
     pid = real_fork()
     if pid:
         forks.append(pid)
@@ -628,6 +633,13 @@ class TestForkedStarts:
         proc = self.search(fault, sorted(os.sched_getaffinity(0))[:2])
         assert proc.stderr == ""
         assert proc.stdout.splitlines() == [f"True {kind} False 1 0"]
+
+    def test_a_share_whose_fork_fails_runs_in_the_caller(self):
+        # with no process to spare, the worker's starts run in the caller
+        # and the search still finds the one-CPU run's result
+        proc = self.search("fork fails", sorted(os.sched_getaffinity(0))[:2])
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == ["True found False 0 0"]
 
     def test_a_warning_two_starts_raise_is_shown_once(self):
         # under the default filters a warning is shown once per location,
