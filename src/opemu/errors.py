@@ -25,8 +25,8 @@ class NumericalDegeneracyError(RuntimeError):
         self._init_args = (matrix_name, detail)
 
     def __reduce__(self):
-        # rebuilt from its own arguments, not from its message, so that it
-        # survives pickling (the length search's workers pickle exceptions)
+        # rebuilt from its own arguments, not from its message: pickled by
+        # default, it would come back with the message doubled
         return type(self), self._init_args
 
 

@@ -37,7 +37,9 @@ forked worker processes, one per usable CPU, and the caller is worker 0
 same reason; Roustant, Ginsbourger & Deville 2012). Each start takes the
 same steps wherever it runs and the results are merged in start order, so
 the winner, tau_hat, the per-start records and the trace do not depend on
-the worker count, bit for bit.
+the worker count, bit for bit. A worker sends back only the starts that
+neither raised nor warned; the caller runs the others again, so their
+exceptions and warnings arise in the caller as in one process.
 """
 
 import math
@@ -376,41 +378,35 @@ def _search_workers(restarts):
 
 def _run_starts(run, count):
     """``[run(i) for i in range(count)]``, the starts dealt round-robin to
-    :func:`_search_workers` processes, the caller running worker 0's, and
-    the share of any worker that cannot be forked after its own.
+    :func:`_search_workers` processes, the caller running worker 0's.
 
-    Each forked worker (:func:`_fork`) sends back its outcomes, up to its
-    first failure, and the warnings it showed, and leaves through
-    ``os._exit`` whatever happens. Every worker is reaped before this
-    returns or raises. A worker's warnings are issued again here, through
-    this process's filters and the registry of the module that raised
-    them, so a warning the caller's own starts have shown is not shown
-    twice; they come after the caller's own. The exception of the lowest
-    failing start is raised, as the serial loop, which stops at it, raises
-    it; from a worker it keeps its type and message but not its traceback
-    or chain.
+    The caller runs its own share first, stopping at its first exception,
+    then reads and reaps every forked worker (:func:`_fork`), taking a
+    worker's clean outcomes only if it exited with status 0. In start
+    order, a start with an outcome takes it, the caller's failed start
+    raises its exception, and any other start runs again here: one that
+    raised or warned in a worker, or whose worker was not forked or sent
+    nothing. A start takes the same steps wherever it runs, so this raises
+    and warns as the serial loop does, with the traceback and through the
+    filters of this process. No worker outlives the call.
     """
     workers = _search_workers(count)
-    children, local = [], [0]
+    outcomes, failed, sent, children = {}, {}, {}, []
     try:
         for w in range(1, workers):
             try:
                 children.append(_fork(run, range(w, count, workers)))
-            except OSError:  # no process to spare: the caller runs this share too
-                local.append(w)
-        shares = [_run_share(run, range(w, count, workers)) for w in local]
+            except OSError:  # no process to spare: this share runs again below
+                pass
+        for i in range(0, count, workers):
+            try:
+                outcomes[i] = run(i)
+            except Exception as exc:
+                failed[i] = exc
+                break
         for pid, reader in children:
             with reader:
-                data = reader.read()
-            if not data:
-                raise ChildProcessError(f"search worker {pid} ended without a result")
-            share, shown = pickle.loads(data)
-            for message, category, filename, lineno, module in shown:
-                registry = None
-                if module in sys.modules:
-                    registry = vars(sys.modules[module]).setdefault("__warningregistry__", {})
-                warnings.warn_explicit(message, category, filename, lineno, module, registry)
-            shares.append(share)
+                sent[pid] = reader.read()
     finally:
         for pid, reader in children:
             if not reader.closed:  # abandoned: stop it
@@ -418,39 +414,23 @@ def _run_starts(run, count):
 
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    # in start order, every start before a share's first failure is there
-    outcomes = []
-    for _, outcome, exc in sorted((entry for share in shares for entry in share),
-                                  key=lambda entry: entry[0]):
-        if exc is not None:
-            raise exc
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _run_share(run, indices):
-    """[(i, run(i), None), ...] over ``indices`` in order, ended by
-    (i, None, exception) at the first start that raises."""
-    share = []
-    for i in indices:
-        try:
-            share.append((i, run(i), None))
-        except Exception as exc:
-            share.append((i, None, exc))
-            break
-    return share
+            if os.waitpid(pid, 0)[1] != 0:  # died, or sent nothing whole
+                sent.pop(pid, None)
+    for data in sent.values():
+        outcomes.update(pickle.loads(data))
+    result = []
+    for i in range(count):
+        if i in failed:
+            raise failed[i]
+        result.append(outcomes[i] if i in outcomes else run(i))
+    return result
 
 
 def _fork(run, indices):
-    """(pid, reader): a forked child that runs the starts ``indices`` by
-    :func:`_run_share` and sends the share, with the warnings it showed,
-    down a pipe, pickled; and the read end of that pipe.
-
-    The child's warning filters and registries are the caller's at the
-    fork. Each warning it shows is sent with the name of the module that
-    raised it. A failing start's exception is sent as itself where
-    pickling gives it back with its type and message (:func:`_portable`).
+    """(pid, reader): a forked child that sends ``{i: run(i)}`` down a pipe,
+    pickled, for each start ``i`` of ``indices`` that neither raised an
+    ``Exception`` nor warned (under the "always" filter), and leaves
+    through ``os._exit`` whatever happens; and the read end of that pipe.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -463,12 +443,17 @@ def _fork(run, indices):
         status = 1
         try:
             os.close(read_fd)
-            shown = []
-            warnings.showwarning = lambda message, category, filename, lineno, *_: shown.append(
-                (message, category, filename, lineno, _module_at(filename, lineno)))
-            share = [(i, outcome, None if exc is None else _portable(exc))
-                     for i, outcome, exc in _run_share(run, indices)]
-            data = pickle.dumps((share, shown))  # all or nothing reaches the pipe
+            clean = {}
+            for i in indices:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        outcome = run(i)
+                    except Exception:
+                        continue
+                if not caught:
+                    clean[i] = outcome
+            data = pickle.dumps(clean)  # all or nothing reaches the pipe
             with open(write_fd, "wb") as writer:
                 writer.write(data)
             status = 0
@@ -476,29 +461,6 @@ def _fork(run, indices):
             os._exit(status)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
-
-
-def _module_at(filename, lineno):
-    """``__name__`` of the innermost calling frame at ``filename``:``lineno``,
-    the module whose registry a warning raised there goes through, or None."""
-    frame = sys._getframe(1)
-    while frame is not None:
-        if (frame.f_code.co_filename, frame.f_lineno) == (filename, lineno):
-            return frame.f_globals.get("__name__")
-        frame = frame.f_back
-    return None
-
-
-def _portable(exc):
-    """``exc`` where pickling gives it back with its type and message, and
-    otherwise a RuntimeError that names both."""
-    try:
-        back = pickle.loads(pickle.dumps(exc))
-    except Exception:
-        back = None
-    if type(back) is type(exc) and str(back) == str(exc):
-        return exc
-    return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 def _setulb():

@@ -504,12 +504,16 @@ class TestDirectLbfgsb:
 # os.fork raises EAGAIN), first with its starts in worker processes, then
 # at one CPU in one process. Prints
 # whether the two outcomes (value, per-start records and trace, or the
-# exception's type and message, then the warnings' messages) are equal, the outcome's kind ("found" or
+# exception's type, message, cause's type and innermost traceback frame,
+# then the warnings' messages) are equal, the outcome's kind ("found" or
 # the exception's type), whether a child process is left after either
-# run, and the forks of each run.
+# run, and the forks of each run; for "start 1 raises from a cause", a
+# second line with the forked run's cause and innermost frame. Asserts
+# that each search leaves as many open file descriptors as it found.
 SEARCH_CHILD = """
 import errno, os, sys, warnings
 os.sched_setaffinity(0, {int(cpu) for cpu in sys.argv[2:]})
+caller = os.getpid()
 import opemu
 from opemu import likelihood
 from opemu.config import RunConfig
@@ -522,7 +526,8 @@ ib, ob = cfg.input_basis(), cfg.output_basis()
 sigma2 = opemu.estimate_hyperparams(train, ib, ob).sigma2
 
 if sys.argv[1] in ("starts 1 and 2 raise", "start 1 warns", "starts 0 and 1 warn",
-                   "start 0 is interrupted"):
+                   "start 0 is interrupted", "start 1 raises from a cause",
+                   "start 1's worker dies"):
     picked, real_points, real_lbfgsb = [], likelihood._starting_points, likelihood._lbfgsb
 
     def points(*args):
@@ -539,6 +544,10 @@ if sys.argv[1] in ("starts 1 and 2 raise", "start 1 warns", "starts 0 and 1 warn
         for idx in (1, 2):
             if x0 is picked[idx] and sys.argv[1] == "starts 1 and 2 raise":
                 raise ValueError(f"start {idx} cannot descend")
+        if x0 is picked[1] and sys.argv[1] == "start 1 raises from a cause":
+            raise ValueError("start 1 cannot descend") from KeyError("start 1")
+        if x0 is picked[1] and sys.argv[1] == "start 1's worker dies" and os.getpid() != caller:
+            os._exit(1)
         return real_lbfgsb(setulb, fun, x0, bounds)
 
     likelihood._starting_points, likelihood._lbfgsb = points, lbfgsb
@@ -563,17 +572,27 @@ def fork():
 os.fork = fork
 
 
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
 def outcome():
     del forks[:]
+    fds = open_fds()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             state = opemu.optimize_correlation_lengths(train, ib, ob, sigma2, restarts=3,
                                                        collect_trace=True)
         except (Exception, KeyboardInterrupt) as exc:
-            result = type(exc).__name__, str(exc)
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            result = (type(exc).__name__, str(exc), type(exc.__cause__).__name__,
+                      tb.tb_frame.f_code.co_name)
         else:
             result = "found", state.value.hex(), state.starts, state.trace
+    assert open_fds() == fds, (fds, open_fds())
     return result + tuple(str(w.message) for w in caught), len(forks)
 
 
@@ -588,8 +607,9 @@ def child_left():
 if sys.argv[1] == "starts 0 and 1 warn":
     # one search under the default filters, at the CPUs given: its
     # warnings go to stderr as they would outside this test
-    workers = likelihood._search_workers(3)
+    workers, fds = likelihood._search_workers(3), open_fds()
     opemu.optimize_correlation_lengths(train, ib, ob, sigma2, restarts=3)
+    assert open_fds() == fds, (fds, open_fds())
     print(workers, child_left(), len(forks))
 else:
     assert likelihood._search_workers(3) == 2
@@ -598,6 +618,8 @@ else:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     serial, serial_forks = outcome()
     print(parallel == serial, parallel[0], left or child_left(), parallel_forks, serial_forks)
+    if sys.argv[1] == "start 1 raises from a cause":
+        print(*parallel[2:4])
 """
 
 
@@ -605,8 +627,9 @@ else:
                     reason="needs Linux and two usable CPUs")
 class TestForkedStarts:
     """With BLAS pinned and two usable CPUs the search runs its starts in a
-    forked worker; no worker outlives it or writes anything, and the
-    caller gets the serial run's result or exception, and its warnings."""
+    forked worker; no worker or file descriptor outlives it, no worker
+    writes anything, and the caller gets the serial run's result or
+    exception, and its warnings."""
 
     @staticmethod
     def search(fault, cpus):
@@ -624,12 +647,15 @@ class TestForkedStarts:
         ("starts 1 and 2 raise", "ValueError"),
         ("every start fails", "OptimizationFailure"),
         ("start 0 is interrupted", "KeyboardInterrupt"),
+        ("start 1's worker dies", "found"),
     ])
     def test_no_process_outlives_a_search(self, fault, kind):
         # the lowest failing start's exception wins, as in the serial loop,
         # which stops at start 1: here start 2 fails in the caller's own
         # share and start 1 in the worker's. An interrupt in the caller's
-        # share stops the worker mid-descent, which is then killed
+        # share stops the worker mid-descent, which is then killed. A
+        # worker that ends without sending anything fails nothing: its
+        # start runs again in the caller
         proc = self.search(fault, sorted(os.sched_getaffinity(0))[:2])
         assert proc.stderr == ""
         assert proc.stdout.splitlines() == [f"True {kind} False 1 0"]
@@ -641,10 +667,18 @@ class TestForkedStarts:
         assert proc.stderr == ""
         assert proc.stdout.splitlines() == ["True found False 0 0"]
 
+    def test_a_workers_exception_keeps_its_traceback_and_cause(self):
+        # start 1 raises in the worker and again in the caller, which
+        # raises it as the one-process run does: from its KeyError, with
+        # the descent's own frame innermost
+        proc = self.search("start 1 raises from a cause", sorted(os.sched_getaffinity(0))[:2])
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == ["True ValueError False 1 0", "KeyError lbfgsb"]
+
     def test_a_warning_two_starts_raise_is_shown_once(self):
         # under the default filters a warning is shown once per location,
-        # so start 1's, raised in the worker, is not shown again after
-        # start 0's, raised in the caller: stderr is the one-process run's
+        # so start 1's, raised in the worker and again in the caller, is
+        # not shown after start 0's: stderr is the one-process run's
         cpus = sorted(os.sched_getaffinity(0))[:2]
         forked, serial = self.search("starts 0 and 1 warn", cpus), \
             self.search("starts 0 and 1 warn", cpus[:1])
@@ -655,26 +689,13 @@ class TestForkedStarts:
 
 
 class TestPortable:
-    """A worker's exception reaches the caller with its type and message."""
-
-    def test_a_picklable_exception_is_sent_as_itself(self):
-        exc = ValueError("start 1 cannot descend")
-        assert likelihood._portable(exc) is exc
+    """The package's exceptions come back from pickling with their type and message."""
 
     def test_numerical_degeneracy_survives_pickling(self):
         exc = NumericalDegeneracyError("Kr", "leading minor 3")
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is NumericalDegeneracyError
         assert str(back) == str(exc) == "factorization failed for Kr: leading minor 3"
-        assert likelihood._portable(exc) is exc
-
-    def test_other_exceptions_become_a_runtime_error_naming_them(self):
-        class TwoArgs(Exception):
-            def __init__(self, a, b):
-                super().__init__(f"{a} and {b}")
-
-        got = likelihood._portable(TwoArgs("x", "y"))
-        assert type(got) is RuntimeError and str(got) == "TwoArgs: x and y"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux's usable CPUs")
